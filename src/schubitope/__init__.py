@@ -1,10 +1,10 @@
 """Exact combinatorics of Schubitopes.
 
-Vertices come from a per-column greedy filling (one candidate vertex per
-permutation); halfspace descriptions come from parenthesis-word bounds;
-Schubert and key polynomials act as independent Newton-polytope oracles;
-and everything is cross-checked by brute force at desk scale with exact
-rational arithmetic.
+Halfspace descriptions come from parenthesis-word bounds; vertices are
+Edmonds' greedy vectors of those bounds (one per permutation), checked
+against the per-column greedy fillings; Schubert and key polynomials act
+as independent Newton-polytope oracles; and everything is cross-checked by
+brute force at desk scale with exact rational arithmetic.
 """
 
 from .diagrams import Diagram, rothe, skyline

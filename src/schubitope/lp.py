@@ -44,8 +44,8 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
-        if leave is None:  # phase-1 objective is bounded below; should not happen
-            return None
+        if leave is None:  # the phase-1 objective is bounded below by 0, so this is a bug
+            raise RuntimeError(f"phase-1 simplex found no leaving row for column {enter}")
         piv = tab[leave][enter]
         tab[leave] = [v / piv for v in tab[leave]]
         for row in (*(tab[i] for i in range(m) if i != leave), cost):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
-recursions re-run with different choices.  Slow, obvious, and independent
+recursions re-run with different choices, one greedy filling per
+permutation for the vertex set.  Slow, obvious, and independent
 of the code they vouch for.
 """
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from . import polyoracle
+from . import fillings, polyoracle
+from .diagrams import Diagram
 from .perms import (
     Composition,
     Perm,
@@ -22,6 +24,7 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
+from .polytope import SWEEP_CAP
 
 
 def bruhat_lower_interval(w: Sequence[int]) -> set[Perm]:
@@ -114,6 +117,14 @@ def shortest_sorting_perms(alpha: Sequence[int]) -> list[Perm]:
     ]
     best = min(length(s) for s in hits)
     return [s for s in hits if length(s) == best]
+
+
+def vertices_by_filling(d: Diagram) -> set[tuple[int, ...]]:
+    """Vertex set as the distinct greedy-filling count vectors over all of
+    S_n, one filling per permutation; never reads a bound table."""
+    if d.n > SWEEP_CAP:
+        raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
+    return {fillings.vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
 
 
 def schubert_by_last_ascent(w: Sequence[int]) -> polyoracle.Polynomial:

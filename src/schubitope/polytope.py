@@ -3,19 +3,21 @@
 The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
 per proper nonempty subset S.  The bound theta(D, S) is read off column by
-column from a parenthesis word.  Vertices come from the greedy fillings
-(one per permutation); `certify_vertices` re-derives them independently
-with exact rational arithmetic and reports any discrepancy with a witness.
+column from a parenthesis word.  All bounds live in one table indexed by
+subset bitmask (bit i-1 set iff i in S).  theta is submodular, so the
+vertices are Edmonds' greedy vectors of that table, one per permutation;
+`certify_vertices` re-derives them independently with exact rational
+arithmetic and reports any discrepancy with a witness.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import lp
 from .diagrams import Diagram
-from .fillings import ENUMERATION_CAP, vertex_vector
+from .fillings import ENUMERATION_CAP
 from .perms import check_permutation
 
 STAR = "★"
@@ -32,6 +34,15 @@ def _check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
         if not isinstance(i, int) or not 1 <= i <= n:
             raise ValueError(f"subset element {i!r} out of range 1..{n}")
     return s
+
+
+def _subset_mask(s: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in s)
+
+
+def _mask_subset(mask: int, n: int) -> list[int]:
+    """The elements of a bitmask, increasing."""
+    return [i for i in range(1, n + 1) if (mask >> (i - 1)) & 1]
 
 
 def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
@@ -59,28 +70,29 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     return "".join(out)
 
 
-def matched_pairs(word: str) -> int:
-    """Number of '()' pairs under the inside-out matching (stack scan)."""
-    depth = 0
-    pairs = 0
-    for ch in word:
-        if ch == "(":
-            depth += 1
-        elif ch == ")" and depth:
+def _column_theta(col: int, mask: int) -> int:
+    """Stars plus inside-out matched '()' pairs of the column word, read
+    straight from the column's row bitmask and the subset bitmask.  Rows
+    below the column's last box can only add an unmatched '('."""
+    depth = count = 0
+    bit = 1
+    while bit <= col:
+        if mask & bit:
+            if col & bit:
+                count += 1           # star
+            else:
+                depth += 1           # '('
+        elif col & bit and depth:    # ')' closing an open '('
             depth -= 1
-            pairs += 1
-    return pairs
-
-
-def theta_column(word: str) -> int:
-    """Matched pairs plus stars of one column word."""
-    return matched_pairs(word) + word.count(STAR)
+            count += 1
+        bit <<= 1
+    return count
 
 
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column bound contributions."""
-    s = _check_subset(subset, d.n)
-    return [theta_column(column_word(d, j, s)) for j in range(1, d.n + 1)]
+    mask = _subset_mask(_check_subset(subset, d.n))
+    return [_column_theta(_subset_mask(col), mask) for col in d.columns]
 
 
 def theta(d: Diagram, subset: Iterable[int]) -> int:
@@ -88,55 +100,41 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
     return sum(theta_columns(d, subset))
 
 
-def _subset_mask(s: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in s)
-
-
-def _mask_subset(mask: int, n: int) -> frozenset[int]:
-    return frozenset(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
-
-
-@dataclass
+@dataclass(frozen=True)
 class HRep:
-    """Equality sum(x) == total plus sum_{i in S} x_i <= bounds[S] for every
-    proper nonempty subset S of [n].  Bounds are stored exactly as given."""
+    """Equality sum(x) == total plus sum_{i in S} x_i <= table[mask] for every
+    proper nonempty subset S of [n], where bit i-1 of mask is set iff i is
+    in S.  table[0] = 0 and table[-1] = total, so the table is the whole
+    set function.  Bounds are stored exactly as given."""
 
     n: int
     total: int
-    bounds: dict[frozenset[int], int]
+    table: tuple[int, ...]
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"dimension must be a non-negative integer, got {self.n!r}")
         if not isinstance(self.total, int):
             raise ValueError(f"total must be an integer, got {self.total!r}")
-        normalized: dict[frozenset[int], int] = {}
-        for s, b in self.bounds.items():
-            key = _check_subset(s, self.n)
+        table = tuple(self.table)
+        if len(table) != 2 ** self.n or table[0] != 0 or table[-1] != self.total:
+            raise ValueError(f"table must have 2^{self.n} entries running from 0 to the total {self.total}")
+        for mask in range(1, len(table) - 1):
+            b = table[mask]
             if not isinstance(b, int) or b < 0:
-                raise ValueError(f"bound for {sorted(key)} must be a non-negative integer, got {b!r}")
-            normalized[key] = b
-        expected = max(2 ** self.n - 2, 0)
-        if len(normalized) != expected:
-            raise ValueError(
-                f"bounds must cover all {expected} proper nonempty subsets of [{self.n}], got {len(normalized)}"
-            )
-        self.bounds = normalized
-
-    def sorted_bounds(self) -> list[tuple[frozenset[int], int]]:
-        """Bounds in increasing-bitmask order (canonical iteration order)."""
-        return sorted(self.bounds.items(), key=lambda kv: _subset_mask(kv[0]))
+                raise ValueError(
+                    f"bound for {_mask_subset(mask, self.n)} must be a non-negative integer, got {b!r}"
+                )
+        object.__setattr__(self, "table", table)
 
 
 def hrep(d: Diagram) -> HRep:
     """The full halfspace description of the diagram's polytope."""
     if d.n > HREP_CAP:
         raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
-    bounds = {}
-    for mask in range(1, max(2 ** d.n - 1, 1)):
-        s = _mask_subset(mask, d.n)
-        bounds[s] = theta(d, s)
-    return HRep(d.n, d.size, bounds)
+    cols = [_subset_mask(col) for col in d.columns if col]
+    table = tuple(sum(_column_theta(c, mask) for c in cols) for mask in range(2 ** d.n))
+    return HRep(d.n, d.size, table)
 
 
 def violated_constraint(h: HRep, point: Sequence) -> str | None:
@@ -146,10 +144,12 @@ def violated_constraint(h: HRep, point: Sequence) -> str | None:
     total = sum(point)
     if total != h.total:
         return f"coordinate sum {total} != {h.total}"
-    for s, b in h.sorted_bounds():
-        got = sum(point[i - 1] for i in s)
-        if got > b:
-            return f"sum over {sorted(s)} is {got} > {b}"
+    sums = [0] * (2 ** h.n)
+    for mask in range(1, 2 ** h.n - 1):
+        low = mask & -mask
+        got = sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
+        if got > h.table[mask]:
+            return f"sum over {_mask_subset(mask, h.n)} is {got} > {h.table[mask]}"
     return None
 
 
@@ -177,6 +177,20 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
     }
 
 
+def _greedy(table, w: Sequence[int]) -> tuple:
+    """Edmonds' greedy vector along the order w: coordinate w_k receives
+    table[{w_1..w_k}] - table[{w_1..w_{k-1}}], subsets as bitmasks."""
+    x: list = [0] * len(w)
+    mask = 0
+    prev = table[0]
+    for k in w:
+        mask |= 1 << (k - 1)
+        cur = table[mask]
+        x[k - 1] = cur - prev
+        prev = cur
+    return tuple(x)
+
+
 def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tuple:
     """Greedy vertex of the base polytope of a set function, along the order w.
 
@@ -185,26 +199,21 @@ def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tupl
     claimed.
     """
     w = check_permutation(w)
-    x: list = [0] * len(w)
-    prefix: set[int] = set()
-    prev = f(frozenset())
-    for k in w:
-        prefix.add(k)
-        cur = f(frozenset(prefix))
-        x[k - 1] = cur - prev
-        prev = cur
-    return tuple(x)
+    prefixes = itertools.accumulate(w, lambda s, k: s | {k}, initial=frozenset())
+    return _greedy({_subset_mask(s): f(s) for s in prefixes}, w)
 
 
 def vertices(d: Diagram) -> set[tuple[int, ...]]:
-    """All distinct greedy-filling vectors over the full symmetric group.
+    """All distinct greedy vectors of the diagram's bound table over the full
+    symmetric group.
 
     >>> sorted(vertices(Diagram(3, {(1, 1), (3, 1), (3, 2), (3, 3)})))
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]
     """
     if d.n > SWEEP_CAP:
         raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
-    return {vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
+    table = hrep(d).table
+    return {_greedy(table, w) for w in itertools.permutations(range(1, d.n + 1))}
 
 
 @dataclass
@@ -222,14 +231,6 @@ class Certification:
     failures: tuple[str, ...]
 
 
-def _bound_table(h: HRep) -> list[int]:
-    table = [0] * (2 ** h.n)
-    table[-1] = h.total
-    for s, b in h.bounds.items():
-        table[_subset_mask(s)] = b
-    return table
-
-
 def _is_submodular(table: Sequence[int], n: int) -> bool:
     # local exchange condition: f(S+i) + f(S+j) >= f(S+i+j) + f(S)
     for m in range(2 ** n):
@@ -242,24 +243,12 @@ def _is_submodular(table: Sequence[int], n: int) -> bool:
     return True
 
 
-def _greedy_from_table(table: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
-    x = [0] * len(w)
-    mask = 0
-    prev = 0
-    for k in w:
-        mask |= 1 << (k - 1)
-        cur = table[mask]
-        x[k - 1] = cur - prev
-        prev = cur
-    return tuple(x)
-
-
 def _intersection_vertices(h: HRep) -> set[tuple]:
     """Vertices by brute force: every feasible unique solution of the equality
     plus n-1 bound rows picked tight."""
     rows = [
-        ([1 if i in s else 0 for i in range(1, h.n + 1)], b)
-        for s, b in h.sorted_bounds()
+        ([(mask >> i) & 1 for i in range(h.n)], h.table[mask])
+        for mask in range(1, 2 ** h.n - 1)
     ]
     eq_row = ([1] * h.n, h.total)
     found: set[tuple] = set()
@@ -299,18 +288,15 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
             combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
             failures.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
 
-    table = _bound_table(h)
     claimed = set(pts)
-    if _is_submodular(table, h.n):
+    if _is_submodular(h.table, h.n):
         method = "greedy"
-        seen: set[tuple[int, ...]] = set()
+        missing: dict[tuple[int, ...], tuple[int, ...]] = {}  # vertex: first order reaching it
         for w in itertools.permutations(range(1, h.n + 1)):
-            v = _greedy_from_table(table, w)
-            if v in seen:
-                continue
-            seen.add(v)
+            v = _greedy(h.table, w)
             if v not in claimed:
-                failures.append(f"vertex {v} (greedy order {w}) is missing from the claimed set")
+                missing.setdefault(v, w)
+        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for v, w in missing.items()]
     else:
         method = "intersection"
         if h.n > INTERSECT_CAP:
@@ -330,7 +316,9 @@ def hrep_to_json_dict(h: HRep) -> dict:
     return {
         "n": h.n,
         "total": h.total,
-        "bounds": [{"S": sorted(s), "b": b} for s, b in h.sorted_bounds()],
+        "bounds": [
+            {"S": _mask_subset(mask, h.n), "b": h.table[mask]} for mask in range(1, 2 ** h.n - 1)
+        ],
     }
 
 
@@ -343,27 +331,35 @@ def hrep_from_json_dict(data) -> HRep:
             raise ValueError(f"h-representation document is missing field '{field}'")
     if not isinstance(data["bounds"], list):
         raise ValueError("field 'bounds' must be a list of objects")
-    bounds: dict[frozenset[int], int] = {}
+    n, total = data["n"], data["total"]
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
+    bounds: dict[int, object] = {}
     for entry in data["bounds"]:
         if not isinstance(entry, dict) or "S" not in entry or "b" not in entry:
             raise ValueError(f"field 'bounds': bad entry {entry!r}, expected {{'S': [...], 'b': int}}")
         s = entry["S"]
         if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
             raise ValueError(f"field 'bounds': subset {s!r} must be a list of integers")
-        key = frozenset(s)
-        if key in bounds:
-            raise ValueError(f"field 'bounds': duplicate subset {sorted(key)}")
-        bounds[key] = entry["b"]
-    return HRep(data["n"], data["total"], bounds)
+        mask = _subset_mask(_check_subset(s, n))
+        if mask in bounds:
+            raise ValueError(f"field 'bounds': duplicate subset {_mask_subset(mask, n)}")
+        if not 0 < mask < 2 ** n - 1:
+            raise ValueError(f"field 'bounds': subset {s!r} is not a proper nonempty subset of [{n}]")
+        bounds[mask] = entry["b"]
+    expected = max(2 ** n - 2, 0)
+    if len(bounds) != expected:
+        raise ValueError(f"bounds must cover all {expected} proper nonempty subsets of [{n}], got {len(bounds)}")
+    table = [bounds.get(mask) for mask in range(2 ** n)]
+    table[0], table[-1] = 0, total
+    return HRep(n, total, tuple(table))
 
 
 def hrep_to_hform(h: HRep) -> str:
     """Plain-text form: first line "n total", then one "bitmask bound" line
     per subset in increasing-bitmask order."""
-    lines = [f"{h.n} {h.total}"]
-    for s, b in h.sorted_bounds():
-        lines.append(f"{_subset_mask(s)} {b}")
-    return "\n".join(lines)
+    lines = [f"{mask} {h.table[mask]}" for mask in range(1, 2 ** h.n - 1)]
+    return "\n".join([f"{h.n} {h.total}", *lines])
 
 
 def vertex_set_to_json_dict(points: Iterable[Sequence[int]]) -> dict:

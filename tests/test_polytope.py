@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from schubitope import Diagram
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
+from schubitope.oracles import vertices_by_filling
 from schubitope.perms import vertex_compositions
 from schubitope.polytope import (
     HRep,
@@ -33,6 +35,27 @@ from schubitope.polytope import (
 def subsets(n):
     for mask in range(2 ** n):
         yield frozenset(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
+
+
+def theta_from_words(d, s):
+    """theta read from the column_word strings: stack-matched '()' pairs plus stars."""
+    total = 0
+    for j in range(1, d.n + 1):
+        depth = 0
+        for ch in column_word(d, j, s):
+            if ch == "★":
+                total += 1
+            elif ch == "(":
+                depth += 1
+            elif depth:
+                depth -= 1
+                total += 1
+    return total
+
+
+def random_diagram_with_density(rng, n, density):
+    return Diagram(n, frozenset(
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density))
 
 
 class TestColumnWord:
@@ -77,31 +100,44 @@ class TestHRep:
     def test_trapezoid_bounds(self):
         h = hrep(skyline((1, 0, 3)))
         assert h.total == 4
-        assert {tuple(sorted(s)): b for s, b in h.bounds.items()} == {
+        assert {tuple(sorted(s)): h.table[m] for m, s in enumerate(subsets(3)) if 0 < m < 7} == {
             (1,): 3, (2,): 3, (3,): 3, (1, 2): 4, (1, 3): 4, (2, 3): 3,
         }
 
     def test_empty_diagram(self):
         h = hrep(Diagram(2, frozenset()))
-        assert h.total == 0 and all(b == 0 for b in h.bounds.values())
+        assert h.total == 0 and all(b == 0 for b in h.table)
 
     def test_single_box(self):
         h = hrep(Diagram(2, frozenset({(1, 1)})))
         assert h.total == 1
-        assert h.bounds[frozenset({1})] == 1
-        assert h.bounds[frozenset({2})] == 0
+        assert h.table[0b01] == 1
+        assert h.table[0b10] == 0
 
     def test_requires_all_proper_subsets(self):
         with pytest.raises(ValueError, match="proper nonempty"):
-            HRep(2, 1, {frozenset({1}): 1})
+            hrep_from_json_dict({"n": 2, "total": 1, "bounds": [{"S": [1], "b": 1}]})
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError, match="non-negative"):
-            HRep(2, 1, {frozenset({1}): -1, frozenset({2}): 0})
+            HRep(2, 1, (0, -1, 0, 1))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             hrep(Diagram(13, frozenset()))
+
+    def test_is_frozen(self):
+        h = hrep(TRAPEZOID)
+        for field, value in (("n", 4), ("total", 0), ("table", (0,) * 8)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, field, value)
+
+    def test_table_matches_column_words(self):
+        rng = random.Random(29)
+        for d in [D9] + [random_diagram(rng, n) for n in range(1, 7) for _ in range(4)]:
+            h = hrep(d)
+            for mask, s in enumerate(subsets(d.n)):
+                assert h.table[mask] == theta_from_words(d, s), (d, sorted(s))
 
 
 class TestMember:
@@ -207,6 +243,23 @@ class TestVertices:
         with pytest.raises(ValueError, match="budget"):
             vertices(Diagram(9, frozenset()))
 
+    def test_matches_filling_sweep_on_random_diagrams(self):
+        rng = random.Random(31)
+        for n in range(1, 8):
+            for density in (0.3, 0.5, 0.7):
+                d = random_diagram_with_density(rng, n, density)
+                assert vertices(d) == vertices_by_filling(d), d
+
+    def test_matches_filling_sweep_on_rothe_diagrams(self):
+        for n in range(1, 6):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert vertices(rothe(w)) == vertices_by_filling(rothe(w)), w
+
+    def test_matches_filling_sweep_on_skylines(self):
+        for n in range(1, 5):
+            for alpha in itertools.product(range(min(n, 3) + 1), repeat=n):
+                assert vertices(skyline(alpha)) == vertices_by_filling(skyline(alpha)), alpha
+
 
 class TestCertify:
     def test_trapezoid_passes(self):
@@ -234,12 +287,9 @@ class TestCertify:
 
     def test_non_submodular_bounds_use_intersection_fallback(self):
         # f({1}) + f({2}) < f({1,2}) + f({}) breaks submodularity; the only
-        # feasible point is (0, 0, 1)
-        bounds = {
-            frozenset({1}): 0, frozenset({2}): 0, frozenset({3}): 1,
-            frozenset({1, 2}): 1, frozenset({1, 3}): 1, frozenset({2, 3}): 1,
-        }
-        h = HRep(3, 1, bounds)
+        # feasible point is (0, 0, 1); table[mask] for masks {}, {1}, {2}, {1,2},
+        # {3}, {1,3}, {2,3}, {1,2,3}
+        h = HRep(3, 1, (0, 0, 0, 1, 1, 1, 1, 1))
         cert = certify_vertices(h, {(0, 0, 1)})
         assert cert.ok and cert.method == "intersection"
         missing = certify_vertices(h, set())
@@ -259,7 +309,7 @@ class TestCertify:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            certify_vertices(HRep(7, 0, {s: 0 for s in subsets(7) if 0 < len(s) < 7}), set())
+            certify_vertices(HRep(7, 0, (0,) * 2 ** 7), set())
 
 
 class TestThetaRankIdentity:
@@ -313,6 +363,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             hrep_from_json_dict({"n": 2, "total": 1, "bounds": [
                 {"S": [1], "b": 1}, {"S": [1], "b": 2}]})
+        with pytest.raises(ValueError, match="not a proper nonempty subset"):
+            hrep_from_json_dict({"n": 2, "total": 1, "bounds": [
+                {"S": [], "b": 5}, {"S": [1, 2], "b": 0}]})
 
     def test_hform_golden(self):
         text = hrep_to_hform(hrep(skyline((1, 0, 3))))
