@@ -1,8 +1,14 @@
 """Cross-validation suite behind the CLI `verify` verb.
 
 Every check pits a fast implementation against an independent oracle or a
-stated invariant, at desk scale.  A check reports how many instances it
-compared and, on the first mismatch, a reproducible counterexample string.
+stated invariant, at desk scale.  A check is a generator registered once
+with ``@check(name, scope=k)``: ``scope`` is the largest size it sweeps.
+`run_check` calls it with ``m = min(n, scope)`` and its own seeded
+``random.Random(f"{seed}:{name}")``.  The check yields once per instance,
+just before comparing it, and on the first mismatch returns a
+reproducible counterexample string; `run_check` counts the yields and
+builds the `CheckResult`.  `verify --n` accepts 1..`largest_scope()`, the
+largest registered scope, since a larger n would sweep nothing more.
 Checks only read shared immutable values, so they can run in a process
 pool; results are always assembled in registry order.
 """
@@ -10,16 +16,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 from . import diagrams, fillings, lp, oracles, perms, polyoracle, polytope
 from .diagrams import Diagram
 
+# one None per instance compared; the return value is the counterexample
+Steps = Generator[None, None, "str | None"]
 
-@dataclass
+
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     instances: int
@@ -30,8 +40,15 @@ class CheckResult:
         return self.counterexample is None
 
 
-def _rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
+_REGISTRY: dict[str, tuple[int, Callable[[int, random.Random], Steps]]] = {}
+
+
+def check(name: str, scope: int):
+    """Register a check body under ``name``; it sweeps sizes up to ``scope``."""
+    def register(body: Callable[[int, random.Random], Steps]):
+        _REGISTRY[name] = (scope, body)
+        return body
+    return register
 
 
 def compositions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -71,98 +88,85 @@ def theta_rank_corpus(n: int, rng: random.Random, samples: int) -> list[Diagram]
 
 # ---------------------------------------------------------------- perms
 
-def check_w_of_shortest_sort(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 4) + 1):
+@check("w-of-shortest-sort", scope=4)
+def check_w_of_shortest_sort(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         for alpha in compositions(nn, 3):
-            count += 1
+            yield
             winners = oracles.shortest_sorting_perms(alpha)
             w = perms.w_of(alpha)
             if len(winners) != 1 or winners[0] != w:
-                return CheckResult(
-                    "w-of-shortest-sort", count,
-                    f"alpha={alpha} w_of={w} search={winners}")
+                return f"alpha={alpha} w_of={w} search={winners}"
             if perms.act(perms.lambda_of(alpha), w) != alpha:
-                return CheckResult("w-of-shortest-sort", count, f"alpha={alpha}: action mismatch")
-    return CheckResult("w-of-shortest-sort", count)
+                return f"alpha={alpha}: action mismatch"
 
 
-def check_bruhat_subword(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 4) + 1):
+@check("bruhat-subword-oracle", scope=4)
+def check_bruhat_subword(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         for w in all_perms(nn):
             interval = oracles.bruhat_lower_interval(w)
             for u in all_perms(nn):
-                count += 1
+                yield
                 if perms.bruhat_leq(u, w) != (u in interval):
-                    return CheckResult("bruhat-subword-oracle", count, f"u={u} w={w}")
-    return CheckResult("bruhat-subword-oracle", count)
+                    return f"u={u} w={w}"
 
 
-def check_composition_order(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 4) + 1):
+@check("composition-order-swap-oracle", scope=4)
+def check_composition_order(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         universe = list(compositions(nn, 3))
         for alpha in universe:
             reachable = oracles.swap_reachable_set(alpha)
             for beta in universe:
-                count += 1
+                yield
                 if perms.composition_leq(beta, alpha) != (beta in reachable):
-                    return CheckResult("composition-order-swap-oracle", count,
-                                       f"beta={beta} alpha={alpha}")
-    return CheckResult("composition-order-swap-oracle", count)
+                    return f"beta={beta} alpha={alpha}"
 
 
-def check_lower_interval_recursion(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 4) + 1):
+@check("lower-interval-recursion", scope=4)
+def check_lower_interval_recursion(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         for alpha in compositions(nn, 3):
             direct = set(perms.vertex_compositions(alpha))
             for r in oracles.descent_violations(alpha):
-                count += 1
+                yield
                 below = set(perms.vertex_compositions(perms.swap_adjacent(alpha, r)))
                 both = below | {perms.swap_adjacent(v, r) for v in below}
                 if direct != both:
-                    return CheckResult("lower-interval-recursion", count,
-                                       f"alpha={alpha} r={r}")
-    return CheckResult("lower-interval-recursion", count)
+                    return f"alpha={alpha} r={r}"
 
 
-def check_lower_interval_chains(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 4) + 1):
+@check("lower-interval-chain-independence", scope=4)
+def check_lower_interval_chains(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         for alpha in compositions(nn, 3):
-            count += 1
+            yield
             direct = set(perms.vertex_compositions(alpha))
             first = oracles.vertex_compositions_recursive(alpha, min)
             last = oracles.vertex_compositions_recursive(alpha, max)
             if not (direct == first == last):
-                return CheckResult("lower-interval-chain-independence", count, f"alpha={alpha}")
+                return f"alpha={alpha}"
             w_rec, word = oracles.w_of_recursive(alpha)
             if w_rec != perms.w_of(alpha) or len(word) != perms.length(w_rec):
-                return CheckResult("lower-interval-chain-independence", count,
-                                   f"alpha={alpha}: recursive sort mismatch")
-    return CheckResult("lower-interval-chain-independence", count)
+                return f"alpha={alpha}: recursive sort mismatch"
 
 
 # ------------------------------------------------------------- diagrams
 
-def check_rothe_box_count(n: int, seed: int) -> CheckResult:
-    count = 0
-    for nn in range(1, min(n, 5) + 1):
+@check("rothe-box-count", scope=5)
+def check_rothe_box_count(m: int, rng: random.Random) -> Steps:
+    for nn in range(1, m + 1):
         for w in all_perms(nn):
-            count += 1
+            yield
             if diagrams.rothe(w).size != perms.length(w):
-                return CheckResult("rothe-box-count", count, f"w={w}")
-    return CheckResult("rothe-box-count", count)
+                return f"w={w}"
 
 
 # ------------------------------------------------------------- fillings
 
-def check_fill_order_independence(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "fill-order-independence")
-    m = min(n, 5)
-    count = 0
+@check("fill-order-independence", scope=5)
+def check_fill_order_independence(m: int, rng: random.Random) -> Steps:
     for rows in _subsets(m):
         for s in _subsets(m):
             base = len(fillings.fill_column(rows, tuple(sorted(s))))
@@ -172,46 +176,36 @@ def check_fill_order_independence(n: int, seed: int) -> CheckResult:
                 pool = list(itertools.permutations(sorted(s)))
                 orders = rng.sample(pool, 24)
             for order in orders:
-                count += 1
+                yield
                 if len(fillings.fill_column(rows, order)) != base:
-                    return CheckResult("fill-order-independence", count,
-                                       f"C={sorted(rows)} order={order}")
-    return CheckResult("fill-order-independence", count)
+                    return f"C={sorted(rows)} order={order}"
 
 
-def check_rank_three_ways(n: int, seed: int) -> CheckResult:
-    m = min(n, 5)
-    count = 0
+@check("rank-three-ways", scope=5)
+def check_rank_three_ways(m: int, rng: random.Random) -> Steps:
     for rows in _subsets(m):
         for s in _subsets(m):
-            count += 1
+            yield
             a = fillings.rank_filling(rows, s)
             b = fillings.rank_brute(rows, s)
             c = fillings.rank_max_filling(rows, s)
             if not (a == b == c):
-                return CheckResult("rank-three-ways", count,
-                                   f"C={sorted(rows)} S={sorted(s)}: {a},{b},{c}")
-    return CheckResult("rank-three-ways", count)
+                return f"C={sorted(rows)} S={sorted(s)}: {a},{b},{c}"
 
 
-def check_fill_flag_strict(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "fill-flag-strict")
-    m = min(n, 4)
-    count = 0
+@check("fill-flag-strict", scope=4)
+def check_fill_flag_strict(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(20)]:
         for w in all_perms(m):
+            yield
             filling = fillings.fill_diagram(d, w)
-            count += 1
             for (r, c), v in filling.items():
                 if v > r:
-                    return CheckResult("fill-flag-strict", count,
-                                       f"D={_diagram_str(d)} w={w}: value {v} in row {r}")
+                    return f"D={_diagram_str(d)} w={w}: value {v} in row {r}"
             for j in range(1, m + 1):
                 col_vals = [v for (r, c), v in filling.items() if c == j]
                 if len(set(col_vals)) != len(col_vals):
-                    return CheckResult("fill-flag-strict", count,
-                                       f"D={_diagram_str(d)} w={w}: column {j} repeats a value")
-    return CheckResult("fill-flag-strict", count)
+                    return f"D={_diagram_str(d)} w={w}: column {j} repeats a value"
 
 
 def _increasing_fillings(rows: tuple[int, ...], values: Iterable[int]):
@@ -225,9 +219,8 @@ def _increasing_fillings(rows: tuple[int, ...], values: Iterable[int]):
                     yield filling
 
 
-def check_sort_standardize(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("sort-standardize", scope=4)
+def check_sort_standardize(m: int, rng: random.Random) -> Steps:
     for rows_set in _subsets(m):
         rows = tuple(sorted(rows_set))
         for s in _subsets(m):
@@ -240,105 +233,80 @@ def check_sort_standardize(n: int, seed: int) -> CheckResult:
                     filling = dict(zip(boxes, shuffled))
                     if any(v > r for r, v in filling.items()):
                         continue
-                    count += 1
+                    yield
                     done = fillings.sort_filling(filling)
                     if done != inc:
-                        return CheckResult("sort-standardize", count,
-                                           f"sort({filling}) gave {done}, expected {inc}")
+                        return f"sort({filling}) gave {done}, expected {inc}"
+                yield
                 std = fillings.standardize(rows, inc)
-                count += 1
                 if sorted(std.values()) != vals or len(std) != len(inc):
-                    return CheckResult("sort-standardize", count,
-                                       f"standardize({inc}) lost entries: {std}")
+                    return f"standardize({inc}) lost entries: {std}"
                 if fillings.standardize(rows, std) != std:
-                    return CheckResult("sort-standardize", count,
-                                       f"standardize not idempotent on {inc}")
-    return CheckResult("sort-standardize", count)
+                    return f"standardize not idempotent on {inc}"
 
 
-def check_rank_submodular(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "rank-submodular")
-    m = min(n, 4)
-    count = 0
+@check("rank-submodular", scope=4)
+def check_rank_submodular(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(12)]:
         table = {s: fillings.rank_diagram(d, s) for s in _subsets(m)}
         for s in table:
             for t in table:
-                count += 1
+                yield
                 if table[s] + table[t] < table[s | t] + table[s & t]:
-                    return CheckResult("rank-submodular", count,
-                                       f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}")
-    return CheckResult("rank-submodular", count)
+                    return f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}"
 
 
-def check_rank_monotone_step(n: int, seed: int) -> CheckResult:
-    m = min(n, 5)
-    count = 0
+@check("rank-monotone-step", scope=5)
+def check_rank_monotone_step(m: int, rng: random.Random) -> Steps:
     for rows in _subsets(m):
         for s in _subsets(m):
             r_full = fillings.rank_filling(rows, s)
             for x in s:
-                count += 1
+                yield
                 step = r_full - fillings.rank_filling(rows, s - {x})
                 if step not in (0, 1):
-                    return CheckResult("rank-monotone-step", count,
-                                       f"C={sorted(rows)} S={sorted(s)} drop {x}: step {step}")
-    return CheckResult("rank-monotone-step", count)
+                    return f"C={sorted(rows)} S={sorted(s)} drop {x}: step {step}"
 
 
 # ------------------------------------------------------------- polytope
 
-def check_theta_equals_rank(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "theta-equals-rank")
-    m = min(n, 4)
-    count = 0
+@check("theta-equals-rank", scope=4)
+def check_theta_equals_rank(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=40):
         for s in _subsets(m):
-            count += 1
+            yield
             th = polytope.theta(d, s)
             rk = fillings.rank_diagram(d, s)
             if th != rk:
-                return CheckResult("theta-equals-rank", count,
-                                   f"D={_diagram_str(d)} S={sorted(s)}: theta={th} rank={rk}")
-    return CheckResult("theta-equals-rank", count)
+                return f"D={_diagram_str(d)} S={sorted(s)}: theta={th} rank={rk}"
 
 
-def check_greedy_equals_filling(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "greedy-equals-filling")
-    m = min(n, 4)
-    count = 0
+@check("greedy-equals-filling", scope=4)
+def check_greedy_equals_filling(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=15):
         rank = lambda s: fillings.rank_diagram(d, s)
         for w in all_perms(m):
-            count += 1
+            yield
             if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank, w):
-                return CheckResult("greedy-equals-filling", count,
-                                   f"D={_diagram_str(d)} w={w}")
-    return CheckResult("greedy-equals-filling", count)
+                return f"D={_diagram_str(d)} w={w}"
 
 
-def check_greedy_prefix_tight(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "greedy-prefix-tight")
-    m = min(n, 4)
-    count = 0
+@check("greedy-prefix-tight", scope=4)
+def check_greedy_prefix_tight(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(10)]:
         for w in all_perms(m):
             x = fillings.vertex_vector(d, w)
             prefix: set[int] = set()
             for k in w:
                 prefix.add(k)
-                count += 1
+                yield
                 total = sum(x[i - 1] for i in prefix)
                 if total != fillings.rank_diagram(d, prefix) or total != polytope.theta(d, prefix):
-                    return CheckResult("greedy-prefix-tight", count,
-                                       f"D={_diagram_str(d)} w={w} prefix={sorted(prefix)}")
-    return CheckResult("greedy-prefix-tight", count)
+                    return f"D={_diagram_str(d)} w={w} prefix={sorted(prefix)}"
 
 
-def check_minkowski_membership(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "minkowski-sum-membership")
-    m = min(n, 4)
-    count = 0
+@check("minkowski-sum-membership", scope=4)
+def check_minkowski_membership(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(6)]:
         h = polytope.hrep(d)
         per_column = [
@@ -350,23 +318,19 @@ def check_minkowski_membership(n: int, seed: int) -> CheckResult:
         for combo in itertools.product(*per_column):
             point = tuple(map(sum, zip(*combo))) if combo else (0,) * m
             sums.add(point)
-            count += 1
+            yield
             if not polytope.member(h, point):
-                return CheckResult("minkowski-sum-membership", count,
-                                   f"D={_diagram_str(d)} point={point}")
+                return f"D={_diagram_str(d)} point={point}"
         for v in polytope.vertices(d):
-            count += 1
+            yield
             if v not in sums:
-                return CheckResult("minkowski-sum-membership", count,
-                                   f"D={_diagram_str(d)} vertex={v} not a sum of column vertices")
-    return CheckResult("minkowski-sum-membership", count)
+                return f"D={_diagram_str(d)} vertex={v} not a sum of column vertices"
 
 
-def check_column_polytope_bases(n: int, seed: int) -> CheckResult:
-    m = min(n, 5)
-    count = 0
+@check("column-polytope-bases", scope=5)
+def check_column_polytope_bases(m: int, rng: random.Random) -> Steps:
     for rows in _subsets(m):
-        count += 1
+        yield
         d = Diagram(m, frozenset((r, 1) for r in rows))
         expect = {
             tuple(int(i in b) for i in range(1, m + 1))
@@ -374,50 +338,40 @@ def check_column_polytope_bases(n: int, seed: int) -> CheckResult:
         }
         got = polytope.vertices(d)
         if got != expect:
-            return CheckResult("column-polytope-bases", count,
-                               f"C={sorted(rows)}: {sorted(got)} != {sorted(expect)}")
+            return f"C={sorted(rows)}: {sorted(got)} != {sorted(expect)}"
         cert = polytope.certify_vertices(polytope.hrep(d), got)
         if not cert.ok:
-            return CheckResult("column-polytope-bases", count,
-                               f"C={sorted(rows)}: {cert.failures[0]}")
-    return CheckResult("column-polytope-bases", count)
+            return f"C={sorted(rows)}: {cert.failures[0]}"
 
 
-def check_skyline_lower_interval(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("skyline-vertices-lower-interval", scope=4)
+def check_skyline_lower_interval(m: int, rng: random.Random) -> Steps:
     for nn in range(1, m + 1):
         for alpha in compositions(nn, min(nn, 3)):
-            count += 1
+            yield
             swept = polytope.vertices(diagrams.skyline(alpha))
             predicted = set(perms.vertex_compositions(alpha))
             if swept != predicted:
-                return CheckResult("skyline-vertices-lower-interval", count,
-                                   f"alpha={alpha}: {sorted(swept)} != {sorted(predicted)}")
-    return CheckResult("skyline-vertices-lower-interval", count)
+                return f"alpha={alpha}: {sorted(swept)} != {sorted(predicted)}"
 
 
-def check_vertex_swap_symmetry(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("vertex-swap-symmetry", scope=4)
+def check_vertex_swap_symmetry(m: int, rng: random.Random) -> Steps:
     for alpha in compositions(m, min(m, 3)):
         d = diagrams.skyline(alpha)
         for r in oracles.descent_violations(alpha):
             for w in all_perms(m):
                 if w.index(r) > w.index(r + 1):
                     continue
-                count += 1
+                yield
                 lhs = fillings.vertex_vector(d, w)
                 rhs = perms.swap_adjacent(fillings.vertex_vector(d, perms.swap_values(w, r)), r)
                 if lhs != rhs:
-                    return CheckResult("vertex-swap-symmetry", count,
-                                       f"alpha={alpha} r={r} w={w}")
-    return CheckResult("vertex-swap-symmetry", count)
+                    return f"alpha={alpha} r={r} w={w}"
 
 
-def check_vertex_swap_stability(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("vertex-swap-stability", scope=4)
+def check_vertex_swap_stability(m: int, rng: random.Random) -> Steps:
     for alpha in compositions(m, min(m, 3)):
         d = diagrams.skyline(alpha)
         for r in oracles.descent_violations(alpha):
@@ -425,26 +379,20 @@ def check_vertex_swap_stability(n: int, seed: int) -> CheckResult:
             for w in all_perms(m):
                 if w.index(r) > w.index(r + 1):
                     continue
-                count += 1
+                yield
                 if fillings.vertex_vector(d, w) != fillings.vertex_vector(d_sorted, w):
-                    return CheckResult("vertex-swap-stability", count,
-                                       f"alpha={alpha} r={r} w={w}")
-    return CheckResult("vertex-swap-stability", count)
+                    return f"alpha={alpha} r={r} w={w}"
 
 
-def check_theta_submodular(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "theta-submodular")
-    m = min(n, 4)
-    count = 0
+@check("theta-submodular", scope=4)
+def check_theta_submodular(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=10):
         table = {s: polytope.theta(d, s) for s in _subsets(m)}
         for s in table:
             for t in table:
-                count += 1
+                yield
                 if table[s] + table[t] < table[s | t] + table[s & t]:
-                    return CheckResult("theta-submodular", count,
-                                       f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}")
-    return CheckResult("theta-submodular", count)
+                    return f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}"
 
 
 # ----------------------------------------------------------- polyoracle
@@ -457,74 +405,62 @@ def _random_polynomial(rng: random.Random, nvars: int) -> polyoracle.Polynomial:
     return polyoracle.Polynomial(nvars, terms)
 
 
-def check_operator_relations(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "operator-relations")
-    m = max(min(n, 4), 3)
+@check("operator-relations", scope=4)
+def check_operator_relations(m: int, rng: random.Random) -> Steps:
+    m = max(m, 3)
     zero = polyoracle.Polynomial(m, {})
-    count = 0
+    di = polyoracle.divided_difference
     for _ in range(25):
         f = _random_polynomial(rng, m)
         for i in range(1, m):
-            count += 1
-            di = polyoracle.divided_difference
+            yield
             if di(di(f, i), i) != zero:
-                return CheckResult("operator-relations", count, f"dd^2 != 0 on {f.terms}")
+                return f"dd^2 != 0 on {f.terms}"
             pi_f = polyoracle.demazure(f, i)
             if polyoracle.demazure(pi_f, i) != pi_f:
-                return CheckResult("operator-relations", count, f"demazure not idempotent on {f.terms}")
+                return f"demazure not idempotent on {f.terms}"
             # the defining identity: (x_i - x_{i+1}) * dd_i(f) == f - s_i f
             xi = polyoracle.monomial(m, tuple(int(t == i - 1) for t in range(m)))
             xj = polyoracle.monomial(m, tuple(int(t == i) for t in range(m)))
             if (xi - xj) * di(f, i) != f - polyoracle.swap_variables(f, i):
-                return CheckResult("operator-relations", count, f"division identity fails on {f.terms}")
+                return f"division identity fails on {f.terms}"
         for i in range(1, m - 1):
-            count += 1
-            a = polyoracle.divided_difference
-            lhs = a(a(a(f, i), i + 1), i)
-            rhs = a(a(a(f, i + 1), i), i + 1)
-            if lhs != rhs:
-                return CheckResult("operator-relations", count, f"braid fails on {f.terms}")
-    return CheckResult("operator-relations", count)
+            yield
+            if di(di(di(f, i), i + 1), i) != di(di(di(f, i + 1), i), i + 1):
+                return f"braid fails on {f.terms}"
 
 
-def check_recursion_chains(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("recursion-chain-independence", scope=4)
+def check_recursion_chains(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
-        count += 1
+        yield
         if polyoracle.schubert_polynomial(w) != oracles.schubert_by_last_ascent(w):
-            return CheckResult("recursion-chain-independence", count, f"w={w}")
+            return f"w={w}"
     for nn in range(1, m + 1):
         for alpha in compositions(nn, 3):
-            count += 1
+            yield
             if polyoracle.key_polynomial(alpha) != oracles.key_by_last_ascent(alpha):
-                return CheckResult("recursion-chain-independence", count, f"alpha={alpha}")
-    return CheckResult("recursion-chain-independence", count)
+                return f"alpha={alpha}"
 
 
-def check_schubert_newton(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("schubert-newton-polytope", scope=4)
+def check_schubert_newton(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
-        count += 1
+        yield
         d = diagrams.rothe(w)
         h = polytope.hrep(d)
         support = polyoracle.newton_exponents(polyoracle.schubert_polynomial(w))
         for e in support:
             if not polytope.member(h, e):
-                return CheckResult("schubert-newton-polytope", count,
-                                   f"w={w}: exponent {e} outside the polytope")
+                return f"w={w}: exponent {e} outside the polytope"
         verts = polytope.vertices(d)
         if not verts <= support:
-            return CheckResult("schubert-newton-polytope", count,
-                               f"w={w}: vertex missing from the support")
+            return f"w={w}: vertex missing from the support"
         cert = polytope.certify_vertices(h, verts)
         if not cert.ok:
-            return CheckResult("schubert-newton-polytope", count, f"w={w}: {cert.failures[0]}")
+            return f"w={w}: {cert.failures[0]}"
         if lp.hull_vertices(support, candidates=verts) != verts:
-            return CheckResult("schubert-newton-polytope", count,
-                               f"w={w}: support hull differs from the sweep")
-    return CheckResult("schubert-newton-polytope", count)
+            return f"w={w}: support hull differs from the sweep"
 
 
 def _certified_key_vertices(alpha: tuple[int, ...]) -> tuple[set | None, str]:
@@ -547,141 +483,108 @@ def _certified_key_vertices(alpha: tuple[int, ...]) -> tuple[set | None, str]:
     return predicted, ""
 
 
-def check_key_newton_interval(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("key-newton-lower-interval", scope=4)
+def check_key_newton_interval(m: int, rng: random.Random) -> Steps:
     for nn in range(1, m + 1):
         for alpha in compositions(nn, min(nn, 3)):
-            count += 1
+            yield
             got, msg = _certified_key_vertices(alpha)
             if got is None:
-                return CheckResult("key-newton-lower-interval", count, msg)
-    return CheckResult("key-newton-lower-interval", count)
+                return msg
 
 
-def check_bruhat_interval_polytope(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("bruhat-interval-polytope", scope=4)
+def check_bruhat_interval_polytope(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
-        count += 1
+        yield
         got, msg = _certified_key_vertices(w)
         if got is None:
-            return CheckResult("bruhat-interval-polytope", count, msg)
+            return msg
         upper = {v for v in all_perms(m) if perms.bruhat_leq(w, v)}
         if got != upper:
-            return CheckResult("bruhat-interval-polytope", count,
-                               f"w={w}: {sorted(got)} != {sorted(upper)}")
-    return CheckResult("bruhat-interval-polytope", count)
+            return f"w={w}: {sorted(got)} != {sorted(upper)}"
 
 
-def check_schur_permutohedron(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("schur-permutohedron", scope=4)
+def check_schur_permutohedron(m: int, rng: random.Random) -> Steps:
     for alpha in compositions(m, min(m, 3)):
         if list(alpha) != sorted(alpha):
             continue
-        count += 1
+        yield
         got, msg = _certified_key_vertices(alpha)
         if got is None:
-            return CheckResult("schur-permutohedron", count, msg)
-        rearrangements = set(itertools.permutations(perms.lambda_of(alpha)))
-        if got != rearrangements:
-            return CheckResult("schur-permutohedron", count, f"alpha={alpha}")
-    return CheckResult("schur-permutohedron", count)
+            return msg
+        if got != set(itertools.permutations(perms.lambda_of(alpha))):
+            return f"alpha={alpha}"
 
 
-def check_coefficient_positivity(n: int, seed: int) -> CheckResult:
-    m = min(n, 4)
-    count = 0
+@check("coefficient-positivity", scope=4)
+def check_coefficient_positivity(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
-        count += 1
+        yield
         if any(c <= 0 for c in polyoracle.schubert_polynomial(w).terms.values()):
-            return CheckResult("coefficient-positivity", count, f"w={w}")
+            return f"w={w}"
     for nn in range(1, m + 1):
         for alpha in compositions(nn, 3):
-            count += 1
+            yield
             if any(c <= 0 for c in polyoracle.key_polynomial(alpha).terms.values()):
-                return CheckResult("coefficient-positivity", count, f"alpha={alpha}")
-    return CheckResult("coefficient-positivity", count)
+                return f"alpha={alpha}"
 
 
 # -------------------------------------------------------- serialization
 
-def check_json_round_trip(n: int, seed: int) -> CheckResult:
-    rng = _rng(seed, "json-round-trip")
-    m = min(n, 4)
-    count = 0
-
+@check("json-round-trip", scope=4)
+def check_json_round_trip(m: int, rng: random.Random) -> Steps:
     def compact(doc) -> str:
         return json.dumps(doc, separators=(",", ":"))
 
     for d in [random_diagram(rng, m) for _ in range(10)] + [diagrams.skyline((1, 0, 3))]:
-        count += 1
+        yield
         doc = compact(diagrams.to_json_dict(d))
         again = compact(diagrams.to_json_dict(diagrams.from_json_dict(json.loads(doc))))
         if doc != again:
-            return CheckResult("json-round-trip", count, f"diagram {doc}")
-        h = polytope.hrep(d)
-        count += 1
-        doc = compact(polytope.hrep_to_json_dict(h))
+            return f"diagram {doc}"
+        yield
+        doc = compact(polytope.hrep_to_json_dict(polytope.hrep(d)))
         again = compact(polytope.hrep_to_json_dict(polytope.hrep_from_json_dict(json.loads(doc))))
         if doc != again:
-            return CheckResult("json-round-trip", count, f"hrep {doc}")
-        count += 1
+            return f"hrep {doc}"
+        yield
         doc = compact(polytope.vertex_set_to_json_dict(polytope.vertices(d)))
         again = compact(polytope.vertex_set_to_json_dict(
             polytope.vertex_set_from_json_dict(json.loads(doc))))
         if doc != again:
-            return CheckResult("json-round-trip", count, f"vertex set {doc}")
-    for w in list(all_perms(min(m, 3))):
-        count += 1
-        f = polyoracle.schubert_polynomial(w)
-        doc = compact(polyoracle.poly_to_json_dict(f))
+            return f"vertex set {doc}"
+    for w in all_perms(min(m, 3)):
+        yield
+        doc = compact(polyoracle.poly_to_json_dict(polyoracle.schubert_polynomial(w)))
         again = compact(polyoracle.poly_to_json_dict(polyoracle.poly_from_json_dict(json.loads(doc))))
         if doc != again:
-            return CheckResult("json-round-trip", count, f"polynomial {doc}")
-    return CheckResult("json-round-trip", count)
+            return f"polynomial {doc}"
 
 
-_CHECKS: dict[str, Callable[[int, int], CheckResult]] = {
-    "w-of-shortest-sort": check_w_of_shortest_sort,
-    "bruhat-subword-oracle": check_bruhat_subword,
-    "composition-order-swap-oracle": check_composition_order,
-    "lower-interval-recursion": check_lower_interval_recursion,
-    "lower-interval-chain-independence": check_lower_interval_chains,
-    "rothe-box-count": check_rothe_box_count,
-    "fill-order-independence": check_fill_order_independence,
-    "rank-three-ways": check_rank_three_ways,
-    "fill-flag-strict": check_fill_flag_strict,
-    "sort-standardize": check_sort_standardize,
-    "rank-submodular": check_rank_submodular,
-    "rank-monotone-step": check_rank_monotone_step,
-    "theta-equals-rank": check_theta_equals_rank,
-    "greedy-equals-filling": check_greedy_equals_filling,
-    "greedy-prefix-tight": check_greedy_prefix_tight,
-    "minkowski-sum-membership": check_minkowski_membership,
-    "column-polytope-bases": check_column_polytope_bases,
-    "skyline-vertices-lower-interval": check_skyline_lower_interval,
-    "vertex-swap-symmetry": check_vertex_swap_symmetry,
-    "vertex-swap-stability": check_vertex_swap_stability,
-    "theta-submodular": check_theta_submodular,
-    "operator-relations": check_operator_relations,
-    "recursion-chain-independence": check_recursion_chains,
-    "schubert-newton-polytope": check_schubert_newton,
-    "key-newton-lower-interval": check_key_newton_interval,
-    "bruhat-interval-polytope": check_bruhat_interval_polytope,
-    "schur-permutohedron": check_schur_permutohedron,
-    "coefficient-positivity": check_coefficient_positivity,
-    "json-round-trip": check_json_round_trip,
-}
-
+# --------------------------------------------------------------- runner
 
 def check_names() -> list[str]:
-    return list(_CHECKS)
+    return list(_REGISTRY)
+
+
+def largest_scope() -> int:
+    """The largest size any check sweeps; a larger n runs the same instances."""
+    return max(scope for scope, _ in _REGISTRY.values())
 
 
 def run_check(name: str, n: int, seed: int) -> CheckResult:
-    return _CHECKS[name](n, seed)
+    """Run one check at scope ``min(n, its scope)``, counting its instances."""
+    scope, body = _REGISTRY[name]
+    steps = body(min(n, scope), random.Random(f"{seed}:{name}"))
+    instances = 0
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return CheckResult(name, instances, stop.value)
+        instances += 1
 
 
 def _run_check_args(args: tuple[str, int, int]) -> CheckResult:
@@ -690,12 +593,13 @@ def _run_check_args(args: tuple[str, int, int]) -> CheckResult:
 
 def run_all(n: int, seed: int = 0, jobs: int = 1) -> list[CheckResult]:
     """Run every check, scoped to n.  Deterministic for a fixed seed; with
-    jobs > 1 the work fans out to a process pool and results are still
-    assembled in registry order."""
-    work = [(name, n, seed) for name in _CHECKS]
-    if jobs <= 1:
+    jobs > 1 the work fans out to a process pool of at most one worker per
+    check and per CPU, and results are still assembled in registry order."""
+    work = [(name, n, seed) for name in _REGISTRY]
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_check(*item) for item in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_check_args, work))
 
 

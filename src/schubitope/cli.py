@@ -170,6 +170,9 @@ def _cmd_bruhat(args):
 
 
 def _cmd_verify(args):
+    top = checks.largest_scope()
+    if not 1 <= args.n <= top:
+        raise CommandError(f"--n: must be in 1..{top} (the largest check scope), got {args.n}")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     results = checks.run_all(args.n, seed=args.seed, jobs=jobs)
     ok = all(r.ok for r in results)
@@ -256,9 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_bruhat)
 
     sp = sub.add_parser("verify", help="run the cross-module validation suite")
-    sp.add_argument("--n", type=int, default=4, help="scope of the sweeps (default 4)")
+    sp.add_argument("--n", type=int, default=4,
+                    help="scope of the sweeps, 1 up to the largest check scope (default 4)")
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
-    sp.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
+    sp.add_argument("--jobs", type=int, default=0,
+                    help="worker processes, at most one per check and per core (default: all cores)")
     formats(sp, ["text", "json"], "text")
     sp.set_defaults(handler=_cmd_verify)
 

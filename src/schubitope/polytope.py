@@ -216,7 +216,7 @@ def vertices(d: Diagram) -> set[tuple[int, ...]]:
     return {_greedy(table, w) for w in itertools.permutations(range(1, d.n + 1))}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certification:
     """Outcome of the exact vertex certification.
 

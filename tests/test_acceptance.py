@@ -1,5 +1,6 @@
 """Acceptance suite: golden-example reproduction plus exhaustive oracle
-equivalence at desk scale.  Each criterion prints one pass/fail line."""
+equivalence at desk scale.  Each criterion prints one pass/fail line.
+Criteria 6 and 7 run the named `verify` checks through `run_check`."""
 import itertools
 import json
 import random
@@ -14,17 +15,9 @@ from conftest import (
     TRAPEZOID_FILLINGS,
     TRAPEZOID_VERTICES,
 )
-from schubitope import Diagram, diagrams, oracles, perms
-from schubitope.checks import random_diagram
-from schubitope.fillings import (
-    fill_column,
-    fill_diagram,
-    rank_brute,
-    rank_diagram,
-    rank_filling,
-    rank_max_filling,
-    vertex_vector,
-)
+from schubitope import diagrams, perms
+from schubitope.checks import random_diagram, run_check
+from schubitope.fillings import fill_diagram, rank_diagram, vertex_vector
 from schubitope.lp import hull_vertices
 from schubitope.polyoracle import key_polynomial, newton_exponents, schubert_polynomial
 from schubitope.polytope import (
@@ -119,73 +112,34 @@ def test_criterion_5_sorting_permutation():
     criterion(5, "w(2,0,1,3,2,0,1) = 2641375", got == (2, 6, 4, 1, 3, 7, 5), f"got={got}")
 
 
+def failure(results):
+    """The first failing check as "name: counterexample", or ""."""
+    return next((f"{r.name}: {r.counterexample}" for r in results if not r.ok), "")
+
+
 def test_criterion_6_rank_equivalence():
     start = time.perf_counter()
-    bad = ""
-    pairs = 0
-    for rows in subsets(5):
-        for s in subsets(5):
-            pairs += 1
-            a = rank_filling(rows, s)
-            b = rank_brute(rows, s)
-            c = rank_max_filling(rows, s)
-            if not (a == b == c):
-                bad = f"C={sorted(rows)} S={sorted(s)}: {a},{b},{c}"
-                break
-            if len(s) <= 4:
-                sizes = {len(fill_column(rows, order))
-                         for order in itertools.permutations(sorted(s))}
-                if sizes != {a}:
-                    bad = f"order dependence at C={sorted(rows)} S={sorted(s)}"
-                    break
-        if bad:
-            break
+    ranks = run_check("rank-three-ways", 5, seed=0)
+    orders = run_check("fill-order-independence", 5, seed=0)
     elapsed = time.perf_counter() - start
-    ok = not bad and pairs == 1024 and elapsed < 30
+    bad = failure([ranks, orders])
+    ok = not bad and ranks.instances == 1024 and elapsed < 30
     criterion(6, "1024-instance triple rank equivalence + order independence in < 30 s", ok,
-              bad or f"elapsed={elapsed:.1f}s")
+              bad or f"instances={ranks.instances} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_7_skyline_sweep():
     start = time.perf_counter()
-    bad = ""
-    count = 0
-    for n in range(1, 5):
-        for alpha in itertools.product(range(min(n, 3) + 1), repeat=n):
-            count += 1
-            d = diagrams.skyline(alpha)
-            swept = vertices(d)
-            predicted = set(perms.vertex_compositions(alpha))
-            if swept != predicted:
-                bad = f"alpha={alpha}: sweep {sorted(swept)} != interval {sorted(predicted)}"
-                break
-            for r in oracles.descent_violations(alpha):
-                below = set(perms.vertex_compositions(perms.swap_adjacent(alpha, r)))
-                if predicted != below | {perms.swap_adjacent(v, r) for v in below}:
-                    bad = f"recursion fails at alpha={alpha} r={r}"
-                    break
-                d_sorted = diagrams.skyline(perms.swap_adjacent(alpha, r))
-                for w in itertools.permutations(range(1, n + 1)):
-                    if w.index(r) > w.index(r + 1):
-                        continue
-                    x = vertex_vector(d, w)
-                    swapped = perms.swap_adjacent(vertex_vector(d, perms.swap_values(w, r)), r)
-                    if x != swapped:
-                        bad = f"swap symmetry fails at alpha={alpha} r={r} w={w}"
-                        break
-                    if x != vertex_vector(d_sorted, w):
-                        bad = f"swap stability fails at alpha={alpha} r={r} w={w}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    sweep = run_check("skyline-vertices-lower-interval", 4, seed=0)
+    results = [sweep, run_check("lower-interval-recursion", 4, seed=0)]
+    # the swap checks sweep the compositions of exactly n parts
+    results += [run_check(name, n, seed=0) for n in range(1, 5)
+                for name in ("vertex-swap-symmetry", "vertex-swap-stability")]
     elapsed = time.perf_counter() - start
-    ok = not bad and count >= 256 and elapsed < 60
+    bad = failure(results)
+    ok = not bad and sweep.instances >= 256 and elapsed < 60
     criterion(7, "lower-interval sweep with swap invariants (n <= 4, parts <= 3) in < 60 s",
-              ok, bad or f"elapsed={elapsed:.1f}s")
+              ok, bad or f"instances={sweep.instances} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_8_schubert_newton_sweep():

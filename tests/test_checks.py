@@ -1,0 +1,134 @@
+"""The `verify` runner: registration, instance counting, the worker clamp,
+and checks that catch a deliberately broken library function."""
+import dataclasses
+import random
+
+import pytest
+
+from schubitope import checks, fillings, polytope
+from schubitope.checks import CheckResult, run_check
+from schubitope.cli import main
+
+
+def test_registry_names_are_unique_and_scoped():
+    names = checks.check_names()
+    assert len(names) == len(set(names)) == 29
+    assert checks.largest_scope() == 5
+
+
+def test_runner_counts_yields_and_returns_counterexample(monkeypatch):
+    seen = []
+
+    def toy(m, rng):
+        seen.append((m, rng.random()))
+        for i in range(m):
+            yield
+            if i == 1:
+                return f"i={i}"
+
+    monkeypatch.setitem(checks._REGISTRY, "toy", (2, toy))
+    assert run_check("toy", 1, seed=3) == CheckResult("toy", 1, None)
+    assert run_check("toy", 7, seed=3) == CheckResult("toy", 2, "i=1")
+    expected = random.Random("3:toy").random()
+    assert seen == [(1, expected), (2, expected)]
+
+
+def test_result_is_frozen():
+    result = run_check("rothe-box-count", 2, seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.instances = 0
+
+
+def test_run_all_calls_run_check_once_per_check(monkeypatch):
+    calls = []
+
+    def fake(name, n, seed):
+        calls.append(name)
+        return CheckResult(name, n)
+
+    monkeypatch.setattr(checks, "run_check", fake)
+    results = checks.run_all(3, seed=1, jobs=1)
+    assert calls == checks.check_names()
+    assert [r.instances for r in results] == [3] * len(calls)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1000, 64, 29),  # one worker per check at most
+    (3, 64, 3),
+    (8, 2, 2),  # one worker per core at most
+    (8, None, None),  # unknown core count: serial
+    (1, 64, None),
+])
+def test_jobs_clamp(monkeypatch, jobs, cpus, workers):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(checks, "run_check", lambda name, n, seed: CheckResult(name, n))
+    results = checks.run_all(2, jobs=jobs)
+    assert pools == ([] if workers is None else [workers])
+    assert [r.name for r in results] == checks.check_names()
+
+
+# Each fault breaks one library function; the pinned instance counts and
+# counterexamples are those of `verify --n 4 --seed 0`.
+
+def test_rank_brute_fault_caught_first(monkeypatch):
+    brute = fillings.rank_brute
+    monkeypatch.setattr(fillings, "rank_brute", lambda rows, s: brute(rows, s) + 1)
+    assert run_check("rank-three-ways", 4, seed=0) == CheckResult(
+        "rank-three-ways", 1, "C=[] S=[]: 0,1,0")
+
+
+def test_theta_fault_caught_first(monkeypatch):
+    theta = polytope.theta
+    monkeypatch.setattr(polytope, "theta", lambda d, s: theta(d, s) + 1)
+    result = run_check("theta-equals-rank", 4, seed=0)
+    assert result.instances == 1
+    assert result.counterexample.endswith("S=[]: theta=1 rank=0")
+
+
+def test_extra_vertex_caught(monkeypatch):
+    vertices = polytope.vertices
+    monkeypatch.setattr(polytope, "vertices", lambda d: vertices(d) | {(99,) * 4})
+    result = run_check("minkowski-sum-membership", 4, seed=0)
+    assert result.instances == 55
+    assert result.counterexample.endswith("vertex=(99, 99, 99, 99) not a sum of column vertices")
+
+
+def test_vertex_json_fault_caught(monkeypatch):
+    parse = polytope.vertex_set_from_json_dict
+    monkeypatch.setattr(polytope, "vertex_set_from_json_dict", lambda doc: parse(doc) | {(7,)})
+    result = run_check("json-round-trip", 4, seed=0)
+    assert result.instances == 3
+    assert result.counterexample.startswith("vertex set ")
+
+
+def test_sort_filling_fault_caught(monkeypatch):
+    sort = fillings.sort_filling
+    monkeypatch.setattr(fillings, "sort_filling", lambda f: {} if f == {1: 1} else sort(f))
+    assert run_check("sort-standardize", 4, seed=0) == CheckResult(
+        "sort-standardize", 37, "sort({1: 1}) gave {}, expected {1: 1}")
+
+
+def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
+    brute = fillings.rank_brute
+    monkeypatch.setattr(fillings, "rank_brute", lambda rows, s: brute(rows, s) + 1)
+    code = main(["verify", "--n", "2", "--jobs", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "FAIL rank-three-ways (1 instances): C=[] S=[]: 0,1,0" in lines
+    assert lines[-1] == "FAIL: 28/29 checks passed, 1501 instances"

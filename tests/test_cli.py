@@ -194,6 +194,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("n", ["-1", "0", "6"])
+    def test_scope_out_of_range(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: --n: must be in 1..5 (the largest check scope), got {n}\n"
+
 
 class TestRoundTrips:
     """Every emitted JSON document must parse back and re-serialize bit-identically."""

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS
 from schubitope import Diagram
-from schubitope.checks import random_diagram
+from schubitope.checks import random_diagram, run_check
 from schubitope.diagrams import skyline
 from schubitope.fillings import (
     fill_column,
@@ -117,25 +117,17 @@ class TestRanks:
             rank_brute(set(range(1, 14)), {1})
 
     def test_triple_agreement_exhaustive(self):
-        for rows in subsets(5):
-            for s in subsets(5):
-                a = rank_filling(rows, s)
-                assert a == rank_brute(rows, s) == rank_max_filling(rows, s), (rows, s)
+        result = run_check("rank-three-ways", 5, seed=0)
+        assert result.ok, result.counterexample
+        assert result.instances == 1024
 
     def test_order_independence(self):
-        for rows in subsets(5):
-            for s in subsets(5):
-                if len(s) > 4:
-                    continue
-                sizes = {len(fill_column(rows, order)) for order in itertools.permutations(sorted(s))}
-                assert len(sizes) == 1, (rows, s)
+        result = run_check("fill-order-independence", 5, seed=0)
+        assert result.ok, result.counterexample
 
     def test_monotone_step(self):
-        for rows in subsets(5):
-            for s in subsets(5):
-                r = rank_filling(rows, s)
-                for x in s:
-                    assert r - rank_filling(rows, s - {x}) in (0, 1)
+        result = run_check("rank-monotone-step", 5, seed=0)
+        assert result.ok, result.counterexample
 
     def test_diagram_rank(self):
         assert rank_diagram(D9, {1, 3}) == 7

@@ -266,6 +266,13 @@ class TestCertify:
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES)
         assert cert.ok and cert.method == "greedy" and cert.failures == ()
 
+    def test_is_frozen(self):
+        cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES)
+        for field, value in (("ok", False), ("method", "intersection"), ("points", 0),
+                             ("failures", ("forged",))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, field, value)
+
     def test_segment_passes(self):
         h = hrep(Diagram(2, frozenset({(2, 1)})))
         assert certify_vertices(h, {(1, 0), (0, 1)}).ok
