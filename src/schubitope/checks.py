@@ -7,8 +7,9 @@ with ``@check(name, scope=k)``: ``scope`` is the largest size it sweeps.
 ``random.Random(f"{seed}:{name}")``.  The check yields once per instance,
 just before comparing it, and on the first mismatch returns a
 reproducible counterexample string; `run_check` counts the yields and
-builds the `CheckResult`.  `verify --n` accepts 1..`largest_scope()`, the
-largest registered scope, since a larger n would sweep nothing more.
+builds the `CheckResult`, also when the check raises.  `verify --n`
+accepts 1..`largest_scope()`, the largest registered scope, since a
+larger n would sweep nothing more.
 Checks only read shared immutable values, so they can run in a process
 pool; results are always assembled in registry order.
 """
@@ -415,19 +416,19 @@ def check_operator_relations(m: int, rng: random.Random) -> Steps:
         for i in range(1, m):
             yield
             if di(di(f, i), i) != zero:
-                return f"dd^2 != 0 on {f.terms}"
+                return f"dd^2 != 0 on {dict(f.terms)}"
             pi_f = polyoracle.demazure(f, i)
             if polyoracle.demazure(pi_f, i) != pi_f:
-                return f"demazure not idempotent on {f.terms}"
+                return f"demazure not idempotent on {dict(f.terms)}"
             # the defining identity: (x_i - x_{i+1}) * dd_i(f) == f - s_i f
             xi = polyoracle.monomial(m, tuple(int(t == i - 1) for t in range(m)))
             xj = polyoracle.monomial(m, tuple(int(t == i) for t in range(m)))
             if (xi - xj) * di(f, i) != f - polyoracle.swap_variables(f, i):
-                return f"division identity fails on {f.terms}"
+                return f"division identity fails on {dict(f.terms)}"
         for i in range(1, m - 1):
             yield
             if di(di(di(f, i), i + 1), i) != di(di(di(f, i + 1), i), i + 1):
-                return f"braid fails on {f.terms}"
+                return f"braid fails on {dict(f.terms)}"
 
 
 @check("recursion-chain-independence", scope=4)
@@ -575,7 +576,9 @@ def largest_scope() -> int:
 
 
 def run_check(name: str, n: int, seed: int) -> CheckResult:
-    """Run one check at scope ``min(n, its scope)``, counting its instances."""
+    """Run one check at scope ``min(n, its scope)``, counting its instances.
+    An exception raised by the check fails that check alone, with the
+    exception as its counterexample."""
     scope, body = _REGISTRY[name]
     steps = body(min(n, scope), random.Random(f"{seed}:{name}"))
     instances = 0
@@ -584,6 +587,8 @@ def run_check(name: str, n: int, seed: int) -> CheckResult:
             next(steps)
         except StopIteration as stop:
             return CheckResult(name, instances, stop.value)
+        except Exception as exc:  # a crash fails this check only
+            return CheckResult(name, instances, f"raised {type(exc).__name__}: {exc}")
         instances += 1
 
 

@@ -1,59 +1,73 @@
 """Exact rational linear algebra: feasibility by phase-1 simplex, square solves.
 
-Everything runs on `fractions.Fraction`, so answers are never approximate.
-Bland's rule makes the simplex terminate on every input.  Problem sizes
-here are tiny (tens of columns, up to ~7 rows), so dense tableaus are fine.
+Answers are never approximate.  The simplex runs on an integer tableau: the
+system is scaled once by the common denominator of its entries, and each
+pivot replaces a row by ``piv * row - f * pivot_row`` divided by its gcd.
+That keeps every row a positive multiple of the exact rational row, so
+signs, ratio comparisons (by cross-multiplication) and Bland's choices are
+those of the textbook `Fraction` tableau, which lives on in
+`oracles.solve_nonnegative_by_fractions` as the reference.  Bland's rule
+makes the simplex terminate on every input.  Problem sizes here are tiny
+(tens of columns, up to ~9 rows), so dense tableaus are fine.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
+
+
+def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
+    """Clear column ``enter`` of row with the pivot row, scaled by the
+    positive pivot and divided by the gcd of the result."""
+    piv, f = pivot_row[enter], row[enter]
+    out = [piv * a - f * b for a, b in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Find x >= 0 with A x = b exactly, or return None when infeasible."""
     m = len(rows)
     k = len(rows[0]) if m else 0
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        r = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
+    system = [[*rows[i], rhs[i]] for i in range(m)]
+    scale = math.lcm(*(Fraction(v).denominator for r in system for v in r if not isinstance(v, int)))
+    tab: list[list[int]] = []
+    for i, r in enumerate(system):
+        r = [v * scale if isinstance(v, int) else int(Fraction(v) * scale) for v in r]
+        if r[-1] < 0:
             r = [-v for v in r]
-            b = -b
-        tab.append(r + [Fraction(int(p == i)) for p in range(m)] + [b])
+        tab.append(r[:-1] + [scale * (p == i) for p in range(m)] + r[-1:])
     basis = list(range(k, k + m))
-    # reduced-cost row for minimizing the artificial sum; last entry is -objective
-    cost = [Fraction(0)] * (k + m + 1)
-    for row in tab:
-        for j in range(k + m + 1):
-            cost[j] -= row[j]
+    # reduced-cost row for minimizing the artificial sum, times scale;
+    # last entry is -objective
+    cost = [-sum(col) for col in zip(*tab)] if m else [0] * (k + 1)
     for j in range(k, k + m):
-        cost[j] += 1
+        cost[j] += scale
 
     while True:
         enter = next((j for j in range(k + m) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio tab[i][-1] / coef against the best one so far
+                here, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * coef
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:  # the phase-1 objective is bounded below by 0, so this is a bug
             raise RuntimeError(f"phase-1 simplex found no leaving row for column {enter}")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for row in (*(tab[i] for i in range(m) if i != leave), cost):
-            factor = row[enter]
-            if factor:
-                pivot_row = tab[leave]
-                for j in range(k + m + 1):
-                    row[j] -= factor * pivot_row[j]
+        pivot_row = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                tab[i] = _eliminate(tab[i], pivot_row, enter)
+        if cost[enter]:
+            cost = _eliminate(cost, pivot_row, enter)
         basis[leave] = enter
 
     if cost[-1] != 0:  # leftover artificial value: no solution exists
@@ -61,7 +75,7 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
     x = [Fraction(0)] * k
     for i, bi in enumerate(basis):
         if bi < k:
-            x[bi] = tab[i][-1]
+            x[bi] = Fraction(tab[i][-1], tab[i][bi])
     return x
 
 
@@ -69,11 +83,9 @@ def convex_combination(target: Sequence, points: Sequence[Sequence]) -> list[Fra
     """Coefficients expressing target as a convex combination of points, or None."""
     if not points:
         return None
-    dim = len(target)
-    rows = [[Fraction(q[i]) for q in points] for i in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = [Fraction(x) for x in target] + [Fraction(1)]
-    return solve_nonnegative(rows, rhs)
+    rows = [[q[i] for q in points] for i in range(len(target))]
+    rows.append([1] * len(points))
+    return solve_nonnegative(rows, [*target, 1])
 
 
 def hull_vertices(points, candidates=None) -> set[tuple]:
@@ -81,19 +93,20 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
 
     A point is kept iff it is not a convex combination of the remaining
     points.  ``candidates`` may supply a set of points expected to contain
-    every vertex; points outside it are first tested against the (much
-    smaller) candidate set, which only ever skips work, never changes the
-    answer.
+    every vertex.  Points outside it that lie in the (much smaller)
+    candidates' hull are dropped first, and the rest are tested only
+    against each other.  That never changes the answer: substituting each
+    dropped point's combination of candidates turns a combination of all
+    other points into one of the kept others.
     """
     pts = sorted({tuple(p) for p in points})
-    cand = {tuple(p) for p in candidates} & set(pts) if candidates is not None else None
+    if candidates is not None:
+        cand = {tuple(p) for p in candidates} & set(pts)
+        inside = sorted(cand)
+        pts = [p for p in pts if p in cand or convex_combination(p, inside) is None]
     out = set()
     for i, p in enumerate(pts):
-        if cand is not None and p not in cand:
-            if convex_combination(p, sorted(cand - {p})) is not None:
-                continue
-        others = pts[:i] + pts[i + 1:]
-        if convex_combination(p, others) is None:
+        if convex_combination(p, pts[:i] + pts[i + 1:]) is None:
             out.add(p)
     return out
 

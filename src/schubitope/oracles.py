@@ -3,12 +3,14 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set.  Slow, obvious, and independent
-of the code they vouch for.
+permutation for the vertex set, a phase-1 simplex on `Fraction` entries
+for the integer-tableau one.  Slow, obvious, and independent of the code
+they vouch for.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import fillings, polyoracle
@@ -147,3 +149,60 @@ def key_by_last_ascent(alpha: Sequence[int]) -> polyoracle.Polynomial:
         return polyoracle.monomial(n, alpha)
     i = ascents[-1]
     return polyoracle.demazure(key_by_last_ascent(swap_adjacent(alpha, i)), i)
+
+
+def solve_nonnegative_by_fractions(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """Find x >= 0 with A x = b exactly, or return None when infeasible: the
+    phase-1 simplex with Bland's rule on a `Fraction` tableau, pivot by pivot
+    the one `lp.solve_nonnegative` runs on integer rows."""
+    m = len(rows)
+    k = len(rows[0]) if m else 0
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        r = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            r = [-v for v in r]
+            b = -b
+        tab.append(r + [Fraction(int(p == i)) for p in range(m)] + [b])
+    basis = list(range(k, k + m))
+    # reduced-cost row for minimizing the artificial sum; last entry is -objective
+    cost = [Fraction(0)] * (k + m + 1)
+    for row in tab:
+        for j in range(k + m + 1):
+            cost[j] -= row[j]
+    for j in range(k, k + m):
+        cost[j] += 1
+
+    while True:
+        enter = next((j for j in range(k + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:  # the phase-1 objective is bounded below by 0, so this is a bug
+            raise RuntimeError(f"phase-1 simplex found no leaving row for column {enter}")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for row in (*(tab[i] for i in range(m) if i != leave), cost):
+            factor = row[enter]
+            if factor:
+                pivot_row = tab[leave]
+                for j in range(k + m + 1):
+                    row[j] -= factor * pivot_row[j]
+        basis[leave] = enter
+
+    if cost[-1] != 0:  # leftover artificial value: no solution exists
+        return None
+    x = [Fraction(0)] * k
+    for i, bi in enumerate(basis):
+        if bi < k:
+            x[bi] = tab[i][-1]
+    return x

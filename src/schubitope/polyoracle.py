@@ -1,15 +1,17 @@
 """Schubert and key polynomials via divided differences, as Newton-polytope oracles.
 
-Polynomials are sparse: a mapping from exponent vectors to non-zero integer
-coefficients.  The divided difference of a single monomial has a closed
-form (a geometric sum between the two exponents), so the division by
-x_i - x_{i+1} is carried out termwise and is exact by construction.
+Polynomials are sparse and immutable: a read-only mapping from exponent
+vectors to non-zero integer coefficients.  The divided difference of a
+single monomial has a closed form (a geometric sum between the two
+exponents), so the division by x_i - x_{i+1} is carried out termwise and
+is exact by construction.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .perms import check_composition, check_permutation, swap_adjacent
 
@@ -18,12 +20,13 @@ KEY_CAP_N = 6
 KEY_CAP_PART = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polynomial:
-    """Sparse integer-coefficient polynomial in n variables."""
+    """Sparse integer-coefficient polynomial in n variables; ``terms`` is
+    read-only, so memoized results can be shared."""
 
     n: int
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
@@ -37,7 +40,7 @@ class Polynomial:
                 raise ValueError(f"coefficient of {e!r} must be an integer, got {c!r}")
             if c:
                 clean[e] = c
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.n != other.n:
@@ -137,8 +140,7 @@ def schubert_polynomial(w: Sequence[int]) -> Polynomial:
     w = check_permutation(w)
     if len(w) > SCHUBERT_CAP:
         raise ValueError(f"Schubert recursion capped at n <= {SCHUBERT_CAP}")
-    f = _schubert(w)
-    return Polynomial(f.n, dict(f.terms))
+    return _schubert(w)
 
 
 @functools.cache
@@ -165,8 +167,7 @@ def key_polynomial(alpha: Sequence[int]) -> Polynomial:
         raise ValueError(
             f"key recursion capped at n <= {KEY_CAP_N} with parts <= {KEY_CAP_PART}"
         )
-    f = _key(alpha)
-    return Polynomial(f.n, dict(f.terms))
+    return _key(alpha)
 
 
 def newton_exponents(f: Polynomial) -> set[tuple[int, ...]]:

@@ -24,7 +24,7 @@ STAR = "★"
 
 HREP_CAP = 12        # 2^n - 2 stored inequalities
 SWEEP_CAP = 8        # full S_n sweep for vertex enumeration
-CERTIFY_CAP = 6      # exact certification
+CERTIFY_CAP = 8      # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 
 
@@ -222,13 +222,16 @@ class Certification:
 
     ``failures`` holds one human-readable witness per defect; empty means
     the claimed points are exactly the vertex set.  ``method`` records how
-    the polytope's own vertices were enumerated for part (c).
+    the polytope's own vertices were enumerated for part (c), and
+    ``lp_calls`` how many claimed points part (b) had to send to the
+    phase-1 simplex.
     """
 
     ok: bool
     method: str
     points: int
     failures: tuple[str, ...]
+    lp_calls: int
 
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:
@@ -241,6 +244,32 @@ def _is_submodular(table: Sequence[int], n: int) -> bool:
                 if table[m | bi] + table[m | bj] < table[m | bi | bj] + table[m]:
                     return False
     return True
+
+
+def tight_rank(h: HRep, point: Sequence) -> int:
+    """Rank of the rows tight at a point of the polytope: the all-ones row
+    plus each bound row met with equality, by exact integer elimination.
+    The point is a vertex exactly when this is n."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row zero at earlier pivots)
+
+    def add(row: list[int]) -> None:
+        for p, e in echelon:
+            if row[p]:
+                row = [e[p] * a - row[p] * b for a, b in zip(row, e)]
+        p = next((i for i, a in enumerate(row) if a), None)
+        if p is not None:
+            echelon.append((p, row))
+
+    add([1] * h.n)
+    sums = [0] * (2 ** h.n)
+    for mask in range(1, 2 ** h.n - 1):
+        if len(echelon) == h.n:
+            break
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
+        if sums[mask] == h.table[mask]:
+            add([(mask >> i) & 1 for i in range(h.n)])
+    return len(echelon)
 
 
 def _intersection_vertices(h: HRep) -> set[tuple]:
@@ -267,9 +296,12 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  For (c), submodular bound systems are swept with the greedy
-    rule (which provably reaches every vertex); otherwise vertices are
-    enumerated from tight-constraint intersections.
+    points.  For (b), when (a) passed, a point whose tight rows have rank n
+    is a vertex of the polytope and so of no other points in it; only the
+    remaining points go to the phase-1 simplex.  For (c), submodular bound
+    systems are swept with the greedy rule (which provably reaches every
+    vertex); otherwise vertices are enumerated from tight-constraint
+    intersections.
     """
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
@@ -281,8 +313,13 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
         if bad is not None:
             failures.append(f"claimed vertex {p} violates the description: {bad}")
 
+    inside = not failures
+    lp_calls = 0
     for idx, p in enumerate(pts):
+        if inside and tight_rank(h, p) == h.n:
+            continue
         others = pts[:idx] + pts[idx + 1:]
+        lp_calls += 1
         lam = lp.convex_combination(p, others)
         if lam is not None:
             combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
@@ -307,7 +344,8 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
             if v not in claimed:
                 failures.append(f"vertex {v} is missing from the claimed set")
 
-    return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures))
+    return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
+                         lp_calls=lp_calls)
 
 
 def hrep_to_json_dict(h: HRep) -> dict:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from schubitope import checks, fillings, polytope
+from schubitope import checks, fillings, oracles, polytope
 from schubitope.checks import CheckResult, run_check
 from schubitope.cli import main
 
@@ -31,6 +31,17 @@ def test_runner_counts_yields_and_returns_counterexample(monkeypatch):
     assert run_check("toy", 7, seed=3) == CheckResult("toy", 2, "i=1")
     expected = random.Random("3:toy").random()
     assert seen == [(1, expected), (2, expected)]
+
+
+def test_raising_check_fails_alone(monkeypatch):
+    def toy(m, rng):
+        yield
+        yield
+        raise KeyError("boom")
+
+    monkeypatch.setitem(checks._REGISTRY, "toy", (2, toy))
+    assert run_check("toy", 2, seed=0) == CheckResult("toy", 2, "raised KeyError: 'boom'")
+    assert [r.ok for r in checks.run_all(2, jobs=1)].count(False) == 1
 
 
 def test_result_is_frozen():
@@ -132,3 +143,24 @@ def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
     assert code == 1
     assert "FAIL rank-three-ways (1 instances): C=[] S=[]: 0,1,0" in lines
     assert lines[-1] == "FAIL: 28/29 checks passed, 1501 instances"
+
+
+def test_verify_reports_raising_checks_and_exits_1(monkeypatch, capsys):
+    # an extra descent at index 0 makes four checks raise at n = 2; the
+    # other 25 still run and report
+    descents = oracles.descent_violations
+    monkeypatch.setattr(oracles, "descent_violations", lambda alpha: descents(alpha) + [0])
+    code = main(["verify", "--n", "2", "--jobs", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert [line.split(" (")[0] for line in failed] == [
+        "FAIL lower-interval-recursion",
+        "FAIL lower-interval-chain-independence",
+        "FAIL vertex-swap-symmetry",
+        "FAIL vertex-swap-stability",
+    ]
+    assert failed[0] == ("FAIL lower-interval-recursion (1 instances): "
+                         "raised ValueError: adjacent-swap index 0 out of range 1..0")
+    assert all("instances): raised ValueError: " in line for line in failed)
+    assert lines[-1] == "FAIL: 25/29 checks passed, 1486 instances"

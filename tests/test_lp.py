@@ -1,6 +1,39 @@
+import itertools
+import random
 from fractions import Fraction
 
+from schubitope.diagrams import rothe
 from schubitope.lp import convex_combination, hull_vertices, solve_nonnegative, solve_unique
+from schubitope.oracles import solve_nonnegative_by_fractions
+from schubitope.polyoracle import newton_exponents, schubert_polynomial
+from schubitope.polytope import vertices
+
+
+def random_entry(rng):
+    """Zero, a small integer or a small fraction, either sign."""
+    kind = rng.random()
+    if kind < 0.3:
+        return 0
+    if kind < 0.6:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def random_system(rng):
+    """A random rational system A x = b with 1-5 rows and 1-7 columns.  Half
+    the right-hand sides come from a non-negative x with zero entries, so the
+    system is feasible and degenerate; the other half are random, often
+    negative and often infeasible.  Some systems repeat a row."""
+    m, k = rng.randint(1, 5), rng.randint(1, 7)
+    rows = [[random_entry(rng) for _ in range(k)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.2:
+        rows[-1] = list(rows[0])
+    if rng.random() < 0.5:
+        x = [rng.choice((0, 0, 1, Fraction(1, 2), 3)) for _ in range(k)]
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    else:
+        rhs = [random_entry(rng) for _ in range(m)]
+    return rows, rhs
 
 
 class TestSolveNonnegative:
@@ -19,6 +52,35 @@ class TestSolveNonnegative:
     def test_exact_fractions(self):
         x = solve_nonnegative([[2, 0], [0, 3]], [1, 1])
         assert x == [Fraction(1, 2), Fraction(1, 3)]
+
+    def test_matches_fraction_simplex_on_random_systems(self):
+        rng = random.Random(41)
+        seen = {"feasible": 0, "infeasible": 0, "negative rhs": 0, "degenerate": 0}
+        for _ in range(1000):
+            rows, rhs = random_system(rng)
+            x = solve_nonnegative(rows, rhs)
+            assert x == solve_nonnegative_by_fractions(rows, rhs), (rows, rhs)
+            seen["infeasible" if x is None else "feasible"] += 1
+            seen["negative rhs"] += any(b < 0 for b in rhs)
+            if x is not None:
+                assert all(v >= 0 for v in x)
+                assert [sum(a * v for a, v in zip(r, x)) for r in rows] == rhs
+                seen["degenerate"] += sum(v > 0 for v in x) < len(rows)
+        assert min(seen.values()) >= 50, seen
+
+    def test_matches_fraction_simplex_on_vertex_systems(self):
+        # the systems certification and hull extraction solve: one point
+        # against the others, as a convex combination
+        for w in itertools.permutations(range(1, 5)):
+            support = sorted(newton_exponents(schubert_polynomial(w)))
+            for p in support:
+                others = [q for q in support if q != p]
+                rows = [[q[i] for q in others] for i in range(4)] + [[1] * len(others)]
+                if others:
+                    assert solve_nonnegative(rows, [*p, 1]) == solve_nonnegative_by_fractions(rows, [*p, 1])
+
+    def test_accepts_rational_strings(self):
+        assert solve_nonnegative([["1/2", 1]], ["3/4"]) == [Fraction(3, 2), 0]
 
 
 class TestConvexCombination:
@@ -52,6 +114,29 @@ class TestHullVertices:
 
     def test_collinear(self):
         assert hull_vertices([(0,), (1,), (2,)]) == {(0,), (2,)}
+
+    def test_candidates_match_full_hull_on_schubert_supports(self):
+        # true vertex set, one vertex short, and padded with support points
+        rng = random.Random(7)
+        for w in itertools.permutations(range(1, 5)):
+            support = newton_exponents(schubert_polynomial(w))
+            full = hull_vertices(support)
+            assert full == vertices(rothe(w)), w
+            extra = set(rng.sample(sorted(support), min(3, len(support))))
+            for cand in (full, full - {min(full)}, full | extra, extra, set()):
+                assert hull_vertices(support, candidates=cand) == full, (w, cand)
+
+    def test_candidates_match_full_hull_on_random_points(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            dim = rng.randint(1, 3)
+            pts = {tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(1, 12))}
+            full = hull_vertices(pts)
+            short = set(rng.sample(sorted(full), rng.randint(0, len(full))))
+            padded = full | set(rng.sample(sorted(pts), rng.randint(0, len(pts))))
+            stray = short | {(9,) * dim}
+            for cand in (full, short, padded, stray):
+                assert hull_vertices(pts, candidates=cand) == full, (pts, cand)
 
 
 class TestSolveUnique:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -52,6 +53,19 @@ class TestPolynomial:
         x2 = monomial(2, (0, 1))
         assert (x1 + x2) - x2 == x1
         assert (x1 - x2) * (x1 + x2) == x1 * x1 - x2 * x2
+
+
+    def test_is_frozen(self):
+        f = Polynomial(2, {(1, 0): 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.terms = {}
+        with pytest.raises(TypeError):
+            f.terms[(0, 1)] = 1
+        assert f.terms == {(1, 0): 1}
+
+    def test_memoized_results_are_shared(self):
+        assert schubert_polynomial((1, 3, 2)) is schubert_polynomial([1, 3, 2])
+        assert key_polynomial((1, 0, 3)) is key_polynomial([1, 0, 3])
 
 
 class TestDividedDifference:

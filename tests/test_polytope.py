@@ -11,6 +11,7 @@ from schubitope import Diagram
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
+from schubitope.lp import convex_combination
 from schubitope.oracles import vertices_by_filling
 from schubitope.perms import vertex_compositions
 from schubitope.polytope import (
@@ -26,6 +27,7 @@ from schubitope.polytope import (
     schubert_matroid_bases,
     theta,
     theta_columns,
+    tight_rank,
     vertex_set_from_json_dict,
     vertex_set_to_json_dict,
     vertices,
@@ -316,7 +318,80 @@ class TestCertify:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            certify_vertices(HRep(7, 0, (0,) * 2 ** 7), set())
+            certify_vertices(HRep(9, 0, (0,) * 2 ** 9), set())
+
+    def test_reports_lp_calls(self):
+        assert certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES).lp_calls == 0
+        cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES | {(2, 1, 1)})
+        assert cert.lp_calls == 1
+        assert cert.failures == (
+            "claimed vertex (2, 1, 1) is not a vertex: "
+            "(2, 1, 1) = 1/6*(1, 0, 3) + 1/3*(1, 3, 0) + 1/2*(3, 0, 1)",
+        )
+        # a point outside the polytope sends every claimed point to the LP
+        cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES | {(4, 0, 0)})
+        assert cert.lp_calls == 5
+
+    def test_random_diagrams_up_to_the_cap(self):
+        rng = random.Random(78)
+        for n, density in ((7, 0.5), (8, 0.3)):
+            d = random_diagram_with_density(rng, n, density)
+            h, verts = hrep(d), vertices(d)
+            cert = certify_vertices(h, verts)
+            assert cert.ok and cert.method == "greedy" and cert.lp_calls == 0, d
+            short = certify_vertices(h, verts - {min(verts)})
+            assert len(short.failures) == 1 and short.lp_calls == 0
+            assert short.failures[0].startswith(f"vertex {min(verts)} (greedy order ")
+
+
+def probe_points(verts, rng):
+    """The vertices, then points between them: the lattice points among up to
+    ten midpoints of vertex pairs (on an edge or inside a face), and the
+    barycenter (inside the polytope, rational)."""
+    verts = sorted(verts)
+    pairs = list(itertools.combinations(verts, 2))
+    mids = [tuple(a + b for a, b in zip(u, v)) for u, v in rng.sample(pairs, min(10, len(pairs)))]
+    points = [*verts, *(tuple(c // 2 for c in m) for m in mids if all(c % 2 == 0 for c in m))]
+    points.append(tuple(Fraction(sum(c), len(verts)) for c in zip(*verts)))
+    return points
+
+
+class TestTightRank:
+    """The tight-row vertex test against the LP verdict it replaces in
+    certification: a member p is a vertex iff it is no convex combination
+    of the other vertices."""
+
+    def assert_matches_lp(self, d, rng):
+        h, verts = hrep(d), vertices(d)
+        verdicts = set()
+        for p in probe_points(verts, rng):
+            assert member(h, p)
+            by_lp = convex_combination(p, sorted(verts - {p})) is None
+            assert (tight_rank(h, p) == d.n) == by_lp, (d, p)
+            verdicts.add(by_lp)
+        return verdicts
+
+    def test_rothe_diagrams(self):
+        rng = random.Random(3)
+        verdicts = set()
+        for n in range(1, 6):
+            for w in itertools.permutations(range(1, n + 1)):
+                verdicts |= self.assert_matches_lp(rothe(w), rng)
+        assert verdicts == {True, False}
+
+    def test_random_diagrams(self):
+        rng = random.Random(4)
+        verdicts = set()
+        sizes = [(n, density) for n in range(1, 6) for density in (0.3, 0.5, 0.7)]
+        for n, density in sizes + [(6, 0.3), (6, 0.7)]:
+            verdicts |= self.assert_matches_lp(random_diagram_with_density(rng, n, density), rng)
+        assert verdicts == {True, False}
+
+    def test_edges_and_interior_of_the_trapezoid(self):
+        h = hrep(TRAPEZOID)
+        assert [tight_rank(h, p) for p in sorted(TRAPEZOID_VERTICES)] == [3] * 4
+        assert tight_rank(h, (2, 2, 0)) == 2   # edge (1,3,0)-(3,1,0)
+        assert tight_rank(h, (2, 1, 1)) == 1   # interior
 
 
 class TestThetaRankIdentity:
