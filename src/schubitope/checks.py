@@ -285,10 +285,10 @@ def check_theta_equals_rank(m: int, rng: random.Random) -> Steps:
 @check("greedy-equals-filling", scope=4)
 def check_greedy_equals_filling(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=15):
-        rank = lambda s: fillings.rank_diagram(d, s)
+        rank = {s: fillings.rank_diagram(d, s) for s in _subsets(m)}
         for w in all_perms(m):
             yield
-            if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank, w):
+            if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank.__getitem__, w):
                 return f"D={_diagram_str(d)} w={w}"
 
 

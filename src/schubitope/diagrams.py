@@ -26,9 +26,11 @@ class Diagram:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"grid size must be a non-negative integer, got {self.n!r}")
-        normalized = frozenset((int(r), int(c)) for r, c in self.boxes)
-        object.__setattr__(self, "boxes", normalized)
-        for r, c in normalized:
+        boxes = frozenset(self.boxes)
+        object.__setattr__(self, "boxes", boxes)
+        for r, c in boxes:
+            if not (isinstance(r, int) and isinstance(c, int)):
+                raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
             if not (1 <= r <= self.n and 1 <= c <= self.n):
                 raise ValueError(f"box ({r},{c}) lies outside the {self.n}x{self.n} grid")
 
@@ -48,12 +50,6 @@ class Diagram:
         for r, c in self.boxes:
             cols[c - 1].add(r)
         return tuple(frozenset(s) for s in cols)
-
-    def column(self, j: int) -> frozenset[int]:
-        """Row indices of the boxes in column j."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"column {j} out of range 1..{self.n}")
-        return self.columns[j - 1]
 
 
 def rothe(w: Sequence[int]) -> Diagram:

@@ -1,14 +1,12 @@
-"""Exact rational linear algebra: feasibility by phase-1 simplex, square solves.
+"""Exact rational linear algebra on integer rows: phase-1 simplex, hull vertices.
 
-Answers are never approximate.  The simplex runs on an integer tableau: the
-system is scaled once by the common denominator of its entries, and each
-pivot replaces a row by ``piv * row - f * pivot_row`` divided by its gcd.
-That keeps every row a positive multiple of the exact rational row, so
-signs, ratio comparisons (by cross-multiplication) and Bland's choices are
-those of the textbook `Fraction` tableau, which lives on in
-`oracles.solve_nonnegative_by_fractions` as the reference.  Bland's rule
-makes the simplex terminate on every input.  Problem sizes here are tiny
-(tens of columns, up to ~9 rows), so dense tableaus are fine.
+Answers are never approximate.  All elimination goes through one kernel,
+`eliminate`, shared with the echelon forms of `polytope`.  The simplex
+scales its system once by the common denominator of its entries; its
+pivots are positive, so each tableau row is a positive multiple of the exact
+rational row, and signs, ratio tests (by cross-multiplication) and Bland's
+choices match the `Fraction` tableau of `oracles.solve_nonnegative_by_fractions`.
+Bland's rule makes it terminate; sizes here are tiny, so dense rows are fine.
 """
 from __future__ import annotations
 
@@ -17,9 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
-    """Clear column ``enter`` of row with the pivot row, scaled by the
-    positive pivot and divided by the gcd of the result."""
+def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
+    """Clear column ``enter`` of row: ``piv * row - f * pivot_row`` over its
+    gcd.  That scales the row by the pivot, so its sign flips when piv < 0."""
     piv, f = pivot_row[enter], row[enter]
     out = [piv * a - f * b for a, b in zip(row, pivot_row)]
     g = math.gcd(*out)
@@ -65,9 +63,9 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
         pivot_row = tab[leave]
         for i in range(m):
             if i != leave and tab[i][enter]:
-                tab[i] = _eliminate(tab[i], pivot_row, enter)
+                tab[i] = eliminate(tab[i], pivot_row, enter)
         if cost[enter]:
-            cost = _eliminate(cost, pivot_row, enter)
+            cost = eliminate(cost, pivot_row, enter)
         basis[leave] = enter
 
     if cost[-1] != 0:  # leftover artificial value: no solution exists
@@ -110,20 +108,3 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
             out.add(p)
     return out
 
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular or inconsistent."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]

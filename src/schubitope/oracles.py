@@ -3,9 +3,10 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set, a phase-1 simplex on `Fraction` entries
-for the integer-tableau one.  Slow, obvious, and independent of the code
-they vouch for.
+permutation for the vertex set, one `Fraction` square solve per choice of
+n-1 bound rows for the intersection vertex search, a phase-1 simplex on
+`Fraction` entries for the integer-tableau one.  Slow, obvious, and
+independent of the code they vouch for.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import SWEEP_CAP
+from .polytope import SWEEP_CAP, HRep, member
 
 
 def bruhat_lower_interval(w: Sequence[int]) -> set[Perm]:
@@ -127,6 +128,42 @@ def vertices_by_filling(d: Diagram) -> set[tuple[int, ...]]:
     if d.n > SWEEP_CAP:
         raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
     return {fillings.vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
+
+
+def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """Solve a square system exactly; None when singular or inconsistent."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][-1] for i in range(n)]
+
+
+def vertices_by_intersection(h: HRep) -> set[tuple]:
+    """Vertices by brute force: every feasible unique solution of the equality
+    plus n-1 bound rows picked tight, one `solve_unique` per choice."""
+    rows = [
+        ([(mask >> i) & 1 for i in range(h.n)], h.table[mask])
+        for mask in range(1, 2 ** h.n - 1)
+    ]
+    eq_row = ([1] * h.n, h.total)
+    found: set[tuple] = set()
+    for combo in itertools.combinations(rows, h.n - 1):
+        mat = [eq_row[0]] + [r[0] for r in combo]
+        rhs = [eq_row[1]] + [r[1] for r in combo]
+        x = solve_unique(mat, rhs)
+        if x is not None and member(h, x):
+            found.add(tuple(x))
+    return found
 
 
 def schubert_by_last_ascent(w: Sequence[int]) -> polyoracle.Polynomial:

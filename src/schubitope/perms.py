@@ -197,10 +197,6 @@ def parse_perm(text: str) -> Perm:
     return check_permutation(entries)
 
 
-def perm_to_str(w: Sequence[int]) -> str:
-    return "".join(map(str, w)) if len(w) <= 9 else ",".join(map(str, w))
-
-
 def parse_composition(text: str) -> Composition:
     """Parse a comma-separated composition, e.g. "1,0,3"."""
     text = text.strip()
@@ -211,7 +207,3 @@ def parse_composition(text: str) -> Composition:
     except ValueError:
         raise ValueError(f"bad composition {text!r}: parts must be integers") from None
     return check_composition(parts)
-
-
-def composition_to_str(alpha: Sequence[int]) -> str:
-    return ",".join(map(str, alpha))

@@ -2,17 +2,18 @@
 
 The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
-per proper nonempty subset S.  The bound theta(D, S) is read off column by
-column from a parenthesis word.  All bounds live in one table indexed by
-subset bitmask (bit i-1 set iff i in S).  theta is submodular, so the
-vertices are Edmonds' greedy vectors of that table, one per permutation;
-`certify_vertices` re-derives them independently with exact rational
-arithmetic and reports any discrepancy with a witness.
+per proper nonempty subset S, read off column by column from a parenthesis
+word into one table indexed by subset bitmask (bit i-1 set iff i in S).
+One walk over a point's subset sums gives membership and its tight rows.
+theta is submodular, so the vertices are Edmonds' greedy vectors of the
+table; `certify_vertices` re-derives them exactly (by a search over tight
+row choices when a table is not submodular) with a witness per defect.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import lp
@@ -137,20 +138,29 @@ def hrep(d: Diagram) -> HRep:
     return HRep(d.n, d.size, table)
 
 
-def violated_constraint(h: HRep, point: Sequence) -> str | None:
-    """Name of the first violated constraint, or None when the point is inside."""
+def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
+    """One pass over the point's subset sums in increasing mask order: the
+    first violated constraint (None when the point is inside) and the masks
+    of the bound rows met with equality before it."""
     if len(point) != h.n:
         raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
     total = sum(point)
     if total != h.total:
-        return f"coordinate sum {total} != {h.total}"
-    sums = [0] * (2 ** h.n)
-    for mask in range(1, 2 ** h.n - 1):
+        return f"coordinate sum {total} != {h.total}", []
+    table, sums, tight = h.table, [0] * len(h.table), []
+    for mask in range(1, len(table) - 1):
         low = mask & -mask
         got = sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
-        if got > h.table[mask]:
-            return f"sum over {_mask_subset(mask, h.n)} is {got} > {h.table[mask]}"
-    return None
+        if got >= table[mask]:
+            if got > table[mask]:
+                return f"sum over {_mask_subset(mask, h.n)} is {got} > {table[mask]}", tight
+            tight.append(mask)
+    return None, tight
+
+
+def violated_constraint(h: HRep, point: Sequence) -> str | None:
+    """Name of the first violated constraint, or None when the point is inside."""
+    return _walk(h, point)[0]
 
 
 def member(h: HRep, point: Sequence) -> bool:
@@ -236,57 +246,68 @@ class Certification:
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:
     # local exchange condition: f(S+i) + f(S+j) >= f(S+i+j) + f(S)
-    for m in range(2 ** n):
-        free = [i for i in range(n) if not (m >> i) & 1]
-        for a in range(len(free)):
-            for b in range(a + 1, len(free)):
-                bi, bj = 1 << free[a], 1 << free[b]
-                if table[m | bi] + table[m | bj] < table[m | bi | bj] + table[m]:
-                    return False
-    return True
+    return all(
+        table[m | bi] + table[m | bj] >= table[m | bi | bj] + table[m]
+        for m in range(2 ** n)
+        for bi, bj in itertools.combinations([1 << i for i in range(n) if not (m >> i) & 1], 2)
+    )
+
+
+def _extend(echelon: list, row: list[int], n: int) -> list | None:
+    """The echelon (pivot column, row zero at every earlier pivot) with row
+    added, or None when row's first n entries depend on it; entries after
+    the n-th, such as a right-hand side, ride along."""
+    for p, e in echelon:
+        if row[p]:
+            row = lp.eliminate(row, e, p)
+    p = next((i for i in range(n) if row[i]), None)
+    return None if p is None else [*echelon, (p, row)]
+
+
+def _rank(n: int, masks: Iterable[int]) -> int:
+    """Rank of the all-ones row plus the bound rows of the given masks."""
+    echelon: list = []
+    for mask in itertools.chain([2 ** n - 1], masks):  # the full mask's row is all ones
+        if len(echelon) == n:
+            break
+        echelon = _extend(echelon, [(mask >> i) & 1 for i in range(n)], n) or echelon
+    return len(echelon)
 
 
 def tight_rank(h: HRep, point: Sequence) -> int:
     """Rank of the rows tight at a point of the polytope: the all-ones row
     plus each bound row met with equality, by exact integer elimination.
     The point is a vertex exactly when this is n."""
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row zero at earlier pivots)
-
-    def add(row: list[int]) -> None:
-        for p, e in echelon:
-            if row[p]:
-                row = [e[p] * a - row[p] * b for a, b in zip(row, e)]
-        p = next((i for i, a in enumerate(row) if a), None)
-        if p is not None:
-            echelon.append((p, row))
-
-    add([1] * h.n)
-    sums = [0] * (2 ** h.n)
-    for mask in range(1, 2 ** h.n - 1):
-        if len(echelon) == h.n:
-            break
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
-        if sums[mask] == h.table[mask]:
-            add([(mask >> i) & 1 for i in range(h.n)])
-    return len(echelon)
+    bad, tight = _walk(h, point)
+    if bad is not None:
+        raise ValueError(f"point {tuple(point)} is outside the polytope: {bad}")
+    return _rank(h.n, tight)
 
 
 def _intersection_vertices(h: HRep) -> set[tuple]:
-    """Vertices by brute force: every feasible unique solution of the equality
-    plus n-1 bound rows picked tight."""
-    rows = [
-        ([(mask >> i) & 1 for i in range(h.n)], h.table[mask])
-        for mask in range(1, 2 ** h.n - 1)
-    ]
-    eq_row = ([1] * h.n, h.total)
+    """Vertices of any bound system: the member solutions of the equality plus
+    n-1 independent bound rows.  A depth-first search picks bound rows in
+    increasing mask order and drops a row as soon as it depends on those
+    already picked, so it completes each full-rank choice once."""
+    n = h.n
+    rows = [[(mask >> i) & 1 for i in range(n)] + [h.table[mask]] for mask in range(1, 2 ** n)]
     found: set[tuple] = set()
-    for combo in itertools.combinations(rows, h.n - 1):
-        mat = [eq_row[0]] + [r[0] for r in combo]
-        rhs = [eq_row[1]] + [r[1] for r in combo]
-        x = lp.solve_unique(mat, rhs)
-        if x is not None and member(h, x):
-            found.add(tuple(x))
+
+    def search(echelon: list, start: int) -> None:
+        if len(echelon) == n:
+            diagonal: list = []  # back-substitution: each row cleared at the later pivots too
+            for _, row in reversed(echelon):
+                diagonal = _extend(diagonal, row, n)
+            x = tuple(Fraction(row[n], row[p]) for p, row in sorted(diagonal))
+            if x not in found and member(h, x):
+                found.add(x)
+            return
+        for k in range(start, len(rows) - 1):
+            grown = _extend(echelon, rows[k], n)
+            if grown is not None:
+                search(grown, k + 1)
+
+    search(_extend([], rows[-1], n), 0)  # the full mask's row is the equality
     return found
 
 
@@ -296,27 +317,24 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  For (b), when (a) passed, a point whose tight rows have rank n
-    is a vertex of the polytope and so of no other points in it; only the
-    remaining points go to the phase-1 simplex.  For (c), submodular bound
-    systems are swept with the greedy rule (which provably reaches every
-    vertex); otherwise vertices are enumerated from tight-constraint
-    intersections.
+    points.  One walk over each point's subset sums serves (a) and (b): when
+    (a) passed, a point whose tight rows have rank n is a vertex of the
+    polytope and so of no other points in it; only the other points go to
+    the phase-1 simplex.  For (c), submodular bound systems are swept with
+    the greedy rule (which provably reaches every vertex); otherwise a
+    depth-first search over independent bound rows finds the vertices.
     """
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
     pts = sorted({tuple(p) for p in points})
-    failures: list[str] = []
-
-    for p in pts:
-        bad = violated_constraint(h, p)
-        if bad is not None:
-            failures.append(f"claimed vertex {p} violates the description: {bad}")
+    walks = [_walk(h, p) for p in pts]
+    failures = [f"claimed vertex {p} violates the description: {bad}"
+                for p, (bad, _) in zip(pts, walks) if bad is not None]
 
     inside = not failures
     lp_calls = 0
-    for idx, p in enumerate(pts):
-        if inside and tight_rank(h, p) == h.n:
+    for idx, (p, (_, tight)) in enumerate(zip(pts, walks)):
+        if inside and _rank(h.n, tight) == h.n:
             continue
         others = pts[:idx] + pts[idx + 1:]
         lp_calls += 1
@@ -337,12 +355,11 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     else:
         method = "intersection"
         if h.n > INTERSECT_CAP:
-            raise ValueError(
-                f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}"
-            )
+            raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
         for v in sorted(_intersection_vertices(h)):
             if v not in claimed:
-                failures.append(f"vertex {v} is missing from the claimed set")
+                # p/q for non-integer coordinates; a non-submodular table has n >= 2
+                failures.append(f"vertex ({', '.join(map(str, v))}) is missing from the claimed set")
 
     return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)

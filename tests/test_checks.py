@@ -135,6 +135,12 @@ def test_sort_filling_fault_caught(monkeypatch):
         "sort-standardize", 37, "sort({1: 1}) gave {}, expected {1: 1}")
 
 
+def test_greedy_equals_filling_instance_count():
+    # one per diagram and permutation: (15 random + 24 Rothe + 625 skyline) * 4!
+    assert run_check("greedy-equals-filling", 4, seed=0) == CheckResult(
+        "greedy-equals-filling", 15936, None)
+
+
 def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
     brute = fillings.rank_brute
     monkeypatch.setattr(fillings, "rank_brute", lambda rows, s: brute(rows, s) + 1)

@@ -27,17 +27,12 @@ class TestDiagram:
         assert d.size == 3
         assert d.sorted_boxes() == [(1, 1), (1, 3), (3, 1)]
 
-    def test_column_view(self):
-        assert D9.column(1) == {1, 4, 5}
-        assert skyline((1, 0, 3)).column(2) == {3}
-        assert D9.column(2) == {3}
-
-    def test_empty_column(self):
-        assert Diagram(4, frozenset({(1, 1)})).column(3) == frozenset()
-
-    def test_column_out_of_range(self):
-        with pytest.raises(ValueError, match="column"):
-            D9.column(6)
+    def test_rejects_non_integer_coordinates(self):
+        # int() would truncate these to boxes (1, 1) and (3, 2)
+        with pytest.raises(ValueError, match=r"box \(1\.9, 1\) has a non-integer coordinate"):
+            Diagram(3, {(1.9, 1)})
+        with pytest.raises(ValueError, match=r"box \('3', 2\) has a non-integer coordinate"):
+            Diagram(3, {("3", 2)})
 
     def test_grid_may_exceed_occupied_cells(self):
         d = Diagram(6, frozenset({(1, 1)}))

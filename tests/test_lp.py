@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from schubitope.diagrams import rothe
-from schubitope.lp import convex_combination, hull_vertices, solve_nonnegative, solve_unique
+from schubitope.lp import convex_combination, hull_vertices, solve_nonnegative
 from schubitope.oracles import solve_nonnegative_by_fractions
 from schubitope.polyoracle import newton_exponents, schubert_polynomial
 from schubitope.polytope import vertices
@@ -138,10 +138,3 @@ class TestHullVertices:
             for cand in (full, short, padded, stray):
                 assert hull_vertices(pts, candidates=cand) == full, (pts, cand)
 
-
-class TestSolveUnique:
-    def test_unique(self):
-        assert solve_unique([[1, 1], [1, -1]], [3, 1]) == [2, 1]
-
-    def test_singular(self):
-        assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None

@@ -174,13 +174,9 @@ class TestVertexCompositions:
 class TestSerialization:
     def test_digit_string(self):
         assert perms.parse_perm("2641375") == (2, 6, 4, 1, 3, 7, 5)
-        assert perms.perm_to_str((2, 6, 4, 1, 3, 7, 5)) == "2641375"
 
     def test_comma_separated_for_large_n(self):
-        w = tuple(range(10, 0, -1))
-        text = perms.perm_to_str(w)
-        assert "," in text
-        assert perms.parse_perm(text) == w
+        assert perms.parse_perm("10,9,8,7,6,5,4,3,2,1") == tuple(range(10, 0, -1))
 
     def test_bad_perm_strings(self):
         for text in ["221", "13", "abc", "1,2,x"]:
@@ -189,6 +185,5 @@ class TestSerialization:
 
     def test_composition_round_trip(self):
         assert perms.parse_composition("1,0,3") == (1, 0, 3)
-        assert perms.composition_to_str((1, 0, 3)) == "1,0,3"
         with pytest.raises(ValueError):
             perms.parse_composition("1,-2")

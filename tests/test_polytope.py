@@ -12,10 +12,12 @@ from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
-from schubitope.oracles import vertices_by_filling
+from schubitope.oracles import solve_unique, vertices_by_filling, vertices_by_intersection
 from schubitope.perms import vertex_compositions
 from schubitope.polytope import (
     HRep,
+    _intersection_vertices,
+    _is_submodular,
     certify_vertices,
     column_word,
     edmonds_vertex,
@@ -302,7 +304,16 @@ class TestCertify:
         cert = certify_vertices(h, {(0, 0, 1)})
         assert cert.ok and cert.method == "intersection"
         missing = certify_vertices(h, set())
-        assert not missing.ok
+        assert missing.failures == ("vertex (0, 0, 1) is missing from the claimed set",)
+
+    def test_intersection_witness_prints_fractions_as_p_over_q(self):
+        # x1 + x2, x2 + x3, x1 + x3 <= 1 with total 2: the vertex (1/2, 1/2, 1/2, 1/2)
+        table = [bin(mask).count("1") for mask in range(16)]
+        table[0b0011] = table[0b0110] = table[0b0101] = 1
+        table[-1] = 2
+        cert = certify_vertices(HRep(4, 2, tuple(table)), {(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1)})
+        assert cert.method == "intersection"
+        assert cert.failures == ("vertex (1/2, 1/2, 1/2, 1/2) is missing from the claimed set",)
 
     def test_single_column_polytopes_have_basis_vertices(self):
         for n in range(1, 6):
@@ -392,6 +403,46 @@ class TestTightRank:
         assert [tight_rank(h, p) for p in sorted(TRAPEZOID_VERTICES)] == [3] * 4
         assert tight_rank(h, (2, 2, 0)) == 2   # edge (1,3,0)-(3,1,0)
         assert tight_rank(h, (2, 1, 1)) == 1   # interior
+
+    def test_rejects_points_outside_the_polytope(self):
+        with pytest.raises(ValueError, match=r"outside the polytope: sum over \[1\] is 4 > 3"):
+            tight_rank(hrep(TRAPEZOID), (4, 0, 0))
+
+
+def raised_theta_table(rng, n):
+    """The theta table of a random diagram with one bound raised by 1 or 2,
+    redrawn until it is not submodular."""
+    while True:
+        table = list(hrep(random_diagram(rng, n)).table)
+        table[rng.randrange(1, 2 ** n - 1)] += rng.randint(1, 2)
+        if not _is_submodular(table, n):
+            return HRep(n, table[-1], tuple(table))
+
+
+class TestIntersectionVertices:
+    """The depth-first search over independent bound rows behind the
+    non-submodular branch of certification."""
+
+    def test_matches_greedy_sweep_on_theta_tables(self):
+        for n in range(1, 5):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert _intersection_vertices(hrep(rothe(w))) == vertices(rothe(w)), w
+        rng = random.Random(5)
+        for n in (1, 2, 2, 3, 3, 4, 4, 5):
+            d = random_diagram(rng, n)
+            assert _intersection_vertices(hrep(d)) == vertices(d), d
+
+    def test_matches_combinations_oracle_on_non_submodular_tables(self):
+        rng = random.Random(9)
+        tables = [raised_theta_table(rng, n) for n in (3, 4) for _ in range(8)]
+        for h in tables + [raised_theta_table(rng, 5)]:
+            assert _intersection_vertices(h) == vertices_by_intersection(h), h
+
+    def test_oracle_solve_unique(self):
+        assert solve_unique([[1, 1], [1, -1]], [3, 1]) == [2, 1]
+
+    def test_oracle_solve_unique_singular(self):
+        assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None
 
 
 class TestThetaRankIdentity:
