@@ -16,6 +16,12 @@ from . import perms
 Box = tuple[int, int]
 
 
+def is_int(x) -> bool:
+    """Whether x is an integer other than a bool: True and False pass
+    isinstance(x, int), but are never a size, a coordinate or a bound."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Diagram:
     """An immutable set of boxes (row, col) inside an n x n grid."""
@@ -24,12 +30,12 @@ class Diagram:
     boxes: frozenset[Box]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise ValueError(f"grid size must be a non-negative integer, got {self.n!r}")
         boxes = frozenset(self.boxes)
         object.__setattr__(self, "boxes", boxes)
         for r, c in boxes:
-            if not (isinstance(r, int) and isinstance(c, int)):
+            if not (is_int(r) and is_int(c)):
                 raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
             if not (1 <= r <= self.n and 1 <= c <= self.n):
                 raise ValueError(f"box ({r},{c}) lies outside the {self.n}x{self.n} grid")
@@ -100,14 +106,14 @@ def from_json_dict(data) -> Diagram:
         if field not in data:
             raise ValueError(f"diagram document is missing field '{field}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"field 'n' must be a non-negative integer, got {n!r}")
     raw = data["boxes"]
     if not isinstance(raw, list):
         raise ValueError("field 'boxes' must be a list of [row, col] pairs")
     boxes = set()
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2 or not all(isinstance(x, int) for x in entry):
+        if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):
             raise ValueError(f"field 'boxes': bad entry {entry!r}, expected [row, col]")
         boxes.add((entry[0], entry[1]))
     return Diagram(n, frozenset(boxes))

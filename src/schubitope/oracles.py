@@ -3,8 +3,9 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set, one `Fraction` square solve per choice of
-n-1 bound rows for the intersection vertex search, a phase-1 simplex on
+permutation for the vertex set, one `Fraction` sum per subset for the
+integer subset-sum walk, one `Fraction` square solve per choice of n-1
+bound rows for the intersection vertex search, a phase-1 simplex on
 `Fraction` entries for the integer-tableau one.  Slow, obvious, and
 independent of the code they vouch for.
 """
@@ -128,6 +129,27 @@ def vertices_by_filling(d: Diagram) -> set[tuple[int, ...]]:
     if d.n > SWEEP_CAP:
         raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
     return {fillings.vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
+
+
+def walk_by_fractions(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
+    """The subset-sum walk of `polytope._walk`, naively: each subset's sum is
+    added afresh in `Fraction`s, masks in increasing order.  Returns the
+    first violated constraint (None inside) and the tight masks before it."""
+    if len(point) != h.n:
+        raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
+    x = [Fraction(c) for c in point]
+    total = sum(x, Fraction(0))
+    if total != h.total:
+        return f"coordinate sum {total} != {h.total}", []
+    tight = []
+    for mask in range(1, 2 ** h.n - 1):
+        subset = [i for i in range(1, h.n + 1) if mask >> (i - 1) & 1]
+        got = sum((x[i - 1] for i in subset), Fraction(0))
+        if got > h.table[mask]:
+            return f"sum over {subset} is {got} > {h.table[mask]}", tight
+        if got == h.table[mask]:
+            tight.append(mask)
+    return None, tight
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:

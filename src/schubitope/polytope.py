@@ -4,7 +4,11 @@ The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
 per proper nonempty subset S, read off column by column from a parenthesis
 word into one table indexed by subset bitmask (bit i-1 set iff i in S).
-One walk over a point's subset sums gives membership and its tight rows.
+`hrep` builds that table by doubling: it scans each distinct column's rows
+once, and each row doubles the per-subset scan states, the subsets holding
+that row forming the second half.  One walk over a point's subset sums
+gives membership and its tight rows; it clears the point's denominators
+once, so the sums and the comparisons with the table stay integers.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table; `certify_vertices` re-derives them exactly (by a search over tight
 row choices when a table is not submodular) with a witness per defect.
@@ -12,12 +16,14 @@ row choices when a table is not submodular) with a witness per defect.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .diagrams import Diagram
+from .diagrams import Diagram, is_int
 from .fillings import ENUMERATION_CAP
 from .perms import check_permutation
 
@@ -74,7 +80,9 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
 def _column_theta(col: int, mask: int) -> int:
     """Stars plus inside-out matched '()' pairs of the column word, read
     straight from the column's row bitmask and the subset bitmask.  Rows
-    below the column's last box can only add an unmatched '('."""
+    below the column's last box can only add an unmatched '('.  This is
+    the single-subset scan behind `theta`; `_column_table` runs it for
+    every subset at once."""
     depth = count = 0
     bit = 1
     while bit <= col:
@@ -88,6 +96,30 @@ def _column_theta(col: int, mask: int) -> int:
             count += 1
         bit <<= 1
     return count
+
+
+def _column_table(col: int, n: int) -> list[int]:
+    """`_column_theta(col, mask)` for every mask of [n], in mask order.
+
+    The scan of `_column_theta` keeps an open-'(' depth and a count.  Over
+    rows 1..b, b the column's last box, it holds both for every subset of
+    the rows seen so far; each row doubles the arrays, and the subsets that
+    hold the new row are the second half, which is increasing mask order.
+    A box row closes a '(' where one is open (depth - 1, count + 1) outside
+    the subset and is a star (count + 1) inside it; an empty row opens a
+    '(' inside the subset.  Rows below b change no count, so the counts
+    repeat once per subset of those rows."""
+    depth, count = [0], [0]
+    b = col.bit_length()
+    for i in range(b):
+        if col >> i & 1:
+            depth, count = (
+                [d - 1 if d else 0 for d in depth] + depth,
+                [c + 1 if d else c for c, d in zip(count, depth)] + [c + 1 for c in count],
+            )
+        else:
+            depth, count = depth + [d + 1 for d in depth], count + count
+    return count * (1 << (n - b))
 
 
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
@@ -113,19 +145,21 @@ class HRep:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise ValueError(f"dimension must be a non-negative integer, got {self.n!r}")
-        if not isinstance(self.total, int):
+        if not is_int(self.total):
             raise ValueError(f"total must be an integer, got {self.total!r}")
         table = tuple(self.table)
-        if len(table) != 2 ** self.n or table[0] != 0 or table[-1] != self.total:
+        ends = table[:1] + table[-1:]
+        if len(table) != 2 ** self.n or ends != (0, self.total) or not all(map(is_int, ends)):
             raise ValueError(f"table must have 2^{self.n} entries running from 0 to the total {self.total}")
-        for mask in range(1, len(table) - 1):
-            b = table[mask]
-            if not isinstance(b, int) or b < 0:
-                raise ValueError(
-                    f"bound for {_mask_subset(mask, self.n)} must be a non-negative integer, got {b!r}"
-                )
+        if not ({*map(type, table)} <= {int} and min(table) >= 0):  # else find the first bad bound
+            for mask in range(1, len(table) - 1):
+                b = table[mask]
+                if not is_int(b) or b < 0:
+                    raise ValueError(
+                        f"bound for {_mask_subset(mask, self.n)} must be a non-negative integer, got {b!r}"
+                    )
         object.__setattr__(self, "table", table)
 
 
@@ -134,26 +168,37 @@ def hrep(d: Diagram) -> HRep:
     if d.n > HREP_CAP:
         raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
     cols = [_subset_mask(col) for col in d.columns if col]
-    table = tuple(sum(_column_theta(c, mask) for c in cols) for mask in range(2 ** d.n))
+    tables = {col: _column_table(col, d.n) for col in set(cols)}  # one build per distinct row set
+    table = tuple(map(sum, zip(*(tables[col] for col in cols)))) if cols else (0,) * 2 ** d.n
     return HRep(d.n, d.size, table)
 
 
 def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     """One pass over the point's subset sums in increasing mask order: the
     first violated constraint (None when the point is inside) and the masks
-    of the bound rows met with equality before it."""
+    of the bound rows met with equality before it.
+
+    Coordinates must be `int` or `Fraction`.  The point is scaled once by
+    the lcm L of their denominators, so the walk adds integers and compares
+    them with L * table; witnesses print the unscaled sums."""
     if len(point) != h.n:
         raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
-    total = sum(point)
-    if total != h.total:
-        return f"coordinate sum {total} != {h.total}", []
-    table, sums, tight = h.table, [0] * len(h.table), []
+    if not {*map(type, point)} <= {int, Fraction}:
+        k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in (int, Fraction))
+        raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
+    scale = math.lcm(*[x.denominator for x in point])
+    xs = [x.numerator * (scale // x.denominator) for x in point]
+    total = sum(xs)
+    if total != scale * h.total:
+        return f"coordinate sum {Fraction(total, scale)} != {h.total}", []
+    table = h.table if scale == 1 else [scale * b for b in h.table]
+    sums, tight = [0] * len(table), []
     for mask in range(1, len(table) - 1):
         low = mask & -mask
-        got = sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
+        got = sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
         if got >= table[mask]:
             if got > table[mask]:
-                return f"sum over {_mask_subset(mask, h.n)} is {got} > {table[mask]}", tight
+                return f"sum over {_mask_subset(mask, h.n)} is {Fraction(got, scale)} > {h.table[mask]}", tight
             tight.append(mask)
     return None, tight
 
@@ -284,6 +329,19 @@ def tight_rank(h: HRep, point: Sequence) -> int:
     return _rank(h.n, tight)
 
 
+def _exposed(p: Sequence, tight: Sequence[int], others: Sequence[Sequence]) -> bool:
+    """Whether c.q < c.p for every q in others, where c_i counts the tight
+    masks holding i.  Summing p's tight rows gives c.x <= c.p on the
+    polytope, with equality only at p when those rows have rank n; so then
+    every point of the polytope but p, and every q, lies below p along c,
+    and p is no convex combination of them."""
+    if not others:
+        return True
+    c = [sum(mask >> i & 1 for mask in tight) for i in range(len(p))]
+    top = sum(map(operator.mul, c, p))
+    return all(sum(map(operator.mul, c, q)) < top for q in others)
+
+
 def _intersection_vertices(h: HRep) -> set[tuple]:
     """Vertices of any bound system: the member solutions of the equality plus
     n-1 independent bound rows.  A depth-first search picks bound rows in
@@ -317,10 +375,11 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  One walk over each point's subset sums serves (a) and (b): when
-    (a) passed, a point whose tight rows have rank n is a vertex of the
-    polytope and so of no other points in it; only the other points go to
-    the phase-1 simplex.  For (c), submodular bound systems are swept with
+    points.  One walk over each point's subset sums serves (a) and (b): a
+    member whose tight rows have rank n is a vertex of the polytope and so
+    no convex combination of other points in it, nor of claimed points
+    outside it that `_exposed` separates from it; only the other points go
+    to the phase-1 simplex.  For (c), submodular bound systems are swept with
     the greedy rule (which provably reaches every vertex); otherwise a
     depth-first search over independent bound rows finds the vertices.
     """
@@ -331,10 +390,10 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     failures = [f"claimed vertex {p} violates the description: {bad}"
                 for p, (bad, _) in zip(pts, walks) if bad is not None]
 
-    inside = not failures
+    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
     lp_calls = 0
-    for idx, (p, (_, tight)) in enumerate(zip(pts, walks)):
-        if inside and _rank(h.n, tight) == h.n:
+    for idx, (p, (bad, tight)) in enumerate(zip(pts, walks)):
+        if bad is None and _rank(h.n, tight) == h.n and _exposed(p, tight, outside):
             continue
         others = pts[:idx] + pts[idx + 1:]
         lp_calls += 1
@@ -387,14 +446,14 @@ def hrep_from_json_dict(data) -> HRep:
     if not isinstance(data["bounds"], list):
         raise ValueError("field 'bounds' must be a list of objects")
     n, total = data["n"], data["total"]
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
     bounds: dict[int, object] = {}
     for entry in data["bounds"]:
         if not isinstance(entry, dict) or "S" not in entry or "b" not in entry:
             raise ValueError(f"field 'bounds': bad entry {entry!r}, expected {{'S': [...], 'b': int}}")
         s = entry["S"]
-        if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
+        if not isinstance(s, list) or not all(map(is_int, s)):
             raise ValueError(f"field 'bounds': subset {s!r} must be a list of integers")
         mask = _subset_mask(_check_subset(s, n))
         if mask in bounds:
@@ -430,7 +489,7 @@ def vertex_set_from_json_dict(data) -> set[tuple[int, ...]]:
         raise ValueError("field 'vertices' must be a list of integer vectors")
     out = set()
     for p in raw:
-        if not isinstance(p, list) or not all(isinstance(x, int) for x in p):
+        if not isinstance(p, list) or not all(map(is_int, p)):
             raise ValueError(f"field 'vertices': bad entry {p!r}")
         out.add(tuple(p))
     return out

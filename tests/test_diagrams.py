@@ -34,6 +34,13 @@ class TestDiagram:
         with pytest.raises(ValueError, match=r"box \('3', 2\) has a non-integer coordinate"):
             Diagram(3, {("3", 2)})
 
+    def test_rejects_bools(self):
+        # True == 1 passes isinstance(x, int), but is not a coordinate or a size
+        with pytest.raises(ValueError, match=r"box \(True, 1\) has a non-integer coordinate"):
+            Diagram(2, {(True, 1), (2, 2)})
+        with pytest.raises(ValueError, match="grid size must be a non-negative integer, got True"):
+            Diagram(True, frozenset())
+
     def test_grid_may_exceed_occupied_cells(self):
         d = Diagram(6, frozenset({(1, 1)}))
         assert d.n == 6 and d.size == 1
@@ -96,6 +103,12 @@ class TestSerialization:
     def test_json_errors_name_the_field(self, bad, message):
         with pytest.raises(ValueError, match=message):
             from_json_dict(bad)
+
+    def test_json_rejects_bools(self):
+        with pytest.raises(ValueError, match=r"field 'boxes': bad entry \[True, 1\]"):
+            from_json_dict(json.loads('{"n": 2, "boxes": [[true, 1], [2, 2]]}'))
+        with pytest.raises(ValueError, match="field 'n' must be a non-negative integer, got True"):
+            from_json_dict({"n": True, "boxes": []})
 
     def test_text_grid(self):
         assert to_text(skyline((1, 0, 3))) == "□..\n...\n□□□"

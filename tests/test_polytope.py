@@ -12,12 +12,17 @@ from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
-from schubitope.oracles import solve_unique, vertices_by_filling, vertices_by_intersection
+from schubitope.oracles import solve_unique, vertices_by_filling, vertices_by_intersection, walk_by_fractions
 from schubitope.perms import vertex_compositions
 from schubitope.polytope import (
     HRep,
+    _column_table,
+    _column_theta,
+    _greedy,
     _intersection_vertices,
     _is_submodular,
+    _subset_mask,
+    _walk,
     certify_vertices,
     column_word,
     edmonds_vertex,
@@ -33,6 +38,7 @@ from schubitope.polytope import (
     vertex_set_from_json_dict,
     vertex_set_to_json_dict,
     vertices,
+    violated_constraint,
 )
 
 
@@ -136,6 +142,44 @@ class TestHRep:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(h, field, value)
 
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError, match=r"bound for \[1\] must be a non-negative integer, got True"):
+            HRep(2, 1, (0, True, 0, 1))
+        with pytest.raises(ValueError, match="total must be an integer, got True"):
+            HRep(1, True, (0, 1))
+        with pytest.raises(ValueError, match="dimension must be a non-negative integer, got True"):
+            HRep(True, 1, (0, 1))
+        with pytest.raises(ValueError, match="running from 0 to the total"):
+            HRep(2, 1, (False, 0, 0, 1))
+        with pytest.raises(ValueError, match=r"subset \[True\] must be a list of integers"):
+            hrep_from_json_dict({"n": 2, "total": 1, "bounds": [{"S": [True], "b": 1}, {"S": [2], "b": 0}]})
+
+    def test_column_table_matches_per_subset_scan(self):
+        # every row set against every subset, n <= 6
+        for n in range(7):
+            for col in range(2 ** n):
+                assert _column_table(col, n) == [_column_theta(col, mask) for mask in range(2 ** n)], (n, col)
+
+    def test_doubled_table_matches_per_subset_scan(self):
+        def per_subset(d):
+            cols = [_subset_mask(col) for col in d.columns]
+            return tuple(sum(_column_theta(col, mask) for col in cols) for mask in range(2 ** d.n))
+
+        rng = random.Random(41)
+        corpus = [random_diagram_with_density(rng, n, density)
+                  for n in range(7, 13) for density in ((0.3, 0.6) if n <= 10 else (0.5,))]
+        corpus += [
+            Diagram(0, frozenset()),
+            Diagram(1, frozenset()),
+            Diagram(1, frozenset({(1, 1)})),
+            Diagram(8, frozenset((r, c) for r in (2, 5, 6) for c in range(1, 9))),  # one row set, 8 times
+            Diagram(9, frozenset((r, c) for r in (1, 4) for c in (2, 7))),   # repeated and empty columns
+            Diagram(9, frozenset({(9, 3)})),                                  # its only box in row n
+            Diagram(10, frozenset({(10, 1), (10, 4), (1, 4), (3, 7), (10, 7)})),
+        ]
+        for d in corpus:
+            assert hrep(d).table == per_subset(d), d
+
     def test_table_matches_column_words(self):
         rng = random.Random(29)
         for d in [D9] + [random_diagram(rng, n) for n in range(1, 7) for _ in range(4)]:
@@ -166,6 +210,68 @@ class TestMember:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             member(hrep(TRAPEZOID), (1, 1))
+
+    def test_rejects_non_rational_coordinates(self):
+        h = hrep(TRAPEZOID)
+        with pytest.raises(ValueError, match="point coordinate 2 is 1.5, expected an integer or a Fraction"):
+            member(h, (2, 1.5, 0.5))
+        for point in ((2, "1", 1), (2, True, 1)):
+            with pytest.raises(ValueError, match="point coordinate 2 is"):
+                member(h, point)
+
+    def test_witness_prints_unscaled_sums(self):
+        h = hrep(TRAPEZOID)
+        assert violated_constraint(h, (Fraction(7, 2), Fraction(1, 2), 0)) == "sum over [1] is 7/2 > 3"
+        assert violated_constraint(h, (Fraction(3), 1, Fraction(1, 3))) == "coordinate sum 13/3 != 4"
+        assert violated_constraint(h, (Fraction(4), Fraction(0), Fraction(0))) == "sum over [1] is 4 > 3"
+
+
+def walk_fuzz_points(h, rng):
+    """Points around the polytope: greedy vertices, points between two of
+    them with denominators 2, 3, 6 and 7, a vertex with some coordinates
+    as `Fraction`s, and each of those shifted outside (one unit moved
+    between two coordinates) or off the hyperplane (1/3 added)."""
+    n = h.n
+    verts = [_greedy(h.table, rng.sample(range(1, n + 1), n)) for _ in range(3)]
+    points = list(verts)
+    for u, v in itertools.combinations(verts, 2):
+        for q in (2, 3, 6, 7):
+            t = rng.randrange(1, q)
+            points.append(tuple(Fraction(t * a + (q - t) * b, q) for a, b in zip(u, v)))
+    points.append(tuple(Fraction(c) if rng.random() < 0.5 else c for c in verts[0]))
+    for p in list(points):
+        i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+        shifted = list(p)
+        shifted[i] += 1
+        shifted[j] -= 1
+        off = list(p)
+        off[j] += Fraction(1, 3)
+        points += [tuple(shifted), tuple(off)]
+    return points
+
+
+class TestWalk:
+    """The integer walk against the naive `Fraction` one: the same verdict,
+    witness string and tight masks."""
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for n in range(1, 8):
+            for density in (0.3, 0.5, 0.7):
+                h = hrep(random_diagram_with_density(rng, n, density))
+                for p in walk_fuzz_points(h, rng):
+                    got = _walk(h, p)
+                    assert got == walk_by_fractions(h, p), (h, p)
+                    outcomes.add(got[0].split()[0] if got[0] else "inside")
+        assert outcomes == {"inside", "sum", "coordinate"}
+
+    def test_matches_fraction_oracle_on_rothe_diagrams(self):
+        rng = random.Random(59)
+        for w in itertools.permutations(range(1, 5)):
+            h = hrep(rothe(w))
+            for p in walk_fuzz_points(h, rng):
+                assert _walk(h, p) == walk_by_fractions(h, p), (w, p)
 
 
 class TestSchubertMatroidBases:
@@ -339,9 +445,43 @@ class TestCertify:
             "claimed vertex (2, 1, 1) is not a vertex: "
             "(2, 1, 1) = 1/6*(1, 0, 3) + 1/3*(1, 3, 0) + 1/2*(3, 0, 1)",
         )
-        # a point outside the polytope sends every claimed point to the LP
+        # with a point outside the polytope, the LP gets that point and the
+        # vertices it is not separated from: (3, 0, 1) and (3, 1, 0) lie
+        # between it and other vertices
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES | {(4, 0, 0)})
-        assert cert.lp_calls == 5
+        assert cert.lp_calls == 3
+        assert cert.failures == (
+            "claimed vertex (4, 0, 0) violates the description: sum over [1] is 4 > 3",
+            "claimed vertex (3, 0, 1) is not a vertex: (3, 0, 1) = 1/3*(1, 0, 3) + 2/3*(4, 0, 0)",
+            "claimed vertex (3, 1, 0) is not a vertex: (3, 1, 0) = 1/3*(1, 3, 0) + 2/3*(4, 0, 0)",
+        )
+
+    def test_outside_point_sends_only_unseparated_points_to_the_lp(self):
+        # a short vertex set plus q = 2v - u, outside the polytope beyond the
+        # vertex v; the failures are those of sending every claimed point to
+        # the LP, with fewer LP calls
+        rng = random.Random(61)
+        for n, claimed, lp_calls in ((5, 18, 6), (6, 74, 22)):  # every point went to the LP before
+            d = random_diagram_with_density(rng, n, 0.3)
+            h, verts = hrep(d), sorted(vertices(d))
+            u, v = verts[1], verts[-1]
+            q = tuple(2 * b - a for a, b in zip(u, v))
+            pts = sorted(set(verts[1:]) | {q})
+            cert = certify_vertices(h, pts)
+            every_point = []
+            for idx, p in enumerate(pts):
+                others = pts[:idx] + pts[idx + 1:]
+                lam = convex_combination(p, others)
+                if lam is not None:
+                    combo = " + ".join(f"{c}*{o}" for c, o in zip(lam, others) if c)
+                    every_point.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
+            assert any(f.startswith(f"claimed vertex {v} is not a vertex") for f in every_point)
+            assert cert.failures == (
+                f"claimed vertex {q} violates the description: {violated_constraint(h, q)}",
+                *every_point,
+                *certify_vertices(h, verts[1:]).failures,
+            )
+            assert (cert.points, cert.lp_calls) == (claimed, lp_calls)
 
     def test_random_diagrams_up_to_the_cap(self):
         rng = random.Random(78)
