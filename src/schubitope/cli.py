@@ -173,6 +173,8 @@ def _cmd_verify(args):
     top = checks.largest_scope()
     if not 1 <= args.n <= top:
         raise CommandError(f"--n: must be in 1..{top} (the largest check scope), got {args.n}")
+    if args.jobs < 0:
+        raise CommandError(f"--jobs: must be 0 (all cores) or a positive worker count, got {args.jobs}")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     results = checks.run_all(args.n, seed=args.seed, jobs=jobs)
     ok = all(r.ok for r in results)
@@ -263,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scope of the sweeps, 1 up to the largest check scope (default 4)")
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
     sp.add_argument("--jobs", type=int, default=0,
-                    help="worker processes, at most one per check and per core (default: all cores)")
+                    help="worker processes, at most one per check and per core; "
+                         "0 (the default) means all cores")
     formats(sp, ["text", "json"], "text")
     sp.set_defaults(handler=_cmd_verify)
 

@@ -17,7 +17,8 @@ Composition = tuple[int, ...]
 def check_permutation(w: Sequence[int]) -> Perm:
     """Return ``w`` as a tuple after checking it is a bijection on 1..n."""
     t = tuple(w)
-    if sorted(t) != list(range(1, len(t) + 1)):
+    # type() rather than isinstance(): True == 1 passes isinstance(x, int)
+    if sorted(t) != list(range(1, len(t) + 1)) or any(type(v) is not int for v in t):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 
@@ -25,7 +26,7 @@ def check_permutation(w: Sequence[int]) -> Perm:
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Return ``alpha`` as a tuple after checking all parts are >= 0."""
     t = tuple(alpha)
-    if any(not isinstance(a, int) or a < 0 for a in t):
+    if any(type(a) is not int or a < 0 for a in t):
         raise ValueError(f"composition parts must be non-negative integers: {t!r}")
     return t
 

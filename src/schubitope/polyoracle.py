@@ -29,14 +29,14 @@ class Polynomial:
     terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
         clean: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             e = tuple(e)
-            if len(e) != self.n or any(not isinstance(x, int) or x < 0 for x in e):
+            if len(e) != self.n or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e!r} for {self.n} variables")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficient of {e!r} must be an integer, got {c!r}")
             if c:
                 clean[e] = c
@@ -194,7 +194,7 @@ def poly_from_json_dict(data) -> Polynomial:
         if not isinstance(entry, dict) or "e" not in entry or "c" not in entry:
             raise ValueError(f"field 'terms': bad entry {entry!r}, expected {{'e': [...], 'c': int}}")
         e = entry["e"]
-        if not isinstance(e, list) or not all(isinstance(x, int) for x in e):
+        if not isinstance(e, list) or not all(type(x) is int for x in e):
             raise ValueError(f"field 'terms': exponent {e!r} must be a list of integers")
         key = tuple(e)
         if key in terms:

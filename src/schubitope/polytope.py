@@ -38,7 +38,7 @@ INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 def _check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
     s = frozenset(subset)
     for i in s:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if type(i) is not int or not 1 <= i <= n:
             raise ValueError(f"subset element {i!r} out of range 1..{n}")
     return s
 

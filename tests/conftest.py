@@ -1,4 +1,5 @@
-"""Shared reference data for the test suite.
+"""Shared reference data for the test suite, and `assert_check`, which
+runs a registered `verify` check in place of a hand-copied sweep.
 
 D9 is the 9-box example diagram whose column words for S = {1, 3} read
 ★()), (★, ((), ()★), ()(.  FIG18 is the 18-box diagram filled by the
@@ -6,6 +7,15 @@ permutation 315624; FIG18_FILLING is the expected filling, transcribed
 box by box.
 """
 from schubitope import Diagram
+from schubitope.checks import run_check
+
+
+def assert_check(name, n, instances):
+    """Run check ``name`` at scope n with seed 0: it must pass, and sweep
+    exactly ``instances`` instances, so a check that stops sweeping fails."""
+    result = run_check(name, n, seed=0)
+    assert result.ok, result.counterexample
+    assert result.instances == instances, f"{name} swept {result.instances} instances"
 
 D9 = Diagram(5, frozenset({
     (1, 1), (2, 4), (2, 5), (3, 2), (3, 4), (4, 1), (5, 1), (5, 3), (5, 4),

@@ -1,10 +1,13 @@
 """The `verify` runner: registration, instance counting, the worker clamp,
 and checks that catch a deliberately broken library function."""
 import dataclasses
+import importlib.util
+import pathlib
 import random
 
 import pytest
 
+import schubitope
 from schubitope import checks, fillings, oracles, polytope
 from schubitope.checks import CheckResult, run_check
 from schubitope.cli import main
@@ -42,6 +45,18 @@ def test_raising_check_fails_alone(monkeypatch):
     monkeypatch.setitem(checks._REGISTRY, "toy", (2, toy))
     assert run_check("toy", 2, seed=0) == CheckResult("toy", 2, "raised KeyError: 'boom'")
     assert [r.ok for r in checks.run_all(2, jobs=1)].count(False) == 1
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py wraps these by name; a missing one breaks traced benchmark runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{fname}" for mod, fnames in tracing.LAYERS.items()
+               for fname in fnames if not hasattr(getattr(schubitope, mod), fname)]
+    assert missing == []
+    assert callable(checks.run_check)
 
 
 def test_result_is_frozen():

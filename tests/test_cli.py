@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import D9
-from schubitope import diagrams
+from schubitope import checks, diagrams
 from schubitope.cli import main
 
 
@@ -199,6 +199,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n", n, "--jobs", "1")
         assert code == 2 and out == ""
         assert err == f"error: --n: must be in 1..5 (the largest check scope), got {n}\n"
+
+    @pytest.mark.parametrize("jobs", ["-1", "-5"])
+    def test_negative_jobs(self, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(checks, "run_all", lambda *args, **kwargs: pytest.fail("run_all ran"))
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs: must be 0 (all cores) or a positive worker count, got {jobs}\n"
 
 
 class TestRoundTrips:

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS
+from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS, assert_check
 from schubitope import Diagram
-from schubitope.checks import random_diagram, run_check
+from schubitope.checks import random_diagram
 from schubitope.diagrams import skyline
 from schubitope.fillings import (
     fill_column,
@@ -117,17 +117,13 @@ class TestRanks:
             rank_brute(set(range(1, 14)), {1})
 
     def test_triple_agreement_exhaustive(self):
-        result = run_check("rank-three-ways", 5, seed=0)
-        assert result.ok, result.counterexample
-        assert result.instances == 1024
+        assert_check("rank-three-ways", 5, 1024)
 
     def test_order_independence(self):
-        result = run_check("fill-order-independence", 5, seed=0)
-        assert result.ok, result.counterexample
+        assert_check("fill-order-independence", 5, 7360)
 
     def test_monotone_step(self):
-        result = run_check("rank-monotone-step", 5, seed=0)
-        assert result.ok, result.counterexample
+        assert_check("rank-monotone-step", 5, 2560)
 
     def test_diagram_rank(self):
         assert rank_diagram(D9, {1, 3}) == 7
@@ -135,13 +131,7 @@ class TestRanks:
         assert rank_diagram(D9, set()) == 0
 
     def test_diagram_rank_submodular_sampled(self):
-        rng = random.Random(11)
-        for _ in range(8):
-            d = random_diagram(rng, 4)
-            table = {s: rank_diagram(d, s) for s in subsets(4)}
-            for s in table:
-                for t in table:
-                    assert table[s] + table[t] >= table[s | t] + table[s & t], (d, s, t)
+        assert_check("rank-submodular", 4, 3072)
 
 
 FIG_SORT_COLUMN = (1, 3, 4, 5, 7, 8)

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES
+from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check
 from schubitope import Diagram
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import solve_unique, vertices_by_filling, vertices_by_intersection, walk_by_fractions
-from schubitope.perms import vertex_compositions
 from schubitope.polytope import (
     HRep,
     _column_table,
@@ -93,6 +92,10 @@ class TestTheta:
 
     def test_empty_diagram(self):
         assert theta(Diagram(3, frozenset()), {1, 2}) == 0
+
+    def test_rejects_bool_subset_elements(self):
+        with pytest.raises(ValueError, match=r"subset element True out of range 1..3"):
+            theta(skyline((1, 0, 3)), {True, 3})
 
     def test_skyline_example(self):
         # frozen from the per-column word computation; equals the matroid rank
@@ -310,23 +313,10 @@ class TestEdmondsVertex:
             assert edmonds_vertex(f, w) == c
 
     def test_agrees_with_filling_on_random_diagrams(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            d = random_diagram(rng, 4)
-            f = lambda s: rank_diagram(d, s)
-            for w in itertools.permutations(range(1, 5)):
-                assert edmonds_vertex(f, w) == vertex_vector(d, w)
+        assert_check("greedy-equals-filling", 4, 15936)
 
     def test_prefix_tightness(self):
-        rng = random.Random(13)
-        for _ in range(5):
-            d = random_diagram(rng, 4)
-            for w in itertools.permutations(range(1, 5)):
-                x = vertex_vector(d, w)
-                prefix = set()
-                for k in w:
-                    prefix.add(k)
-                    assert sum(x[i - 1] for i in prefix) == rank_diagram(d, prefix) == theta(d, prefix)
+        assert_check("greedy-prefix-tight", 4, 960)
 
 
 class TestVertices:
@@ -337,9 +327,7 @@ class TestVertices:
         assert vertices(Diagram(3, frozenset({(1, 1)}))) == {(1, 0, 0)}
 
     def test_skylines_match_lower_intervals(self):
-        for n in range(1, 4):
-            for alpha in itertools.product(range(min(n, 3) + 1), repeat=n):
-                assert vertices(skyline(alpha)) == set(vertex_compositions(alpha)), alpha
+        assert_check("skyline-vertices-lower-interval", 3, 75)
 
     def test_rothe_1432_matches_exponent_hull(self):
         from schubitope.lp import hull_vertices
@@ -422,16 +410,8 @@ class TestCertify:
         assert cert.failures == ("vertex (1/2, 1/2, 1/2, 1/2) is missing from the claimed set",)
 
     def test_single_column_polytopes_have_basis_vertices(self):
-        for n in range(1, 6):
-            for rows in subsets(n):
-                d = Diagram(n, frozenset((r, 1) for r in rows))
-                expect = {
-                    tuple(int(i in b) for i in range(1, n + 1))
-                    for b in schubert_matroid_bases(rows, n)
-                }
-                got = vertices(d)
-                assert got == expect, rows
-                assert certify_vertices(hrep(d), got).ok
+        for n in range(1, 6):  # one instance per row set of the column
+            assert_check("column-polytope-bases", n, 2 ** n)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -595,29 +575,12 @@ class TestThetaRankIdentity:
                     assert theta(d, s) == rank_diagram(d, s), (d, s)
 
     def test_sampled_n4(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            d = random_diagram(rng, 4)
-            for s in subsets(4):
-                assert theta(d, s) == rank_diagram(d, s)
+        assert_check("theta-equals-rank", 4, 11024)
 
 
 class TestMinkowskiDecomposition:
     def test_vertices_decompose_into_column_vertices(self):
-        rng = random.Random(23)
-        for _ in range(5):
-            d = random_diagram(rng, 3)
-            h = hrep(d)
-            per_column = [
-                [tuple(int(i in b) for i in range(1, 4)) for b in schubert_matroid_bases(col, 3)]
-                for col in d.columns
-            ]
-            sums = set()
-            for combo in itertools.product(*per_column):
-                point = tuple(map(sum, zip(*combo)))
-                sums.add(point)
-                assert member(h, point)
-            assert vertices(d) <= sums
+        assert_check("minkowski-sum-membership", 3, 44)
 
 
 class TestSerialization:
