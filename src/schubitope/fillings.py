@@ -32,7 +32,17 @@ def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
     >>> fill_column({2, 3, 4, 6}, (3, 1, 5, 6, 2, 4))
     {3: 3, 2: 1, 6: 5, 4: 2}
     """
-    order = sorted(rows)
+    # type() rather than isinstance(), so True is no row or value; one type
+    # test per call, before sorting, since this runs once per column per filling
+    order = [*rows]
+    if not {*map(type, order), *map(type, values)} <= {int}:
+        for what, xs in (("column rows", order), ("filling values", values)):
+            bad = [x for x in xs if type(x) is not int]
+            if bad:
+                raise ValueError(f"{what} must be positive integers, got {bad[0]!r}")
+    order.sort()
+    if order and order[0] < 1:
+        raise ValueError(f"column rows must be positive integers, got {order[0]!r}")
     if len(set(values)) != len(values):
         raise ValueError(f"filling values must be distinct: {tuple(values)!r}")
     filled: dict[int, int] = {}

@@ -3,11 +3,13 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set, one `Fraction` sum per subset for the
-integer subset-sum walk, one `Fraction` square solve per choice of n-1
-bound rows for the intersection vertex search, a phase-1 simplex on
-`Fraction` entries for the integer-tableau one.  Slow, obvious, and
-independent of the code they vouch for.
+permutation for the vertex set, one greedy vector per permutation for the
+prefix-mask enumeration of a bound table's greedy vectors, one `Fraction`
+sum per subset for the integer subset-sum walk, one `Fraction` square solve
+per choice of n-1 bound rows for the intersection vertex search, a phase-1
+simplex on `Fraction` entries for the integer-tableau one.  Slow, obvious,
+and independent of the code they vouch for.  The n! sweeps keep their own
+cap, `SWEEP_CAP`.
 """
 from __future__ import annotations
 
@@ -28,7 +30,9 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import SWEEP_CAP, HRep, member
+from .polytope import HRep, _greedy, member
+
+SWEEP_CAP = 8  # the n! sweeps below; independent of the fast enumerator's cap
 
 
 def bruhat_lower_interval(w: Sequence[int]) -> set[Perm]:
@@ -129,6 +133,14 @@ def vertices_by_filling(d: Diagram) -> set[tuple[int, ...]]:
     if d.n > SWEEP_CAP:
         raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
     return {fillings.vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
+
+
+def greedy_vectors_by_sweep(table: Sequence[int], n: int) -> set[tuple]:
+    """The greedy vectors of a bound table (indexed by subset bitmask), one
+    `_greedy` run per permutation of S_n."""
+    if n > SWEEP_CAP:
+        raise ValueError(f"full S_{n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
+    return {_greedy(table, w) for w in itertools.permutations(range(1, n + 1))}
 
 
 def walk_by_fractions(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:

@@ -18,7 +18,8 @@ def check_permutation(w: Sequence[int]) -> Perm:
     """Return ``w`` as a tuple after checking it is a bijection on 1..n."""
     t = tuple(w)
     # type() rather than isinstance(): True == 1 passes isinstance(x, int)
-    if sorted(t) != list(range(1, len(t) + 1)) or any(type(v) is not int for v in t):
+    # and before sorting, which raises TypeError on mixed types
+    if any(type(v) is not int for v in t) or sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 

@@ -10,8 +10,12 @@ that row forming the second half.  One walk over a point's subset sums
 gives membership and its tight rows; it clears the point's denominators
 once, so the sums and the comparisons with the table stay integers.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
-table; `certify_vertices` re-derives them exactly (by a search over tight
-row choices when a table is not submodular) with a witness per defect.
+table.  A greedy vector depends only on its chain of prefix masks, so one
+enumeration over the masks in increasing order, each holding the partial
+vectors its prefix orders reach, lists them without the n! orders; it
+serves `vertices` and `certify_vertices`, which re-derives the vertices
+exactly (by a search over tight row choices when a table is not
+submodular) with a witness per defect.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .perms import check_permutation
 STAR = "★"
 
 HREP_CAP = 12        # 2^n - 2 stored inequalities
-SWEEP_CAP = 8        # full S_n sweep for vertex enumeration
+SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 8      # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 
@@ -258,17 +262,76 @@ def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tupl
     return _greedy({_subset_mask(s): f(s) for s in prefixes}, w)
 
 
+def _greedy_vectors(table: Sequence[int], n: int) -> set[tuple[int, ...]]:
+    """Every greedy vector of the integer table over the full symmetric
+    group, without running the n! orders.
+
+    A greedy vector depends only on the chain of prefix masks, so the masks
+    are visited in increasing order, each holding the set of partial
+    vectors its prefix orders reach; every mask minus one bit is smaller,
+    so that set is complete before the mask is expanded.  A partial vector
+    is one int with w bits per coordinate, each coordinate offset by
+    lo = min(table) - max(table), a lower bound on every increment, so an
+    unset coordinate reads 0 and no slot carries into the next.  Expanding
+    mask to mask | 1 << k adds the same shifted constant
+    table[mask | 1 << k] - table[mask] - lo to every vector of the set."""
+    lo = min(table) - max(table)
+    w = (-2 * lo).bit_length()            # the offset increments lie in 0..-2*lo
+    full = 2 ** n - 1
+    steps = [(1 << k, w * k) for k in range(n)]  # element k+1: its bit, its slot
+    reach: list = [None] * (full + 1)
+    reach[0] = {0}
+    for mask in range(full):
+        cur, reach[mask] = reach[mask], None
+        base = table[mask] + lo
+        for bit, shift in steps:
+            if mask & bit:
+                continue
+            add = (table[mask | bit] - base) << shift
+            nxt = reach[mask | bit]
+            if nxt is None:
+                reach[mask | bit] = set(map(add.__add__, cur))
+            else:
+                nxt.update(map(add.__add__, cur))
+    low = (1 << w) - 1
+    return {tuple([(v >> shift & low) + lo for _, shift in steps]) for v in reach[full]}
+
+
+def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
+    """The lexicographically first order whose greedy vector is v, or None.
+
+    Along an order the greedy coordinates telescope, so the order reaches v
+    exactly when every prefix mask S has sum(v over S) == table[S] -
+    table[0]; a depth-first search over such tight prefixes, smallest
+    element first, meets the first such order first."""
+    full = 2 ** n - 1
+    order: list[int] = []
+
+    def search(mask: int, got: int) -> bool:
+        if mask == full:
+            return True
+        for k in range(n):
+            bit = 1 << k
+            if not mask & bit and got + v[k] == table[mask | bit] - table[0]:
+                order.append(k + 1)
+                if search(mask | bit, got + v[k]):
+                    return True
+                order.pop()
+        return False
+
+    return tuple(order) if search(0, 0) else None
+
+
 def vertices(d: Diagram) -> set[tuple[int, ...]]:
     """All distinct greedy vectors of the diagram's bound table over the full
-    symmetric group.
+    symmetric group, enumerated by prefix mask (`_greedy_vectors`).
 
     >>> sorted(vertices(Diagram(3, {(1, 1), (3, 1), (3, 2), (3, 3)})))
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]
     """
     if d.n > SWEEP_CAP:
-        raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
-    table = hrep(d).table
-    return {_greedy(table, w) for w in itertools.permutations(range(1, d.n + 1))}
+        raise ValueError(f"vertex enumeration at n = {d.n} exceeds the enumeration budget (n <= {SWEEP_CAP})")
+    return _greedy_vectors(hrep(d).table, d.n)
 
 
 @dataclass(frozen=True)
@@ -379,8 +442,9 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     member whose tight rows have rank n is a vertex of the polytope and so
     no convex combination of other points in it, nor of claimed points
     outside it that `_exposed` separates from it; only the other points go
-    to the phase-1 simplex.  For (c), submodular bound systems are swept with
-    the greedy rule (which provably reaches every vertex); otherwise a
+    to the phase-1 simplex.  For (c), the vertices of a submodular bound
+    system are its greedy vectors (`_greedy_vectors`), and each missing one
+    is named with the first order reaching it (`_first_order`); otherwise a
     depth-first search over independent bound rows finds the vertices.
     """
     if h.n > CERTIFY_CAP:
@@ -405,12 +469,11 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     claimed = set(pts)
     if _is_submodular(h.table, h.n):
         method = "greedy"
-        missing: dict[tuple[int, ...], tuple[int, ...]] = {}  # vertex: first order reaching it
-        for w in itertools.permutations(range(1, h.n + 1)):
-            v = _greedy(h.table, w)
-            if v not in claimed:
-                missing.setdefault(v, w)
-        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for v, w in missing.items()]
+        # each missing vertex with the first order reaching it, in the order
+        # an S_n sweep in lexicographic order would first meet them
+        missing = sorted((_first_order(h.table, v, h.n), v)
+                         for v in _greedy_vectors(h.table, h.n) if v not in claimed)
+        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
     else:
         method = "intersection"
         if h.n > INTERSECT_CAP:

@@ -165,7 +165,7 @@ class TestErrors:
         assert code == 2 and "exceeds" in err
 
     def test_dimension_overflow(self, capsys):
-        code, _, err = run_cli(capsys, "vertices", "--rothe", "9,8,7,6,5,4,3,2,1")
+        code, _, err = run_cli(capsys, "vertices", "--rothe", "11,10,9,8,7,6,5,4,3,2,1")
         assert code == 2 and "budget" in err
 
     def test_point_dimension_mismatch(self, capsys):

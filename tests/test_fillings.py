@@ -43,6 +43,17 @@ class TestFillColumn:
         with pytest.raises(ValueError, match="distinct"):
             fill_column({1, 2}, (1, 1))
 
+    def test_rejects_bools_and_non_integers(self):
+        # True == 1, so only a type test tells a bool from a row or value
+        with pytest.raises(ValueError, match="filling values must be positive integers, got True"):
+            fill_column({1, 2}, (True, 2))
+        with pytest.raises(ValueError, match="filling values must be positive integers, got 'a'"):
+            fill_column({1, 2}, (1, "a"))
+        with pytest.raises(ValueError, match="column rows must be positive integers, got True"):
+            rank_filling({True, 2}, {1})
+        with pytest.raises(ValueError, match="column rows must be positive integers, got 0"):
+            fill_column({0, 2}, (1,))
+
     def test_output_flagged_and_strict(self):
         for rows in subsets(5):
             for s in subsets(5):

@@ -41,6 +41,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(True, 2\)"):
             perms.check_permutation((True, 2))
 
+    def test_permutation_rejects_mixed_types_before_sorting(self):
+        with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(1, 'a'\)"):
+            perms.check_permutation((1, "a"))
+
     def test_composition_rejects_bools(self):
         with pytest.raises(ValueError, match=r"must be non-negative integers: \(True, 0, 2\)"):
             perms.check_composition((True, 0, 2))

@@ -12,12 +12,20 @@ from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
-from schubitope.oracles import solve_unique, vertices_by_filling, vertices_by_intersection, walk_by_fractions
+from schubitope.oracles import (
+    greedy_vectors_by_sweep,
+    solve_unique,
+    vertices_by_filling,
+    vertices_by_intersection,
+    walk_by_fractions,
+)
 from schubitope.polytope import (
     HRep,
     _column_table,
     _column_theta,
+    _first_order,
     _greedy,
+    _greedy_vectors,
     _intersection_vertices,
     _is_submodular,
     _subset_mask,
@@ -339,7 +347,27 @@ class TestVertices:
 
     def test_sweep_cap(self):
         with pytest.raises(ValueError, match="budget"):
-            vertices(Diagram(9, frozenset()))
+            vertices(Diagram(11, frozenset()))
+
+    def test_oracle_sweeps_keep_their_own_cap(self):
+        with pytest.raises(ValueError, match="budget"):
+            vertices_by_filling(Diagram(9, frozenset()))
+        with pytest.raises(ValueError, match="budget"):
+            greedy_vectors_by_sweep((0,) * 2 ** 9, 9)
+
+    def test_nested_simplices_past_the_oracle_cap(self):
+        # D(2,1,4,3,...,10,9) is the boxes (1, 1), (3, 3), ..., (9, 9), so its
+        # polytope is the sum of the simplices on 1..1, 1..3, ..., 1..9; a
+        # vertex takes each simplex's top value along a generic direction,
+        # which is the previous simplex's or one of its two new values: 3^4
+        d = rothe((2, 1, 4, 3, 6, 5, 8, 7, 10, 9))
+        assert len(vertices(d)) == 81
+
+    def test_vertices_past_the_oracle_cap_are_tight_members(self):
+        d = random_diagram_with_density(random.Random(95), 9, 0.2)
+        h, verts = hrep(d), vertices(d)
+        assert len(verts) == 327
+        assert all(member(h, v) and tight_rank(h, v) == 9 for v in verts)
 
     def test_matches_filling_sweep_on_random_diagrams(self):
         rng = random.Random(31)
@@ -473,6 +501,64 @@ class TestCertify:
             short = certify_vertices(h, verts - {min(verts)})
             assert len(short.failures) == 1 and short.lp_calls == 0
             assert short.failures[0].startswith(f"vertex {min(verts)} (greedy order ")
+
+    def test_trapezoid_missing_witnesses_in_sweep_order(self):
+        cert = certify_vertices(hrep(TRAPEZOID), {(1, 0, 3)})
+        assert cert.failures == (
+            "vertex (3, 1, 0) (greedy order (1, 2, 3)) is missing from the claimed set",
+            "vertex (3, 0, 1) (greedy order (1, 3, 2)) is missing from the claimed set",
+            "vertex (1, 3, 0) (greedy order (2, 1, 3)) is missing from the claimed set",
+        )
+
+    def test_missing_witnesses_match_the_permutation_sweep(self):
+        # the witnesses of step (c) are those of the lexicographic S_n sweep:
+        # each missing vertex once, with the first order reaching it, in the
+        # order the sweep first meets them, after every (a) and (b) failure
+        rng = random.Random(83)
+        for n in (1, 2, 3, 4, 5, 6) * 50:
+            d = random_diagram(rng, n)
+            h, verts = hrep(d), sorted(vertices(d))
+            claimed = {v for v in verts if rng.random() < 0.5}
+            if n > 1 and rng.random() < 0.2:  # past the bound on {1}, on the hyperplane
+                claimed.add((h.total + 1,) + (0,) * (n - 2) + (-1,))
+            swept = {}
+            for w in itertools.permutations(range(1, n + 1)):
+                swept.setdefault(_greedy(h.table, w), w)
+            missing = [f"vertex {v} (greedy order {w}) is missing from the claimed set"
+                       for v, w in swept.items() if v not in claimed]
+            failures = certify_vertices(h, claimed).failures
+            assert failures[len(failures) - len(missing):] == tuple(missing), d
+            assert not any(f.startswith("vertex ") for f in failures[:len(failures) - len(missing)])
+
+
+class TestGreedyVectors:
+    """The prefix-mask enumerator behind `vertices` and certification step
+    (c), against one `_greedy` run per permutation, on any integer table:
+    certification takes whatever bounds an `HRep` holds."""
+
+    @staticmethod
+    def random_tables(rng, n):
+        for lo, hi in ((0, 3), (-5, 5), (-300, 1000), (250, 600), (-10 ** 12, 10 ** 12)):
+            yield [rng.randint(lo, hi) for _ in range(2 ** n)]  # non-monotone, non-submodular
+        yield list(hrep(random_diagram(rng, n)).table)
+        yield [-b for b in hrep(random_diagram(rng, n)).table]   # supermodular
+
+    def test_matches_permutation_sweep(self):
+        rng = random.Random(41)
+        for n in range(7):
+            for _ in range(4):
+                for table in self.random_tables(rng, n):
+                    assert _greedy_vectors(table, n) == greedy_vectors_by_sweep(table, n), (n, table)
+
+    def test_first_order_is_the_lexicographically_first(self):
+        rng = random.Random(43)
+        for n in range(6):
+            for table in self.random_tables(rng, n):
+                orders = list(itertools.permutations(range(1, n + 1)))
+                for v in _greedy_vectors(table, n):
+                    assert _first_order(table, v, n) == next(w for w in orders if _greedy(table, w) == v)
+                if n:  # every greedy vector sums to table[-1] - table[0]
+                    assert _first_order(table, (table[-1] - table[0] + 1,) + (0,) * (n - 1), n) is None
 
 
 def probe_points(verts, rng):
