@@ -32,23 +32,31 @@ def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
     >>> fill_column({2, 3, 4, 6}, (3, 1, 5, 6, 2, 4))
     {3: 3, 2: 1, 6: 5, 4: 2}
     """
-    # type() rather than isinstance(), so True is no row or value; one type
-    # test per call, before sorting, since this runs once per column per filling
-    order = [*rows]
-    if not {*map(type, order), *map(type, values)} <= {int}:
-        for what, xs in (("column rows", order), ("filling values", values)):
-            bad = [x for x in xs if type(x) is not int]
-            if bad:
-                raise ValueError(f"{what} must be positive integers, got {bad[0]!r}")
+    order = [*rows]  # type-checked before sorting, which raises TypeError on mixed types
+    if not {*map(type, order)} <= {int} or order and min(order) < 1:
+        bad = next(r for r in order if type(r) is not int or r < 1)
+        raise ValueError(f"column rows must be positive integers, got {bad!r}")
+    _check_values(values)
     order.sort()
-    if order and order[0] < 1:
-        raise ValueError(f"column rows must be positive integers, got {order[0]!r}")
+    return _fill(order, values)
+
+
+def _check_values(values: Sequence[int]) -> None:
+    # type() rather than isinstance(), so True is no row or value; one type
+    # test per call, since fillings run once per column per order or subset
+    if not {*map(type, values)} <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"filling values must be positive integers, got {bad!r}")
     if len(set(values)) != len(values):
         raise ValueError(f"filling values must be distinct: {tuple(values)!r}")
+    if values and min(values) < 1:
+        raise ValueError(f"filling values must be positive integers, got {next(v for v in values if v < 1)}")
+
+
+def _fill(order: Sequence[int], values: Sequence[int]) -> dict[int, int]:
+    """`fill_column` on increasing rows and distinct positive values, unchecked."""
     filled: dict[int, int] = {}
     for v in values:
-        if v < 1:
-            raise ValueError(f"filling values must be positive integers, got {v}")
         for r in order:
             if r >= v and r not in filled:
                 filled[r] = v
@@ -62,8 +70,8 @@ def fill_diagram(d: Diagram, w: Sequence[int]) -> dict[Box, int]:
     if len(w) != d.n:
         raise ValueError(f"permutation degree {len(w)} does not match grid size {d.n}")
     out: dict[Box, int] = {}
-    for j in range(1, d.n + 1):
-        for r, v in fill_column(d.columns[j - 1], w).items():
+    for j, col in enumerate(d.columns, 1):  # rows checked by Diagram, values by check_permutation
+        for r, v in _fill(sorted(col), w).items():
             out[(r, j)] = v
     return out
 
@@ -144,7 +152,8 @@ def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
 def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     """Sum of the column ranks over all columns of the diagram."""
     s = tuple(sorted(subset))
-    return sum(rank_filling(col, s) for col in d.columns)
+    _check_values(s)  # once; the Diagram checked its columns
+    return sum(len(_fill(sorted(col), s)) for col in d.columns)
 
 
 def _check_column_filling(filling: Mapping[int, int]) -> None:
