@@ -95,7 +95,9 @@ def rank_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
     processed (the `fill-order-independence` check sweeps every order at
     small n), so one increasing pass suffices.
     """
-    return len(fill_column(rows, tuple(sorted(subset))))
+    s = tuple(subset)
+    _check_values(s)  # before sorting, which raises TypeError on mixed types
+    return len(fill_column(rows, sorted(s)))
 
 
 def _check_enumeration_size(rows: Sequence[int]) -> None:
@@ -151,8 +153,9 @@ def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
 
 def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     """Sum of the column ranks over all columns of the diagram."""
-    s = tuple(sorted(subset))
-    _check_values(s)  # once; the Diagram checked its columns
+    s = tuple(subset)
+    _check_values(s)  # once, before sorting; the Diagram checked its columns
+    s = tuple(sorted(s))
     return sum(len(_fill(sorted(col), s)) for col in d.columns)
 
 

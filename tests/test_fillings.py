@@ -53,6 +53,10 @@ class TestFillColumn:
             rank_filling({True, 2}, {1})
         with pytest.raises(ValueError, match="column rows must be positive integers, got 0"):
             fill_column({0, 2}, (1,))
+        with pytest.raises(ValueError, match="filling values must be positive integers, got 'a'"):
+            rank_filling({1, 2}, {1, "a"})
+        with pytest.raises(ValueError, match="filling values must be positive integers, got True"):
+            rank_diagram(D9, {True, 3})
 
     def test_output_flagged_and_strict(self):
         for rows in subsets(5):
