@@ -312,7 +312,7 @@ def check_minkowski_membership(m: int, rng: random.Random) -> Steps:
         h = polytope.hrep(d)
         per_column = [
             [tuple(int(i in b) for i in range(1, m + 1))
-             for b in polytope.schubert_matroid_bases(col, m)]
+             for b in oracles.schubert_matroid_bases(col, m)]
             for col in d.columns
         ]
         sums = set()
@@ -335,7 +335,7 @@ def check_column_polytope_bases(m: int, rng: random.Random) -> Steps:
         d = Diagram(m, frozenset((r, 1) for r in rows))
         expect = {
             tuple(int(i in b) for i in range(1, m + 1))
-            for b in polytope.schubert_matroid_bases(rows, m)
+            for b in oracles.schubert_matroid_bases(rows, m)
         }
         got = polytope.vertices(d)
         if got != expect:

@@ -32,13 +32,20 @@ def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
     >>> fill_column({2, 3, 4, 6}, (3, 1, 5, 6, 2, 4))
     {3: 3, 2: 1, 6: 5, 4: 2}
     """
-    order = [*rows]  # type-checked before sorting, which raises TypeError on mixed types
+    order = _sorted_rows(rows)
+    _check_values(values)
+    return _fill(order, values)
+
+
+def _sorted_rows(rows: Iterable[int]) -> list[int]:
+    """The column rows in increasing order, type-checked before sorting,
+    which raises TypeError on mixed types."""
+    order = [*rows]
     if not {*map(type, order)} <= {int} or order and min(order) < 1:
         bad = next(r for r in order if type(r) is not int or r < 1)
         raise ValueError(f"column rows must be positive integers, got {bad!r}")
-    _check_values(values)
     order.sort()
-    return _fill(order, values)
+    return order
 
 
 def _check_values(values: Sequence[int]) -> None:
@@ -113,11 +120,13 @@ def rank_brute(rows: Iterable[int], subset: Iterable[int]) -> int:
     A basis is any set of the same size whose sorted entries are dominated
     entrywise by the sorted column rows (Gale order).
     """
-    rows = sorted(rows)
+    values = tuple(subset)
+    _check_values(values)  # the checks and messages of `rank_filling`
+    rows = _sorted_rows(rows)
     _check_enumeration_size(rows)
     if not rows:
         return 0
-    want = set(subset)
+    want = set(values)
     best = 0
     for basis in itertools.combinations(range(1, rows[-1] + 1), len(rows)):
         if all(a <= b for a, b in zip(basis, rows)):
@@ -131,9 +140,11 @@ def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
     Exhaustive backtracking over all partial assignments; independent of
     both the greedy algorithm and the basis enumeration.
     """
-    rows = sorted(rows)
+    values = tuple(subset)
+    _check_values(values)  # the checks and messages of `rank_filling`
+    values = sorted(values)
+    rows = _sorted_rows(rows)
     _check_enumeration_size(rows)
-    values = sorted(subset)
     best = 0
 
     def search(vi: int, occupied: frozenset[int], count: int) -> None:

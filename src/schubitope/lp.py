@@ -7,6 +7,10 @@ pivots are positive, so each tableau row is a positive multiple of the exact
 rational row, and signs, ratio tests (by cross-multiplication) and Bland's
 choices match the `Fraction` tableau of `oracles.solve_nonnegative_by_fractions`.
 Bland's rule makes it terminate; sizes here are tiny, so dense rows are fine.
+`hull_vertices` runs it only on the points that two exact certificates
+leave open: a unique lexicographic extreme is a vertex, and the midpoint of
+two other points is not.  `oracles.hull_vertices_by_lp` runs it on every
+point.  Points must be tuples of `int` and `Fraction` of one dimension.
 """
 from __future__ import annotations
 
@@ -77,8 +81,26 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
     return x
 
 
+_RATIONAL = {int, Fraction}
+
+
+def _check_points(points: Sequence[tuple], dim: int) -> None:
+    """Raise a one-line ValueError naming the first point whose dimension is
+    not ``dim`` or that has a coordinate other than an int or a Fraction."""
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
+        if not {*map(type, p)} <= _RATIONAL:
+            bad = next(c for c in p if type(c) not in _RATIONAL)
+            raise ValueError(f"point {p} has coordinate {bad!r}, expected an integer or a Fraction")
+
+
 def convex_combination(target: Sequence, points: Sequence[Sequence]) -> list[Fraction] | None:
-    """Coefficients expressing target as a convex combination of points, or None."""
+    """Coefficients expressing target as a convex combination of points, or
+    None.  Every point must have the target's dimension, and every
+    coordinate must be an int or a Fraction."""
+    target = tuple(target)
+    _check_points([target, *map(tuple, points)], len(target))
     if not points:
         return None
     rows = [[q[i] for q in points] for i in range(len(target))]
@@ -86,25 +108,100 @@ def convex_combination(target: Sequence, points: Sequence[Sequence]) -> list[Fra
     return solve_nonnegative(rows, [*target, 1])
 
 
+def _lexicographic_extremes(pts: list[tuple]) -> list[bool]:
+    """Per point p, whether p is the unique lexicographic extreme of pts for
+    some order and signs of the coordinates, which makes it a hull vertex.
+
+    Starting from all points, each unused coordinate where p is the largest
+    or the smallest of the points left keeps only those equal to p there.
+    A coordinate where p is extreme stays so on every smaller set, so the
+    points left at the end do not depend on the order the coordinates are
+    taken in.  Sets of points are bitmasks over their indices in pts."""
+    everyone = (1 << len(pts)) - 1
+    tables = []  # per coordinate: value -> (points equal to it, above it, below it)
+    for column in zip(*pts):
+        equal: dict = {}
+        for k, v in enumerate(column):
+            equal[v] = equal.get(v, 0) | 1 << k
+        table, below = {}, 0
+        for v in sorted(equal):
+            table[v] = (equal[v], everyone & ~below & ~equal[v], below)
+            below |= equal[v]
+        tables.append(table)
+    out = []
+    for k, p in enumerate(pts):
+        rows = [table[v] for table, v in zip(tables, p)]
+        alive, me = everyone, 1 << k
+        while alive != me:
+            rest = []
+            for row in rows:
+                if alive & row[1] and alive & row[2]:
+                    rest.append(row)
+                else:
+                    alive &= row[0]
+            if len(rest) == len(rows):
+                break
+            rows = rest
+        out.append(alive == me)
+    return out
+
+
+def _keys(pts: list[tuple]) -> list[int]:
+    """One int per point, linear in its coordinates, and distinct on the
+    points and on every 2p - q: the coordinates times the lcm of their
+    denominators, as digits in a balanced base 6M + 1, where M bounds them."""
+    scale = math.lcm(*{c.denominator for p in pts for c in p})
+    scaled = [[(c * scale).numerator for c in p] for p in pts]
+    base = 6 * max((abs(c) for p in scaled for c in p), default=0) + 1
+    keys = []
+    for p in scaled:
+        key = 0
+        for c in p:
+            key = key * base + c
+        keys.append(key)
+    return keys
+
+
 def hull_vertices(points, candidates=None) -> set[tuple]:
     """The exact vertex set of the convex hull of a finite point set.
 
     A point is kept iff it is not a convex combination of the remaining
-    points.  ``candidates`` may supply a set of points expected to contain
-    every vertex.  Points outside it that lie in the (much smaller)
-    candidates' hull are dropped first, and the rest are tested only
-    against each other.  That never changes the answer: substituting each
-    dropped point's combination of candidates turns a combination of all
-    other points into one of the kept others.
-    """
-    pts = sorted({tuple(p) for p in points})
-    if candidates is not None:
-        cand = {tuple(p) for p in candidates} & set(pts)
-        inside = sorted(cand)
-        pts = [p for p in pts if p in cand or convex_combination(p, inside) is None]
-    out = set()
-    for i, p in enumerate(pts):
-        if convex_combination(p, pts[:i] + pts[i + 1:]) is None:
-            out.add(p)
-    return out
+    points.  Two exact certificates decide most points without the simplex:
+    the unique lexicographic extreme of the set for some order and signs of
+    the coordinates is a vertex, and a point p with 2p - q in the set for
+    another point q is the midpoint of two others, so not a vertex.  Only
+    the points neither decides go to the simplex, each tested against the
+    points not known to be non-vertices; dropping those keeps the test
+    exact, because no vertex is ever dropped.
 
+    ``candidates`` may supply a set of points expected to contain every
+    vertex.  Undecided points outside it that lie in the (much smaller)
+    candidates' hull are dropped first.  That never changes the answer:
+    such a point is a convex combination of other points.
+    """
+    pts = [tuple(p) for p in points]
+    dim = len(pts[0]) if pts else 0
+    _check_points(pts, dim)
+    if candidates is not None:
+        wanted = [tuple(p) for p in candidates]
+        _check_points(wanted, dim)
+        wanted = set(wanted)
+    pts = sorted(set(pts))
+    keys = _keys(pts)
+    present = set(keys)
+    out, undecided = set(), []
+    for p, key, extreme in zip(pts, keys, _lexicographic_extremes(pts)):
+        if extreme:
+            out.add(p)
+        elif not any(2 * key - other in present for other in keys if other != key):
+            undecided.append(p)
+    if undecided and candidates is not None:
+        inside = [p for p in pts if p in wanted]
+        undecided = [p for p in undecided if p in wanted or convex_combination(p, inside) is None]
+    pool = out | set(undecided)
+    for p in undecided:
+        pool.discard(p)
+        if convex_combination(p, sorted(pool)) is None:
+            out.add(p)
+            pool.add(p)
+    return out

@@ -7,18 +7,22 @@ permutation for the vertex set, one greedy vector per permutation for the
 prefix-mask enumeration of a bound table's greedy vectors, one `Fraction`
 sum per subset for the integer subset-sum walk, one `Fraction` square solve
 per choice of n-1 bound rows for the intersection vertex search, a phase-1
-simplex on `Fraction` entries for the integer-tableau one.  Slow, obvious,
-and independent of the code they vouch for.  The n! sweeps keep their own
-cap, `SWEEP_CAP`.
+simplex on `Fraction` entries for the integer-tableau one, one simplex per
+point for the certified hull, and every k-subset compared in the Gale
+order for a column's Schubert matroid bases.  Slow, obvious, and
+independent of the code they vouch for.  The n! sweeps keep their own cap,
+`SWEEP_CAP`.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import fillings, polyoracle
 from .diagrams import Diagram
+from .fillings import ENUMERATION_CAP
+from .lp import convex_combination
 from .perms import (
     Composition,
     Perm,
@@ -30,7 +34,7 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import HRep, _greedy, member
+from .polytope import HRep, _check_subset, _greedy, member
 
 SWEEP_CAP = 8  # the n! sweeps below; independent of the fast enumerator's cap
 
@@ -133,6 +137,25 @@ def vertices_by_filling(d: Diagram) -> set[tuple[int, ...]]:
     if d.n > SWEEP_CAP:
         raise ValueError(f"full S_{d.n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
     return {fillings.vertex_vector(d, w) for w in itertools.permutations(range(1, d.n + 1))}
+
+
+def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]:
+    """All subsets of [n] dominated by the given one in the Gale order.
+
+    T <= S means |T| = |S| and, after sorting both increasingly, each entry
+    of T is <= the matching entry of S.
+
+    >>> sorted(sorted(b) for b in schubert_matroid_bases({1, 3}, 3))
+    [[1, 2], [1, 3]]
+    """
+    s = sorted(_check_subset(subset, n))
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"basis enumeration capped at n <= {ENUMERATION_CAP}")
+    return {
+        frozenset(t)
+        for t in itertools.combinations(range(1, n + 1), len(s))
+        if all(a <= b for a, b in zip(t, s))
+    }
 
 
 def greedy_vectors_by_sweep(table: Sequence[int], n: int) -> set[tuple]:
@@ -277,3 +300,27 @@ def solve_nonnegative_by_fractions(rows: Sequence[Sequence], rhs: Sequence) -> l
         if bi < k:
             x[bi] = tab[i][-1]
     return x
+
+
+def hull_vertices_by_lp(points, candidates=None) -> set[tuple]:
+    """The exact vertex set of the convex hull of a finite point set, one
+    phase-1 simplex per point: a point is kept iff it is not a convex
+    combination of the remaining points.
+
+    ``candidates`` may supply a set of points expected to contain every
+    vertex.  Points outside it that lie in the (much smaller)
+    candidates' hull are dropped first, and the rest are tested only
+    against each other.  That never changes the answer: substituting each
+    dropped point's combination of candidates turns a combination of all
+    other points into one of the kept others.
+    """
+    pts = sorted({tuple(p) for p in points})
+    if candidates is not None:
+        cand = {tuple(p) for p in candidates} & set(pts)
+        inside = sorted(cand)
+        pts = [p for p in pts if p in cand or convex_combination(p, inside) is None]
+    out = set()
+    for i, p in enumerate(pts):
+        if convex_combination(p, pts[:i] + pts[i + 1:]) is None:
+            out.add(p)
+    return out

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import lp
 from .diagrams import Diagram, is_int
-from .fillings import ENUMERATION_CAP
 from .perms import check_permutation
 
 STAR = "★"
@@ -215,25 +214,6 @@ def violated_constraint(h: HRep, point: Sequence) -> str | None:
 def member(h: HRep, point: Sequence) -> bool:
     """Exact membership test; accepts integer or rational coordinates."""
     return violated_constraint(h, point) is None
-
-
-def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]:
-    """All subsets of [n] dominated by the given one in the Gale order.
-
-    T <= S means |T| = |S| and, after sorting both increasingly, each entry
-    of T is <= the matching entry of S.
-
-    >>> sorted(sorted(b) for b in schubert_matroid_bases({1, 3}, 3))
-    [[1, 2], [1, 3]]
-    """
-    s = sorted(_check_subset(subset, n))
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"basis enumeration capped at n <= {ENUMERATION_CAP}")
-    return {
-        frozenset(t)
-        for t in itertools.combinations(range(1, n + 1), len(s))
-        if all(a <= b for a, b in zip(t, s))
-    }
 
 
 def _greedy(table, w: Sequence[int]) -> tuple:

@@ -131,6 +131,14 @@ class TestRanks:
         with pytest.raises(ValueError, match="cap"):
             rank_brute(set(range(1, 14)), {1})
 
+    def test_oracles_reject_bools(self):
+        # the messages of rank_filling; True == 1 would otherwise count as row or value 1
+        for rank in (rank_brute, rank_max_filling):
+            with pytest.raises(ValueError, match="column rows must be positive integers, got True"):
+                rank({True, 2}, {1})
+            with pytest.raises(ValueError, match="filling values must be positive integers, got True"):
+                rank({1, 2}, {True})
+
     def test_triple_agreement_exhaustive(self):
         assert_check("rank-three-ways", 5, 1024)
 

@@ -2,10 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from schubitope.diagrams import rothe
+import pytest
+
+from schubitope import lp
+from schubitope.diagrams import rothe, skyline
 from schubitope.lp import convex_combination, hull_vertices, solve_nonnegative
-from schubitope.oracles import solve_nonnegative_by_fractions
-from schubitope.polyoracle import newton_exponents, schubert_polynomial
+from schubitope.oracles import hull_vertices_by_lp, solve_nonnegative_by_fractions
+from schubitope.polyoracle import key_polynomial, newton_exponents, schubert_polynomial
 from schubitope.polytope import vertices
 
 
@@ -99,6 +102,20 @@ class TestConvexCombination:
     def test_equal_point(self):
         assert convex_combination((2, 2), [(2, 2)]) is not None
 
+    def test_rejects_points_of_another_dimension(self):
+        # an extra coordinate was once ignored: (1,) came out as 1 * (1, 5)
+        with pytest.raises(ValueError, match=r"^point \(1, 5\) has dimension 2, expected 1$"):
+            convex_combination((1,), [(1, 5)])
+        with pytest.raises(ValueError, match=r"^point \(1,\) has dimension 1, expected 2$"):
+            convex_combination((1, 1), [(0, 0), (1,)])
+
+    def test_rejects_non_rational_coordinates(self):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"has coordinate {bad!r}, expected an integer or a Fraction"):
+                convex_combination((1, 1), [(0, 0), (bad, 2)])
+            with pytest.raises(ValueError, match=f"^point \\({bad!r},\\) has coordinate"):
+                convex_combination((bad,), [(0,), (2,)])
+
 
 class TestHullVertices:
     def test_square_with_interior_point(self):
@@ -138,3 +155,108 @@ class TestHullVertices:
             for cand in (full, short, padded, stray):
                 assert hull_vertices(pts, candidates=cand) == full, (pts, cand)
 
+    def test_rejects_bad_points(self):
+        with pytest.raises(ValueError, match=r"^point \(1,\) has dimension 1, expected 2$"):
+            hull_vertices([(0, 0), (1,)])
+        with pytest.raises(ValueError, match=r"^point \(0, 0, 0\) has dimension 3, expected 2$"):
+            hull_vertices([(0, 0)], candidates=[(0, 0, 0)])
+        for bad in (True, 0.5, "1/2"):
+            with pytest.raises(ValueError, match=f"has coordinate {bad!r}, expected an integer or a Fraction"):
+                hull_vertices([(0, 0), (Fraction(1, 2), 1), (bad, 1)])
+            with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+                hull_vertices([(0, 0)], candidates=[(bad, 0)])
+
+
+def count_lp_calls(monkeypatch) -> list[int]:
+    """Count the simplex runs `hull_vertices` makes, through `convex_combination`."""
+    calls = [0]
+    solve = lp.convex_combination
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "convex_combination", counted)
+    return calls
+
+
+def random_point_set(rng, kind):
+    """1-14 points of dimension 1-4 with integer or `Fraction` coordinates:
+    a random box of points, one point, points on a line, points on an
+    affine plane in dimension 2-4, or a box with repeats."""
+    dim = rng.randint(2, 4) if kind == "plane" else rng.randint(1, 4)
+    frac = rng.random() < 0.5
+
+    def vector():
+        if frac:
+            return [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)]
+        return [rng.randint(-3, 3) for _ in range(dim)]
+
+    if kind == "single":
+        return [tuple(vector())] * rng.randint(1, 3)
+    if kind in ("line", "plane"):
+        base, steps = vector(), [vector() for _ in range(1 if kind == "line" else 2)]
+        return [
+            tuple(b + sum(t * s[i] for t, s in zip(ts, steps)) for i, b in enumerate(base))
+            for ts in (tuple(rng.randint(-2, 2) for _ in steps) for _ in range(rng.randint(1, 10)))
+        ]
+    pts = [tuple(vector()) for _ in range(rng.randint(1, 14))]
+    if kind == "repeats":
+        pts += rng.choices(pts, k=rng.randint(1, 5))
+    return pts
+
+
+class TestHullCertificates:
+    """`hull_vertices` decides points by exact certificates before the
+    simplex; `oracles.hull_vertices_by_lp` runs the simplex on every point."""
+
+    def test_matches_lp_oracle_on_schubert_supports(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        for n in range(1, 6):
+            for w in itertools.permutations(range(1, n + 1)):
+                support = newton_exponents(schubert_polynomial(w))
+                verts = vertices(rothe(w))
+                for cand in (None, verts):
+                    assert hull_vertices(support, cand) == hull_vertices_by_lp(support, cand) == verts, (w, cand)
+        # every support point is a lexicographic extreme or a midpoint
+        assert calls[0] == 0
+
+    def test_matches_lp_oracle_on_key_supports(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        for n in range(1, 5):
+            for alpha in itertools.product(range(min(n, 3) + 1), repeat=n):
+                support = newton_exponents(key_polynomial(alpha))
+                verts = vertices(skyline(alpha))
+                for cand in (None, verts):
+                    assert hull_vertices(support, cand) == hull_vertices_by_lp(support, cand) == verts, (alpha, cand)
+        assert calls[0] == 0
+
+    def test_matches_lp_oracle_on_random_sets(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        rng = random.Random(13)
+        kinds = ("box", "single", "line", "plane", "repeats")
+        sent = dict.fromkeys(kinds, 0)  # sets with a point left to the simplex
+        for k in range(600):
+            kind = kinds[k % len(kinds)]
+            pts = random_point_set(rng, kind)
+            before = calls[0]
+            full = hull_vertices(pts)
+            sent[kind] += calls[0] > before
+            assert full == hull_vertices_by_lp(pts), pts
+            cand = rng.choice((full, set(rng.sample(pts, rng.randint(0, len(pts)))), full | {pts[0]}))
+            assert hull_vertices(pts, cand) == hull_vertices_by_lp(pts, cand) == full, (pts, cand)
+        # the simplex ran on every kind of set but one point, a lexicographic extreme
+        assert sent.pop("single") == 0 and min(sent.values()) >= 20, sent
+
+    def test_vertex_neither_certificate_decides(self, monkeypatch):
+        # (3, 3) is extreme in no coordinate and no midpoint of two others,
+        # yet it lies outside the triangle of the other three
+        calls = count_lp_calls(monkeypatch)
+        pts = {(0, 0), (4, 0), (0, 4), (3, 3)}
+        assert hull_vertices(pts) == hull_vertices_by_lp(pts) == pts
+        assert calls[0] == 1
+        # (2, 0) is the midpoint of (0, 0) and (4, 0); the interior point
+        # (1, 1) is no midpoint, so it goes to the simplex with (3, 3)
+        calls[0] = 0
+        assert hull_vertices(pts | {(2, 0), (1, 1)}) == pts
+        assert calls[0] == 2

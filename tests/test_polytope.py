@@ -14,6 +14,7 @@ from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
     greedy_vectors_by_sweep,
+    schubert_matroid_bases,
     solve_unique,
     vertices_by_filling,
     vertices_by_intersection,
@@ -38,7 +39,6 @@ from schubitope.polytope import (
     hrep_to_hform,
     hrep_to_json_dict,
     member,
-    schubert_matroid_bases,
     theta,
     theta_columns,
     tight_rank,
@@ -286,6 +286,13 @@ class TestWalk:
 
 
 class TestSchubertMatroidBases:
+    def test_exported_by_the_package(self):
+        import schubitope
+        from schubitope import oracles
+
+        assert schubitope.schubert_matroid_bases is oracles.schubert_matroid_bases
+        assert "schubert_matroid_bases" in schubitope.__all__
+
     def test_two_element_example(self):
         assert schubert_matroid_bases({1, 3}, 3) == {frozenset({1, 2}), frozenset({1, 3})}
 
