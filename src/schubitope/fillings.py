@@ -9,6 +9,12 @@ The same rank is computed three independent ways: by the greedy filling
 exhaustive search over flagged fillings (`rank_max_filling`).  The brute
 variants exist as oracles; they agree with the greedy one on every input
 small enough to enumerate.
+
+Each public function checks its inputs once, on entry, and then runs the
+unchecked kernel `_fill` per column.  The diagram functions read each
+column's sorted rows from `Diagram.column_rows`, which the diagram
+computes once, so a sweep over many orders or subsets of one diagram
+sorts no column twice.
 """
 from __future__ import annotations
 
@@ -71,14 +77,19 @@ def _fill(order: Sequence[int], values: Sequence[int]) -> dict[int, int]:
     return filled
 
 
-def fill_diagram(d: Diagram, w: Sequence[int]) -> dict[Box, int]:
-    """Apply the greedy filling to every column independently, with the entries of w."""
+def _check_order(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
     w = check_permutation(w)
     if len(w) != d.n:
         raise ValueError(f"permutation degree {len(w)} does not match grid size {d.n}")
+    return w
+
+
+def fill_diagram(d: Diagram, w: Sequence[int]) -> dict[Box, int]:
+    """Apply the greedy filling to every column independently, with the entries of w."""
+    w = _check_order(d, w)
     out: dict[Box, int] = {}
-    for j, col in enumerate(d.columns, 1):  # rows checked by Diagram, values by check_permutation
-        for r, v in _fill(sorted(col), w).items():
+    for j, rows in enumerate(d.column_rows, 1):  # rows checked by Diagram, values by _check_order
+        for r, v in _fill(rows, w).items():
             out[(r, j)] = v
     return out
 
@@ -89,9 +100,11 @@ def vertex_vector(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
     >>> vertex_vector(Diagram(3, {(1, 1), (3, 1), (3, 2), (3, 3)}), (2, 1, 3))
     (1, 3, 0)
     """
+    w = _check_order(d, w)
     counts = [0] * d.n
-    for v in fill_diagram(d, w).values():
-        counts[v - 1] += 1
+    for rows in d.column_rows:
+        for v in _fill(rows, w).values():
+            counts[v - 1] += 1
     return tuple(counts)
 
 
@@ -167,7 +180,7 @@ def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     s = tuple(subset)
     _check_values(s)  # once, before sorting; the Diagram checked its columns
     s = tuple(sorted(s))
-    return sum(len(_fill(sorted(col), s)) for col in d.columns)
+    return sum(len(_fill(rows, s)) for rows in d.column_rows)
 
 
 def _check_column_filling(filling: Mapping[int, int]) -> None:

@@ -28,11 +28,21 @@ def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
     return [v // g for v in out] if g > 1 else out
 
 
+_RATIONAL = {int, Fraction}
+_ENTRY = _RATIONAL | {str}
+
+
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Find x >= 0 with A x = b exactly, or return None when infeasible."""
+    """Find x >= 0 with A x = b exactly, or return None when infeasible.
+
+    Entries are integers, Fractions or rational strings such as "1/2"; a
+    float (inexact) or a bool raises ValueError."""
     m = len(rows)
     k = len(rows[0]) if m else 0
     system = [[*rows[i], rhs[i]] for i in range(m)]
+    if not {type(v) for r in system for v in r} <= _ENTRY:
+        bad = next(v for r in system for v in r if type(v) not in _ENTRY)
+        raise ValueError(f"LP entry {bad!r} is not an integer, a Fraction or a rational string")
     scale = math.lcm(*(Fraction(v).denominator for r in system for v in r if not isinstance(v, int)))
     tab: list[list[int]] = []
     for i, r in enumerate(system):
@@ -79,9 +89,6 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
         if bi < k:
             x[bi] = Fraction(tab[i][-1], tab[i][bi])
     return x
-
-
-_RATIONAL = {int, Fraction}
 
 
 def _check_points(points: Sequence[tuple], dim: int) -> None:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set, one greedy vector per permutation for the
-prefix-mask enumeration of a bound table's greedy vectors, one `Fraction`
+permutation for the vertex set, one greedy vector per permutation
+(`_greedy`, read off a bound table) for the prefix-mask enumeration of a
+table's greedy vectors and for `edmonds_vertex`, one `Fraction`
 sum per subset for the integer subset-sum walk, one `Fraction` square solve
 per choice of n-1 bound rows for the intersection vertex search, a phase-1
 simplex on `Fraction` entries for the integer-tableau one, one simplex per
@@ -34,7 +35,7 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import HRep, _check_subset, _greedy, member
+from .polytope import HRep, _check_subset, member
 
 SWEEP_CAP = 8  # the n! sweeps below; independent of the fast enumerator's cap
 
@@ -156,6 +157,20 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
         for t in itertools.combinations(range(1, n + 1), len(s))
         if all(a <= b for a, b in zip(t, s))
     }
+
+
+def _greedy(table, w: Sequence[int]) -> tuple:
+    """Edmonds' greedy vector along the order w: coordinate w_k receives
+    table[{w_1..w_k}] - table[{w_1..w_{k-1}}], subsets as bitmasks."""
+    x: list = [0] * len(w)
+    mask = 0
+    prev = table[0]
+    for k in w:
+        mask |= 1 << (k - 1)
+        cur = table[mask]
+        x[k - 1] = cur - prev
+        prev = cur
+    return tuple(x)
 
 
 def greedy_vectors_by_sweep(table: Sequence[int], n: int) -> set[tuple]:

@@ -4,10 +4,17 @@ Permutations are plain tuples in one-line notation with values 1..n, so
 2641375 is written ``(2, 6, 4, 1, 3, 7, 5)``.  Compositions are tuples of
 non-negative integers.  All functions are pure and never mutate their
 arguments; values are safe to share between workers.
+
+The public functions check their arguments once, on entry, and then call
+unchecked kernels (`_w_of`, `_bruhat_leq`) on the permutations they built
+themselves, so the composition order and its lower intervals pay one
+check per argument rather than one per inner call.
 """
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import insort
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -17,9 +24,9 @@ Composition = tuple[int, ...]
 def check_permutation(w: Sequence[int]) -> Perm:
     """Return ``w`` as a tuple after checking it is a bijection on 1..n."""
     t = tuple(w)
-    # type() rather than isinstance(): True == 1 passes isinstance(x, int)
-    # and before sorting, which raises TypeError on mixed types
-    if any(type(v) is not int for v in t) or sorted(t) != list(range(1, len(t) + 1)):
+    # type() rather than isinstance(): True == 1 passes isinstance(x, int);
+    # one type test, before sorting, which raises TypeError on mixed types
+    if not {*map(type, t)} <= {int} or sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 
@@ -27,7 +34,7 @@ def check_permutation(w: Sequence[int]) -> Perm:
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Return ``alpha`` as a tuple after checking all parts are >= 0."""
     t = tuple(alpha)
-    if any(type(a) is not int or a < 0 for a in t):
+    if not {*map(type, t)} <= {int} or t and min(t) < 0:
         raise ValueError(f"composition parts must be non-negative integers: {t!r}")
     return t
 
@@ -86,12 +93,23 @@ def bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
     >>> bruhat_leq((3, 2, 1), (3, 1, 2))
     False
     """
+    u, w = check_permutation(u), check_permutation(w)
     if len(u) != len(w):
         raise ValueError(f"permutation degrees differ: {len(u)} vs {len(w)}")
-    for i in range(1, len(u)):
-        for a, b in zip(sorted(u[:i]), sorted(w[:i])):
-            if a > b:
-                return False
+    return _bruhat_leq(u, w)
+
+
+def _bruhat_leq(u: Perm, w: Perm) -> bool:
+    """`bruhat_leq` on two permutations of one degree, unchecked.  Both
+    sorted prefixes grow by one insertion per step; the full prefixes are
+    equal, so the last is skipped."""
+    pu: list[int] = []
+    pw: list[int] = []
+    for a, b in zip(u[:-1], w[:-1]):
+        insort(pu, a)
+        insort(pw, b)
+        if any(map(operator.gt, pu, pw)):
+            return False
     return True
 
 
@@ -138,14 +156,15 @@ def w_of(alpha: Sequence[int]) -> Perm:
     >>> w_of((2, 0, 1, 3, 2, 0, 1))
     (2, 6, 4, 1, 3, 7, 5)
     """
-    alpha = check_composition(alpha)
+    return _w_of(check_composition(alpha))
+
+
+def _w_of(alpha: Composition) -> Perm:
+    """`w_of` on a checked composition: a stable sort of the positions by
+    decreasing part hands out the labels."""
     w = [0] * len(alpha)
-    label = 1
-    for part in sorted(set(alpha), reverse=True):
-        for pos, a in enumerate(alpha):
-            if a == part:
-                w[pos] = label
-                label += 1
+    for label, pos in enumerate(sorted(range(len(alpha)), key=alpha.__getitem__, reverse=True), 1):
+        w[pos] = label
     return tuple(w)
 
 
@@ -158,9 +177,9 @@ def composition_leq(beta: Sequence[int], alpha: Sequence[int]) -> bool:
     beta, alpha = check_composition(beta), check_composition(alpha)
     if len(beta) != len(alpha):
         raise ValueError(f"composition lengths differ: {len(beta)} vs {len(alpha)}")
-    if lambda_of(beta) != lambda_of(alpha):
+    if sorted(beta) != sorted(alpha):
         return False
-    return bruhat_leq(w_of(beta), w_of(alpha))
+    return _bruhat_leq(_w_of(beta), _w_of(alpha))
 
 
 def vertex_compositions(alpha: Sequence[int]) -> list[Composition]:
@@ -173,12 +192,12 @@ def vertex_compositions(alpha: Sequence[int]) -> list[Composition]:
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]
     """
     alpha = check_composition(alpha)
-    lam = lambda_of(alpha)
-    wa = w_of(alpha)
+    lam = sorted(alpha, reverse=True)
+    wa = _w_of(alpha)
     found = {
-        act(lam, sigma)
+        tuple([lam[k - 1] for k in sigma])  # act(lam, sigma)
         for sigma in itertools.permutations(range(1, len(alpha) + 1))
-        if bruhat_leq(sigma, wa)
+        if _bruhat_leq(sigma, wa)
     }
     return sorted(found)
 

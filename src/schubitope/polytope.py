@@ -4,6 +4,8 @@ The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
 per proper nonempty subset S, read off column by column from a parenthesis
 word into one table indexed by subset bitmask (bit i-1 set iff i in S).
+Each column enters as its row bitmask, which the diagram computes once
+(`Diagram.column_masks`).
 `hrep` builds that table by doubling: it scans each distinct column's rows
 once, and each row doubles the per-subset scan states, the subsets holding
 that row forming the second half.  One walk over a point's subset sums
@@ -128,7 +130,7 @@ def _column_table(col: int, n: int) -> list[int]:
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column bound contributions."""
     mask = _subset_mask(_check_subset(subset, d.n))
-    return [_column_theta(_subset_mask(col), mask) for col in d.columns]
+    return [_column_theta(col, mask) for col in d.column_masks]
 
 
 def theta(d: Diagram, subset: Iterable[int]) -> int:
@@ -170,7 +172,7 @@ def hrep(d: Diagram) -> HRep:
     """The full halfspace description of the diagram's polytope."""
     if d.n > HREP_CAP:
         raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
-    cols = [_subset_mask(col) for col in d.columns if col]
+    cols = [col for col in d.column_masks if col]
     tables = {col: _column_table(col, d.n) for col in set(cols)}  # one build per distinct row set
     table = tuple(map(sum, zip(*(tables[col] for col in cols)))) if cols else (0,) * 2 ** d.n
     return HRep(d.n, d.size, table)
@@ -216,20 +218,6 @@ def member(h: HRep, point: Sequence) -> bool:
     return violated_constraint(h, point) is None
 
 
-def _greedy(table, w: Sequence[int]) -> tuple:
-    """Edmonds' greedy vector along the order w: coordinate w_k receives
-    table[{w_1..w_k}] - table[{w_1..w_{k-1}}], subsets as bitmasks."""
-    x: list = [0] * len(w)
-    mask = 0
-    prev = table[0]
-    for k in w:
-        mask |= 1 << (k - 1)
-        cur = table[mask]
-        x[k - 1] = cur - prev
-        prev = cur
-    return tuple(x)
-
-
 def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tuple:
     """Greedy vertex of the base polytope of a set function, along the order w.
 
@@ -238,8 +226,15 @@ def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tupl
     claimed.
     """
     w = check_permutation(w)
-    prefixes = itertools.accumulate(w, lambda s, k: s | {k}, initial=frozenset())
-    return _greedy({_subset_mask(s): f(s) for s in prefixes}, w)
+    x: list = [0] * len(w)
+    prefix: frozenset[int] = frozenset()
+    prev = f(prefix)
+    for k in w:
+        prefix = prefix | {k}
+        cur = f(prefix)
+        x[k - 1] = cur - prev
+        prev = cur
+    return tuple(x)
 
 
 def _greedy_vectors(table: Sequence[int], n: int) -> set[tuple[int, ...]]:

@@ -1,10 +1,13 @@
 import itertools
 import json
+import pickle
+import random
 
 import pytest
 
 from conftest import D9, assert_check
 from schubitope import Diagram
+from schubitope.checks import random_diagram
 from schubitope.diagrams import (
     filling_text,
     from_json_dict,
@@ -44,6 +47,42 @@ class TestDiagram:
     def test_grid_may_exceed_occupied_cells(self):
         d = Diagram(6, frozenset({(1, 1)}))
         assert d.n == 6 and d.size == 1
+
+
+def _sample_diagrams():
+    """Random diagrams at n = 1..6, plus ones with empty columns and n = 0."""
+    rng = random.Random(11)
+    yield Diagram(0, frozenset())
+    yield Diagram(4, frozenset())
+    yield Diagram(5, frozenset({(2, 3), (5, 3), (1, 5)}))
+    yield D9
+    for n in range(1, 7):
+        for _ in range(8):
+            yield random_diagram(rng, n)
+
+
+class TestColumnData:
+    def test_column_rows_are_sorted_columns(self):
+        for d in _sample_diagrams():
+            assert d.column_rows == tuple(tuple(sorted(col)) for col in d.columns)
+            assert all(type(rows) is tuple for rows in d.column_rows)
+
+    def test_column_masks_are_subset_masks(self):
+        from schubitope.polytope import _subset_mask
+
+        for d in _sample_diagrams():
+            assert d.column_masks == tuple(_subset_mask(col) for col in d.columns)
+
+    def test_cache_leaves_equality_hash_and_pickle_unchanged(self):
+        # verify --jobs > 1 sends diagrams to worker processes by pickling
+        for d in _sample_diagrams():
+            fresh = Diagram(d.n, d.boxes)
+            d.column_rows, d.column_masks  # fill the cache of d only
+            assert d == fresh and hash(d) == hash(fresh)
+            for copy in (pickle.loads(pickle.dumps(d)), pickle.loads(pickle.dumps(fresh))):
+                assert copy == d and hash(copy) == hash(d)
+                assert copy.column_rows == d.column_rows
+                assert copy.column_masks == d.column_masks
 
 
 class TestRothe:

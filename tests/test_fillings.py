@@ -108,6 +108,25 @@ class TestVertexVector:
             for w in itertools.permutations(range(1, 5)):
                 assert sum(vertex_vector(d, w)) == d.size
 
+    def test_counts_the_values_of_fill_diagram(self):
+        rng = random.Random(8)
+        corpus = [Diagram(0, frozenset()), Diagram(3, frozenset()), FIG18, D9]
+        corpus += [random_diagram(rng, n) for n in range(1, 6) for _ in range(6)]
+        for d in corpus:
+            for w in itertools.islice(itertools.permutations(range(1, d.n + 1)), 30):
+                counts = [0] * d.n
+                for v in fill_diagram(d, w).values():
+                    counts[v - 1] += 1
+                assert vertex_vector(d, w) == tuple(counts)
+
+    @pytest.mark.parametrize("w", [(1, 2), (1, 1, 2), (True, 2, 3), (1, "2", 3), (0, 1, 2), (1.0, 2, 3)])
+    def test_bad_order_messages_match_fill_diagram(self, w):
+        with pytest.raises(ValueError) as expected:
+            fill_diagram(TRAPEZOID, w)
+        with pytest.raises(ValueError) as got:
+            vertex_vector(TRAPEZOID, w)
+        assert str(got.value) == str(expected.value)
+
 
 class TestRanks:
     def test_examples(self):

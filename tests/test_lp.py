@@ -85,6 +85,17 @@ class TestSolveNonnegative:
     def test_accepts_rational_strings(self):
         assert solve_nonnegative([["1/2", 1]], ["3/4"]) == [Fraction(3, 2), 0]
 
+    @pytest.mark.parametrize("rows, rhs, bad", [
+        ([[1]], [0.1], "0.1"),          # would be solved with the binary value of 0.1
+        ([[True, 1]], [1], "True"),     # would be taken as 1
+        ([[1, 2.5]], [1], "2.5"),
+        ([[1]], [False], "False"),
+    ])
+    def test_rejects_floats_and_bools(self, rows, rhs, bad):
+        with pytest.raises(ValueError) as got:
+            solve_nonnegative(rows, rhs)
+        assert str(got.value) == f"LP entry {bad} is not an integer, a Fraction or a rational string"
+
 
 class TestConvexCombination:
     def test_midpoint(self):

@@ -45,6 +45,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(1, 'a'\)"):
             perms.check_permutation((1, "a"))
 
+    @pytest.mark.parametrize("w", [("1", 2), (True, 2), (1.0, 2), (-1, 2), (2, 1.5), (1, 1)])
+    def test_permutation_message(self, w):
+        with pytest.raises(ValueError) as got:
+            perms.check_permutation(w)
+        assert str(got.value) == f"not a permutation of 1..2: {w!r}"
+
+    @pytest.mark.parametrize("alpha", [("1", 2), (True, 0), (1.0, 2), (-1, 2), (0, 2, -3), (1, 0.5)])
+    def test_composition_message(self, alpha):
+        with pytest.raises(ValueError) as got:
+            perms.check_composition(alpha)
+        assert str(got.value) == f"composition parts must be non-negative integers: {alpha!r}"
+
     def test_composition_rejects_bools(self):
         with pytest.raises(ValueError, match=r"must be non-negative integers: \(True, 0, 2\)"):
             perms.check_composition((True, 0, 2))
@@ -73,6 +85,23 @@ class TestBruhat:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degrees"):
             bruhat_leq((1, 2), (1, 2, 3))
+
+    @pytest.mark.parametrize("u, w, bad", [
+        ((5,), (1,), r"\(5,\)"),
+        ((1, 1), (2, 1), r"\(1, 1\)"),
+        ((True, 2), (2, 1), r"\(True, 2\)"),
+        ((2, 1), (1, 1), r"\(1, 1\)"),
+    ])
+    def test_rejects_non_permutations(self, u, w, bad):
+        with pytest.raises(ValueError, match=r"^not a permutation of 1..\d: " + bad + "$"):
+            bruhat_leq(u, w)
+
+    def test_kernel_matches_lower_interval_on_s5(self):
+        # the registered bruhat-subword-oracle check sweeps only n <= 4
+        for w in all_perms(5):
+            interval = oracles.bruhat_lower_interval(w)
+            for u in all_perms(5):
+                assert perms._bruhat_leq(u, w) == (u in interval)
 
 
 class TestReducedWords:

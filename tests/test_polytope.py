@@ -13,6 +13,7 @@ from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
+    _greedy,
     greedy_vectors_by_sweep,
     schubert_matroid_bases,
     solve_unique,
@@ -25,7 +26,6 @@ from schubitope.polytope import (
     _column_table,
     _column_theta,
     _first_order,
-    _greedy,
     _greedy_vectors,
     _intersection_vertices,
     _is_submodular,
@@ -326,6 +326,22 @@ class TestEdmondsVertex:
         f = lambda s: sum(c[i - 1] for i in s)
         for w in itertools.permutations(range(1, 4)):
             assert edmonds_vertex(f, w) == c
+
+    def test_matches_greedy_on_the_table_of_f(self):
+        # any set function, f(empty) != 0 included: each coordinate is a
+        # difference of f along the prefixes, with f(empty) as the base
+        rng = random.Random(5)
+        for n in range(0, 6):
+            for _ in range(6):
+                table = [rng.randint(-4, 9) for _ in range(2 ** n)]
+                f = lambda s: table[_subset_mask(s)]
+                for w in itertools.permutations(range(1, n + 1)):
+                    assert edmonds_vertex(f, w) == _greedy(table, w)
+
+    def test_calls_f_once_per_prefix_in_order(self):
+        seen = []
+        edmonds_vertex(lambda s: seen.append(s) or len(seen), (3, 1, 2))
+        assert seen == [frozenset(), {3}, {1, 3}, {1, 2, 3}]
 
     def test_agrees_with_filling_on_random_diagrams(self):
         assert_check("greedy-equals-filling", 4, 15936)
