@@ -15,6 +15,7 @@ pool; results are always assembled in registry order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -79,12 +80,16 @@ def _subsets(n: int) -> Iterator[frozenset[int]]:
         yield frozenset(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _family_corpus(n: int) -> tuple[Diagram, ...]:
+    """Every Rothe and skyline diagram at size n, built once per process for
+    the checks that share them."""
+    return (*map(diagrams.rothe, all_perms(n)), *(diagrams.skyline(a) for a in compositions(n, n)))
+
+
 def theta_rank_corpus(n: int, rng: random.Random, samples: int) -> list[Diagram]:
     """Random diagrams plus every Rothe and skyline diagram at size n."""
-    corpus = [random_diagram(rng, n) for _ in range(samples)]
-    corpus.extend(diagrams.rothe(w) for w in all_perms(n))
-    corpus.extend(diagrams.skyline(a) for a in compositions(n, n))
-    return corpus
+    return [*(random_diagram(rng, n) for _ in range(samples)), *_family_corpus(n)]
 
 
 # ---------------------------------------------------------------- perms

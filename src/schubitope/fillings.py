@@ -180,6 +180,8 @@ def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     s = tuple(subset)
     _check_values(s)  # once, before sorting; the Diagram checked its columns
     s = tuple(sorted(s))
+    if s and s[-1] > d.n:  # the message of `polytope.theta`
+        raise ValueError(f"subset element {next(i for i in s if i > d.n)!r} out of range 1..{d.n}")
     return sum(len(_fill(rows, s)) for rows in d.column_rows)
 
 

@@ -7,12 +7,15 @@ permutation for the vertex set, one greedy vector per permutation
 (`_greedy`, read off a bound table) for the prefix-mask enumeration of a
 table's greedy vectors and for `edmonds_vertex`, one `Fraction`
 sum per subset for the integer subset-sum walk, one `Fraction` square solve
-per choice of n-1 bound rows for the intersection vertex search, a phase-1
-simplex on `Fraction` entries for the integer-tableau one, one simplex per
-point for the certified hull, and every k-subset compared in the Gale
-order for a column's Schubert matroid bases.  Slow, obvious, and
-independent of the code they vouch for.  The n! sweeps keep their own cap,
-`SWEEP_CAP`.
+per choice of n-1 bound rows for the intersection vertex search, every
+pair of masks for the local submodularity test, one subset-sum walk and
+rank test per claimed point for the chain certificates of vertex
+certification, a phase-1 simplex on `Fraction` entries for the
+integer-tableau one, one simplex per point for the certified hull, and
+every k-subset compared in the Gale order for a column's Schubert matroid
+bases.  Slow, obvious, and independent of the code they vouch for.  The n!
+sweeps keep their own cap, `SWEEP_CAP`, and the walk certification its
+own, `CERTIFY_CAP`.
 """
 from __future__ import annotations
 
@@ -35,9 +38,23 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import HRep, _check_subset, member
+from .polytope import (
+    INTERSECT_CAP,
+    Certification,
+    HRep,
+    _check_subset,
+    _exposed,
+    _first_order,
+    _greedy_vectors,
+    _intersection_vertices,
+    _is_submodular,
+    _rank,
+    _walk,
+    member,
+)
 
-SWEEP_CAP = 8  # the n! sweeps below; independent of the fast enumerator's cap
+SWEEP_CAP = 8    # the n! sweeps below; independent of the fast enumerator's cap
+CERTIFY_CAP = 8  # the walk certification below; independent of the chain one's cap
 
 
 def bruhat_lower_interval(w: Sequence[int]) -> set[Perm]:
@@ -236,6 +253,54 @@ def vertices_by_intersection(h: HRep) -> set[tuple]:
         if x is not None and member(h, x):
             found.add(tuple(x))
     return found
+
+
+def is_submodular_by_pairs(table: Sequence[int], n: int) -> bool:
+    """Submodularity by its definition: f(A) + f(B) >= f(A | B) + f(A & B)
+    for every pair of masks A, B of [n]."""
+    size = 2 ** n
+    return all(table[a] + table[b] >= table[a | b] + table[a & b] for a in range(size) for b in range(size))
+
+
+def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certification:
+    """`polytope.certify_vertices` as it was before chain certificates: every
+    claimed point is walked over its subset sums, and a member is a vertex
+    when its tight rows have rank n; the rest as there."""
+    if h.n > CERTIFY_CAP:
+        raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
+    pts = sorted({tuple(p) for p in points})
+    walks = [_walk(h, p) for p in pts]
+    failures = [f"claimed vertex {p} violates the description: {bad}"
+                for p, (bad, _) in zip(pts, walks) if bad is not None]
+
+    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
+    lp_calls = 0
+    for idx, (p, (bad, tight)) in enumerate(zip(pts, walks)):
+        if bad is None and _rank(h.n, tight) == h.n and _exposed(p, tight, outside):
+            continue
+        others = pts[:idx] + pts[idx + 1:]
+        lp_calls += 1
+        lam = convex_combination(p, others)
+        if lam is not None:
+            combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
+            failures.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
+
+    claimed = set(pts)
+    if _is_submodular(h.table, h.n):
+        method = "greedy"
+        missing = sorted((_first_order(h.table, v, h.n), v)
+                         for v in _greedy_vectors(h.table, h.n) if v not in claimed)
+        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
+    else:
+        method = "intersection"
+        if h.n > INTERSECT_CAP:
+            raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
+        for v in sorted(_intersection_vertices(h)):
+            if v not in claimed:
+                failures.append(f"vertex ({', '.join(map(str, v))}) is missing from the claimed set")
+
+    return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
+                         lp_calls=lp_calls)
 
 
 def schubert_by_last_ascent(w: Sequence[int]) -> polyoracle.Polynomial:

@@ -14,13 +14,17 @@ once, so the sums and the comparisons with the table stay integers.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
-vectors its prefix orders reach, lists them without the n! orders; it
-serves `vertices` and `certify_vertices`, which re-derives the vertices
-exactly (by a search over tight row choices when a table is not
-submodular) with a witness per defect.
+vectors its prefix orders reach, lists them without the n! orders; a
+one-entry memo keyed by the `HRep` lets `vertices` and the last step of
+`certify_vertices` share one enumeration.  `certify_vertices` proves a
+claimed point of a submodular table a vertex by a chain of tight
+prefixes, the order whose greedy vector it is, and walks only the points
+without one; it re-derives the vertices exactly (by a search over tight
+row choices when a table is not submodular) with a witness per defect.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -36,7 +40,7 @@ STAR = "★"
 
 HREP_CAP = 12        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
-CERTIFY_CAP = 8      # exact certification
+CERTIFY_CAP = 10     # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 
 
@@ -178,6 +182,16 @@ def hrep(d: Diagram) -> HRep:
     return HRep(d.n, d.size, table)
 
 
+def _check_point(h: HRep, point: Sequence) -> None:
+    """Refuse a point of the wrong dimension or with a coordinate that is
+    neither `int` nor `Fraction`."""
+    if len(point) != h.n:
+        raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
+    if not {*map(type, point)} <= {int, Fraction}:
+        k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in (int, Fraction))
+        raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
+
+
 def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     """One pass over the point's subset sums in increasing mask order: the
     first violated constraint (None when the point is inside) and the masks
@@ -186,11 +200,7 @@ def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     Coordinates must be `int` or `Fraction`.  The point is scaled once by
     the lcm L of their denominators, so the walk adds integers and compares
     them with L * table; witnesses print the unscaled sums."""
-    if len(point) != h.n:
-        raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
-    if not {*map(type, point)} <= {int, Fraction}:
-        k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in (int, Fraction))
-        raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
+    _check_point(h, point)
     scale = math.lcm(*[x.denominator for x in point])
     xs = [x.numerator * (scale // x.denominator) for x in point]
     total = sum(xs)
@@ -237,7 +247,7 @@ def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tupl
     return tuple(x)
 
 
-def _greedy_vectors(table: Sequence[int], n: int) -> set[tuple[int, ...]]:
+def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     """Every greedy vector of the integer table over the full symmetric
     group, without running the n! orders.
 
@@ -269,44 +279,63 @@ def _greedy_vectors(table: Sequence[int], n: int) -> set[tuple[int, ...]]:
             else:
                 nxt.update(map(add.__add__, cur))
     low = (1 << w) - 1
-    return {tuple([(v >> shift & low) + lo for _, shift in steps]) for v in reach[full]}
+    return frozenset([tuple([(v >> shift & low) + lo for _, shift in steps]) for v in reach[full]])
+
+
+@functools.lru_cache(maxsize=1)
+def _vertex_set(h: HRep) -> frozenset[tuple[int, ...]]:
+    """`_greedy_vectors` of the table, memoized for the last table only:
+    `vertices(d)` followed by `certify_vertices(hrep(d), ...)` enumerates
+    it once, and no more than one vertex set is kept alive."""
+    return _greedy_vectors(h.table, h.n)
 
 
 def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
     """The lexicographically first order whose greedy vector is v, or None.
 
     Along an order the greedy coordinates telescope, so the order reaches v
-    exactly when every prefix mask S has sum(v over S) == table[S] -
-    table[0]; a depth-first search over such tight prefixes, smallest
-    element first, meets the first such order first."""
+    exactly when each element k it adds to a prefix mask S has v_k ==
+    table[S + k] - table[S]; a depth-first search over such tight steps,
+    smallest element first, meets the first such order first.  Whether a
+    prefix completes depends on its mask alone, so a mask that does not is
+    never entered again, and a point tight on many masks costs at most a
+    walk."""
     full = 2 ** n - 1
-    order: list[int] = []
-
-    def search(mask: int, got: int) -> bool:
-        if mask == full:
-            return True
-        for k in range(n):
+    order: list[int] = []   # the elements added so far, 0-based
+    dead: set[int] = set()
+    mask = k = 0            # the prefix, and the next element to try after it
+    while mask != full:
+        base = table[mask]
+        while k < n:
             bit = 1 << k
-            if not mask & bit and got + v[k] == table[mask | bit] - table[0]:
-                order.append(k + 1)
-                if search(mask | bit, got + v[k]):
-                    return True
-                order.pop()
-        return False
-
-    return tuple(order) if search(0, 0) else None
+            if not mask & bit and v[k] == table[mask | bit] - base and (mask | bit) not in dead:
+                break
+            k += 1
+        if k < n:           # step down to mask + k
+            order.append(k)
+            mask |= 1 << k
+            k = 0
+        elif order:         # back up, and try the elements after the last one
+            dead.add(mask)
+            k = order.pop()
+            mask ^= 1 << k
+            k += 1
+        else:
+            return None
+    return tuple(k + 1 for k in order)
 
 
 def vertices(d: Diagram) -> set[tuple[int, ...]]:
     """All distinct greedy vectors of the diagram's bound table over the full
-    symmetric group, enumerated by prefix mask (`_greedy_vectors`).
+    symmetric group, enumerated by prefix mask (`_greedy_vectors`) through
+    the one-entry memo `_vertex_set`; each call returns a fresh set.
 
     >>> sorted(vertices(Diagram(3, {(1, 1), (3, 1), (3, 2), (3, 3)})))
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]
     """
     if d.n > SWEEP_CAP:
         raise ValueError(f"vertex enumeration at n = {d.n} exceeds the enumeration budget (n <= {SWEEP_CAP})")
-    return _greedy_vectors(hrep(d).table, d.n)
+    return set(_vertex_set(hrep(d)))
 
 
 @dataclass(frozen=True)
@@ -328,12 +357,22 @@ class Certification:
 
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:
-    # local exchange condition: f(S+i) + f(S+j) >= f(S+i+j) + f(S)
-    return all(
-        table[m | bi] + table[m | bj] >= table[m | bi | bj] + table[m]
-        for m in range(2 ** n)
-        for bi, bj in itertools.combinations([1 << i for i in range(n) if not (m >> i) & 1], 2)
-    )
+    """The local exchange condition f(S+i) + f(S+j) >= f(S+i+j) + f(S) for
+    every pair i < j and every mask S holding neither, which a set function
+    meets exactly when it is submodular; stops at the first violation."""
+    for i in range(n):
+        bi = 1 << i
+        for j in range(i + 1, n):
+            bj = 1 << j
+            rest = (2 ** n - 1) ^ bi ^ bj
+            m = rest
+            while True:  # every submask of rest, rest first
+                if table[m | bi] + table[m | bj] < table[m | bi | bj] + table[m]:
+                    return False
+                if not m:
+                    break
+                m = (m - 1) & rest
+    return True
 
 
 def _extend(echelon: list, row: list[int], n: int) -> list | None:
@@ -413,27 +452,45 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  One walk over each point's subset sums serves (a) and (b): a
-    member whose tight rows have rank n is a vertex of the polytope and so
-    no convex combination of other points in it, nor of claimed points
-    outside it that `_exposed` separates from it; only the other points go
-    to the phase-1 simplex.  For (c), the vertices of a submodular bound
-    system are its greedy vectors (`_greedy_vectors`), and each missing one
-    is named with the first order reaching it (`_first_order`); otherwise a
-    depth-first search over independent bound rows finds the vertices.
+    points.  When the table is submodular, a claimed point with an order
+    whose every prefix is tight (`_first_order`) is the greedy vector along
+    it, so by Edmonds a member and a vertex, cut out by its chain of n - 1
+    proper prefix rows; it needs no walk.  Every other point gets one walk
+    over its subset sums: the first violated bound for (a), and the tight
+    rows, which make a member a vertex when they have rank n.  A vertex is
+    no convex combination of other points in the polytope, nor of claimed
+    points outside it that `_exposed` separates from it, by its chain rows
+    first and then by all its tight rows; only the other points go to the
+    phase-1 simplex.  For (c), the vertices of a submodular bound system
+    are its greedy vectors (`_vertex_set`), and each missing one is named
+    with the first order reaching it; otherwise a depth-first search over
+    independent bound rows finds the vertices.
     """
-    if h.n > CERTIFY_CAP:
+    n, table = h.n, h.table
+    if n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
     pts = sorted({tuple(p) for p in points})
-    walks = [_walk(h, p) for p in pts]
-    failures = [f"claimed vertex {p} violates the description: {bad}"
-                for p, (bad, _) in zip(pts, walks) if bad is not None]
+    for p in pts:
+        _check_point(h, p)
+    submodular = _is_submodular(table, n)
+    if not submodular and n > INTERSECT_CAP:
+        raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
 
-    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
+    orders = [_first_order(table, p, n) if submodular else None for p in pts]
+    walks = {p: _walk(h, p) for p, order in zip(pts, orders) if order is None}
+    outside = [p for p, (bad, _) in walks.items() if bad is not None]
+    failures = [f"claimed vertex {p} violates the description: {walks[p][0]}" for p in outside]
+
     lp_calls = 0
-    for idx, (p, (bad, tight)) in enumerate(zip(pts, walks)):
-        if bad is None and _rank(h.n, tight) == h.n and _exposed(p, tight, outside):
-            continue
+    for idx, (p, order) in enumerate(zip(pts, orders)):
+        if order is not None:
+            chain = list(itertools.accumulate([1 << (k - 1) for k in order[:-1]], operator.or_))
+            if _exposed(p, chain, outside) or _exposed(p, _walk(h, p)[1], outside):
+                continue
+        else:
+            bad, tight = walks[p]
+            if bad is None and _rank(n, tight) == n and _exposed(p, tight, outside):
+                continue
         others = pts[:idx] + pts[idx + 1:]
         lp_calls += 1
         lam = lp.convex_combination(p, others)
@@ -442,17 +499,14 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
             failures.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
 
     claimed = set(pts)
-    if _is_submodular(h.table, h.n):
+    if submodular:
         method = "greedy"
         # each missing vertex with the first order reaching it, in the order
         # an S_n sweep in lexicographic order would first meet them
-        missing = sorted((_first_order(h.table, v, h.n), v)
-                         for v in _greedy_vectors(h.table, h.n) if v not in claimed)
+        missing = sorted((_first_order(table, v, n), v) for v in _vertex_set(h) if v not in claimed)
         failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
     else:
         method = "intersection"
-        if h.n > INTERSECT_CAP:
-            raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
         for v in sorted(_intersection_vertices(h)):
             if v not in claimed:
                 # p/q for non-integer coordinates; a non-submodular table has n >= 2

@@ -18,6 +18,7 @@ from schubitope.fillings import (
     standardize,
     vertex_vector,
 )
+from schubitope.polytope import theta
 
 
 def subsets(n):
@@ -171,6 +172,18 @@ class TestRanks:
         assert rank_diagram(D9, {1, 3}) == 7
         assert rank_diagram(D9, set(range(1, 6))) == D9.size
         assert rank_diagram(D9, set()) == 0
+
+    def test_diagram_rank_refuses_rows_past_the_grid(self):
+        # the two sides of theta = rank refuse the same subsets alike
+        d = Diagram(2, frozenset({(1, 1), (2, 2)}))
+        with pytest.raises(ValueError, match=r"^subset element 5 out of range 1\.\.2$"):
+            rank_diagram(d, {5})
+        for subset in ({5}, {3, 1}, {2, 4, 3}):
+            with pytest.raises(ValueError) as by_rank:
+                rank_diagram(d, subset)
+            with pytest.raises(ValueError) as by_theta:
+                theta(d, subset)
+            assert str(by_rank.value) == str(by_theta.value)
 
     def test_diagram_rank_submodular_sampled(self):
         assert_check("rank-submodular", 4, 3072)

@@ -14,7 +14,9 @@ from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
     _greedy,
+    certify_vertices_by_walk,
     greedy_vectors_by_sweep,
+    is_submodular_by_pairs,
     schubert_matroid_bases,
     solve_unique,
     vertices_by_filling,
@@ -372,6 +374,15 @@ class TestVertices:
         with pytest.raises(ValueError, match="budget"):
             vertices(Diagram(11, frozenset()))
 
+    def test_returns_a_fresh_set_each_call(self):
+        # the enumeration is memoized for the last table; a caller's edits
+        # must not reach the memo
+        got = vertices(TRAPEZOID)
+        got.add((0, 0, 4))
+        got.discard((3, 1, 0))
+        assert vertices(TRAPEZOID) == TRAPEZOID_VERTICES
+        assert certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES).ok
+
     def test_oracle_sweeps_keep_their_own_cap(self):
         with pytest.raises(ValueError, match="budget"):
             vertices_by_filling(Diagram(9, frozenset()))
@@ -466,7 +477,14 @@ class TestCertify:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            certify_vertices(HRep(9, 0, (0,) * 2 ** 9), set())
+            certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
+
+    def test_non_submodular_cap_is_checked_before_the_points_are(self):
+        h = raised_theta_table(random.Random(7), 6)
+        with pytest.raises(ValueError, match="non-submodular bounds capped at n <= 5"):
+            certify_vertices(h, {(h.total, 0, 0, 0, 0, 0)})
+        with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
+            certify_vertices(h, {(0, 0)})
 
     def test_reports_lp_calls(self):
         assert certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES).lp_calls == 0
@@ -516,7 +534,7 @@ class TestCertify:
 
     def test_random_diagrams_up_to_the_cap(self):
         rng = random.Random(78)
-        for n, density in ((7, 0.5), (8, 0.3)):
+        for n, density in ((7, 0.5), (8, 0.3), (9, 0.5)):  # n = 10 is too slow here
             d = random_diagram_with_density(rng, n, density)
             h, verts = hrep(d), vertices(d)
             cert = certify_vertices(h, verts)
@@ -583,6 +601,12 @@ class TestGreedyVectors:
                 if n:  # every greedy vector sums to table[-1] - table[0]
                     assert _first_order(table, (table[-1] - table[0] + 1,) + (0,) * (n - 1), n) is None
 
+    def test_first_order_enters_each_dead_prefix_once(self):
+        # every mask without 10 is tight at p, but no order completes, since
+        # p sums to 11; a search of the 9! orders of 1..9 would take seconds
+        table = (0, *(bin(mask).count("1") for mask in range(1, 2 ** 10)))
+        assert _first_order(table, (1,) * 9 + (2,), 10) is None
+
 
 def probe_points(verts, rng):
     """The vertices, then points between them: the lattice points among up to
@@ -640,7 +664,10 @@ class TestTightRank:
 
 def raised_theta_table(rng, n):
     """The theta table of a random diagram with one bound raised by 1 or 2,
-    redrawn until it is not submodular."""
+    redrawn until it is not submodular.  Raising a bound keeps every table
+    at n <= 2 submodular, so there the redraws would never end."""
+    if n < 3:
+        raise ValueError(f"no raised theta table at n = {n} is non-submodular")
     while True:
         table = list(hrep(random_diagram(rng, n)).table)
         table[rng.randrange(1, 2 ** n - 1)] += rng.randint(1, 2)
@@ -672,6 +699,69 @@ class TestIntersectionVertices:
 
     def test_oracle_solve_unique_singular(self):
         assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None
+
+
+def claim_families(verts, rng):
+    """The vertex set, then one point short, then plus a + b (off the
+    hyperplane), plus 2a - b (on it, beyond a) and plus the midpoint of a
+    and b (inside, rational), for two vertices a, b."""
+    a, b = rng.sample(sorted(verts), 2) if len(verts) > 1 else (min(verts),) * 2
+    return [verts, verts - {a},
+            verts | {tuple(x + y for x, y in zip(a, b))},
+            verts | {tuple(2 * x - y for x, y in zip(a, b))},
+            verts | {tuple(Fraction(x + y, 2) for x, y in zip(a, b))}]
+
+
+class TestChainCertificates:
+    """Certification by chains of tight prefixes against the walk of every
+    claimed point it replaces (`oracles.certify_vertices_by_walk`), and the
+    submodularity test their soundness rests on against its definition."""
+
+    def test_matches_walk_oracle_on_random_claims(self):
+        # at n = 6 the claims with a + b and with 2a - b send tens to hundreds
+        # of points to the simplex in both routines, seconds per diagram, so
+        # only the other three run there
+        rng = random.Random(97)
+        sizes = [1] * 10 + [2] * 60 + [3] * 130 + [4] * 150 + [5] * 40 + [6] * 10
+        fell = 0
+        for n in sizes:
+            d = random_diagram(rng, n)
+            h, verts = hrep(d), vertices(d)
+            claims = claim_families(verts, rng)
+            for claim in claims if n < 6 else claims[:2] + claims[4:]:
+                new, old = certify_vertices(h, claim), certify_vertices_by_walk(h, claim)
+                assert (new.ok, new.method, new.points, new.failures) == \
+                    (old.ok, old.method, old.points, old.failures), (d, claim)
+                assert new.lp_calls <= old.lp_calls, (d, claim)
+                fell += new.lp_calls < old.lp_calls
+        assert fell > 0
+
+    def test_matches_walk_oracle_on_non_submodular_tables(self):
+        rng = random.Random(98)
+        for n in (3, 4) * 15:
+            h = raised_theta_table(rng, n)
+            for claim in claim_families(_intersection_vertices(h), rng):
+                assert certify_vertices(h, claim) == certify_vertices_by_walk(h, claim), (h, claim)
+
+    def test_oracle_keeps_its_own_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            certify_vertices_by_walk(HRep(9, 0, (0,) * 2 ** 9), set())
+
+    def test_submodularity_matches_pairs_oracle(self):
+        rng = random.Random(99)
+        verdicts = set()
+        for n in range(7):
+            for _ in range(6):
+                tables = [list(hrep(random_diagram(rng, n)).table),
+                          [-b for b in hrep(random_diagram(rng, n)).table],
+                          [rng.randint(-5, 5) for _ in range(2 ** n)]]
+                if n >= 3:
+                    tables.append(list(raised_theta_table(rng, n).table))
+                for table in tables:
+                    verdict = is_submodular_by_pairs(table, n)
+                    assert _is_submodular(table, n) == verdict, (n, table)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestThetaRankIdentity:
