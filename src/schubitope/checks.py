@@ -251,15 +251,23 @@ def check_sort_standardize(m: int, rng: random.Random) -> Steps:
                     return f"standardize not idempotent on {inc}"
 
 
+def _submodular_pairs(d: Diagram, f: Callable[[Diagram, frozenset[int]], int]) -> Steps:
+    """f(d, S) + f(d, T) >= f(d, S | T) + f(d, S & T) for every pair of
+    subsets S, T of [d.n], f read once per subset into a mask-indexed list;
+    one yield per pair."""
+    table = [f(d, s) for s in _subsets(d.n)]
+    for s, fs in enumerate(table):
+        for t, ft in enumerate(table):
+            yield
+            if fs + ft < table[s | t] + table[s & t]:
+                return f"D={_diagram_str(d)} S={polytope._mask_subset(s, d.n)} T={polytope._mask_subset(t, d.n)}"
+
+
 @check("rank-submodular", scope=4)
 def check_rank_submodular(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(12)]:
-        table = {s: fillings.rank_diagram(d, s) for s in _subsets(m)}
-        for s in table:
-            for t in table:
-                yield
-                if table[s] + table[t] < table[s | t] + table[s & t]:
-                    return f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}"
+        if bad := (yield from _submodular_pairs(d, fillings.rank_diagram)):
+            return bad
 
 
 @check("rank-monotone-step", scope=5)
@@ -393,12 +401,8 @@ def check_vertex_swap_stability(m: int, rng: random.Random) -> Steps:
 @check("theta-submodular", scope=4)
 def check_theta_submodular(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=10):
-        table = {s: polytope.theta(d, s) for s in _subsets(m)}
-        for s in table:
-            for t in table:
-                yield
-                if table[s] + table[t] < table[s | t] + table[s & t]:
-                    return f"D={_diagram_str(d)} S={sorted(s)} T={sorted(t)}"
+        if bad := (yield from _submodular_pairs(d, polytope.theta)):
+            return bad
 
 
 # ----------------------------------------------------------- polyoracle

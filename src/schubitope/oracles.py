@@ -10,12 +10,12 @@ sum per subset for the integer subset-sum walk, one `Fraction` square solve
 per choice of n-1 bound rows for the intersection vertex search, every
 pair of masks for the local submodularity test, one subset-sum walk and
 rank test per claimed point for the chain certificates of vertex
-certification, a phase-1 simplex on `Fraction` entries for the
-integer-tableau one, one simplex per point for the certified hull, and
-every k-subset compared in the Gale order for a column's Schubert matroid
-bases.  Slow, obvious, and independent of the code they vouch for.  The n!
-sweeps keep their own cap, `SWEEP_CAP`, and the walk certification its
-own, `CERTIFY_CAP`.
+certification (its second step; the third is shared), a phase-1 simplex
+on `Fraction` entries for the integer-tableau one, one simplex per point
+for the certified hull, and every k-subset compared in the Gale order for
+a column's Schubert matroid bases.  Slow, obvious, and independent of the
+code they vouch for.  The n! sweeps keep their own cap, `SWEEP_CAP`, and
+the walk certification its own, `CERTIFY_CAP`.
 """
 from __future__ import annotations
 
@@ -43,11 +43,10 @@ from .polytope import (
     Certification,
     HRep,
     _check_subset,
+    _combination_witness,
     _exposed,
-    _first_order,
-    _greedy_vectors,
-    _intersection_vertices,
     _is_submodular,
+    _missing_vertices,
     _rank,
     _walk,
     member,
@@ -265,40 +264,29 @@ def is_submodular_by_pairs(table: Sequence[int], n: int) -> bool:
 def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certification:
     """`polytope.certify_vertices` as it was before chain certificates: every
     claimed point is walked over its subset sums, and a member is a vertex
-    when its tight rows have rank n; the rest as there."""
+    when its tight rows have rank n.  Step (c) and the simplex's witness
+    are the shared `_missing_vertices` and `_combination_witness`."""
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
+    submodular = _is_submodular(h.table, h.n)
+    if not submodular and h.n > INTERSECT_CAP:
+        raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
     pts = sorted({tuple(p) for p in points})
     walks = [_walk(h, p) for p in pts]
+    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
     failures = [f"claimed vertex {p} violates the description: {bad}"
                 for p, (bad, _) in zip(pts, walks) if bad is not None]
 
-    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
     lp_calls = 0
     for idx, (p, (bad, tight)) in enumerate(zip(pts, walks)):
         if bad is None and _rank(h.n, tight) == h.n and _exposed(p, tight, outside):
             continue
-        others = pts[:idx] + pts[idx + 1:]
         lp_calls += 1
-        lam = convex_combination(p, others)
-        if lam is not None:
-            combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
-            failures.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
+        if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
+            failures.append(witness)
 
-    claimed = set(pts)
-    if _is_submodular(h.table, h.n):
-        method = "greedy"
-        missing = sorted((_first_order(h.table, v, h.n), v)
-                         for v in _greedy_vectors(h.table, h.n) if v not in claimed)
-        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
-    else:
-        method = "intersection"
-        if h.n > INTERSECT_CAP:
-            raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
-        for v in sorted(_intersection_vertices(h)):
-            if v not in claimed:
-                failures.append(f"vertex ({', '.join(map(str, v))}) is missing from the claimed set")
-
+    method, missing = _missing_vertices(h, set(pts), submodular)
+    failures += missing
     return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)
 

@@ -18,9 +18,10 @@ vectors its prefix orders reach, lists them without the n! orders; a
 one-entry memo keyed by the `HRep` lets `vertices` and the last step of
 `certify_vertices` share one enumeration.  `certify_vertices` proves a
 claimed point of a submodular table a vertex by a chain of tight
-prefixes, the order whose greedy vector it is, and walks only the points
-without one; it re-derives the vertices exactly (by a search over tight
-row choices when a table is not submodular) with a witness per defect.
+prefixes, the order whose greedy vector it is, found in one forward pass
+(`_first_order`), and walks only the points without one; it re-derives
+the vertices exactly (by a search over tight row choices when a table is
+not submodular) with a witness per defect (`_missing_vertices`).
 """
 from __future__ import annotations
 
@@ -291,38 +292,30 @@ def _vertex_set(h: HRep) -> frozenset[tuple[int, ...]]:
 
 
 def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
-    """The lexicographically first order whose greedy vector is v, or None.
+    """The lexicographically first order whose greedy vector is v, or None,
+    for a submodular table.
 
     Along an order the greedy coordinates telescope, so the order reaches v
-    exactly when each element k it adds to a prefix mask S has v_k ==
-    table[S + k] - table[S]; a depth-first search over such tight steps,
-    smallest element first, meets the first such order first.  Whether a
-    prefix completes depends on its mask alone, so a mask that does not is
-    never entered again, and a point tight on many masks costs at most a
-    walk."""
-    full = 2 ** n - 1
-    order: list[int] = []   # the elements added so far, 0-based
-    dead: set[int] = set()
-    mask = k = 0            # the prefix, and the next element to try after it
-    while mask != full:
+    exactly when each element k it adds to a prefix mask S is a tight step:
+    v_k == table[S + k] - table[S].  One forward pass takes the smallest
+    tight step at each prefix and gives up at the first prefix with none.
+    That is exact because the table is submodular: the sets tight at a
+    vertex are closed under union and intersection, so every tight prefix
+    of a vertex extends by one element, and no order reaches a point that
+    is not a vertex.  On other tables the pass may miss an order."""
+    order: list[int] = []
+    mask = 0
+    for _ in range(n):
         base = table[mask]
-        while k < n:
+        for k in range(n):
             bit = 1 << k
-            if not mask & bit and v[k] == table[mask | bit] - base and (mask | bit) not in dead:
+            if not mask & bit and v[k] == table[mask | bit] - base:
                 break
-            k += 1
-        if k < n:           # step down to mask + k
-            order.append(k)
-            mask |= 1 << k
-            k = 0
-        elif order:         # back up, and try the elements after the last one
-            dead.add(mask)
-            k = order.pop()
-            mask ^= 1 << k
-            k += 1
         else:
             return None
-    return tuple(k + 1 for k in order)
+        order.append(k + 1)
+        mask |= bit
+    return tuple(order)
 
 
 def vertices(d: Diagram) -> set[tuple[int, ...]]:
@@ -446,6 +439,29 @@ def _intersection_vertices(h: HRep) -> set[tuple]:
     return found
 
 
+def _combination_witness(p: tuple, others: list[tuple]) -> str | None:
+    """The failure naming p a convex combination of the other claimed
+    points, by the phase-1 simplex, or None when it is none."""
+    lam = lp.convex_combination(p, others)
+    if lam is None:
+        return None
+    combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
+    return f"claimed vertex {p} is not a vertex: {p} = {combo}"
+
+
+def _missing_vertices(h: HRep, claimed: set[tuple], submodular: bool) -> tuple[str, list[str]]:
+    """Certification step (c): the method finding the polytope's vertices,
+    greedy vectors (`_vertex_set`) or the search over independent bound rows,
+    and a failure per vertex not claimed; a greedy vector is named with the
+    first order reaching it, in the order a lexicographic S_n sweep meets it."""
+    if submodular:
+        missing = sorted((_first_order(h.table, v, h.n), v) for v in _vertex_set(h) if v not in claimed)
+        return "greedy", [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
+    # p/q for non-integer coordinates; a non-submodular table has n >= 2
+    return "intersection", [f"vertex ({', '.join(map(str, v))}) is missing from the claimed set"
+                            for v in sorted(_intersection_vertices(h)) if v not in claimed]
+
+
 def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     """Certify that ``points`` is exactly the vertex set of the polytope.
 
@@ -455,16 +471,15 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     points.  When the table is submodular, a claimed point with an order
     whose every prefix is tight (`_first_order`) is the greedy vector along
     it, so by Edmonds a member and a vertex, cut out by its chain of n - 1
-    proper prefix rows; it needs no walk.  Every other point gets one walk
-    over its subset sums: the first violated bound for (a), and the tight
-    rows, which make a member a vertex when they have rank n.  A vertex is
-    no convex combination of other points in the polytope, nor of claimed
-    points outside it that `_exposed` separates from it, by its chain rows
-    first and then by all its tight rows; only the other points go to the
-    phase-1 simplex.  For (c), the vertices of a submodular bound system
-    are its greedy vectors (`_vertex_set`), and each missing one is named
-    with the first order reaching it; otherwise a depth-first search over
-    independent bound rows finds the vertices.
+    proper prefix rows; it needs no walk.  By the same theorem a point
+    without one is no vertex, and is walked for (a) alone.  At a table that
+    is not submodular every point is walked over its subset sums: the first
+    violated bound for (a), and the tight rows, which make a member a
+    vertex when they have rank n.  A vertex is no convex combination of
+    other points in the polytope, nor of claimed points outside it that
+    `_exposed` separates from it, by its chain rows first and then by all
+    its tight rows; only the other points go to the phase-1 simplex
+    (`_combination_witness`).  Step (c) is `_missing_vertices`.
     """
     n, table = h.n, h.table
     if n > CERTIFY_CAP:
@@ -487,31 +502,16 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
             chain = list(itertools.accumulate([1 << (k - 1) for k in order[:-1]], operator.or_))
             if _exposed(p, chain, outside) or _exposed(p, _walk(h, p)[1], outside):
                 continue
-        else:
+        elif not submodular:
             bad, tight = walks[p]
             if bad is None and _rank(n, tight) == n and _exposed(p, tight, outside):
                 continue
-        others = pts[:idx] + pts[idx + 1:]
         lp_calls += 1
-        lam = lp.convex_combination(p, others)
-        if lam is not None:
-            combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
-            failures.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
+        if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
+            failures.append(witness)
 
-    claimed = set(pts)
-    if submodular:
-        method = "greedy"
-        # each missing vertex with the first order reaching it, in the order
-        # an S_n sweep in lexicographic order would first meet them
-        missing = sorted((_first_order(table, v, n), v) for v in _vertex_set(h) if v not in claimed)
-        failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
-    else:
-        method = "intersection"
-        for v in sorted(_intersection_vertices(h)):
-            if v not in claimed:
-                # p/q for non-integer coordinates; a non-submodular table has n >= 2
-                failures.append(f"vertex ({', '.join(map(str, v))}) is missing from the claimed set")
-
+    method, missing = _missing_vertices(h, set(pts), submodular)
+    failures += missing
     return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)
 

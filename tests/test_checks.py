@@ -150,10 +150,70 @@ def test_sort_filling_fault_caught(monkeypatch):
         "sort-standardize", 37, "sort({1: 1}) gave {}, expected {1: 1}")
 
 
+def test_theta_submodular_fault_caught(monkeypatch):
+    # the full set's bound raised by 2 breaks submodularity at S + T = [4]
+    theta = polytope.theta
+    monkeypatch.setattr(polytope, "theta", lambda d, s: theta(d, s) + 2 * (len(s) == 4))
+    result = run_check("theta-submodular", 4, seed=0)
+    assert result.instances == 31
+    assert result.counterexample.endswith("S=[1] T=[2, 3, 4]")
+
+
+def test_rank_submodular_fault_caught(monkeypatch):
+    rank = fillings.rank_diagram
+    monkeypatch.setattr(fillings, "rank_diagram", lambda d, s: rank(d, s) + 2 * (len(s) == 4))
+    assert run_check("rank-submodular", 4, seed=0) == CheckResult(
+        "rank-submodular", 127,
+        'D={"n":4,"boxes":[[1,1],[1,2],[2,2],[2,3],[2,4],[3,1],[3,3],[4,1],[4,3],[4,4]]} '
+        "S=[1, 2, 3] T=[2, 3, 4]")
+
+
 def test_greedy_equals_filling_instance_count():
     # one per diagram and permutation: (15 random + 24 Rothe + 625 skyline) * 4!
     assert run_check("greedy-equals-filling", 4, seed=0) == CheckResult(
         "greedy-equals-filling", 15936, None)
+
+
+# every check's instance count at `verify --n 4 --seed 0`; a refactor of a
+# check's sweep must leave it sweeping the same instances
+VERIFY_N4_SEED0 = [
+    ("w-of-shortest-sort", 340),
+    ("bruhat-subword-oracle", 617),
+    ("composition-order-swap-oracle", 69904),
+    ("lower-interval-recursion", 342),
+    ("lower-interval-chain-independence", 340),
+    ("rothe-box-count", 33),
+    ("fill-order-independence", 1040),
+    ("rank-three-ways", 256),
+    ("fill-flag-strict", 480),
+    ("sort-standardize", 2614),
+    ("rank-submodular", 3072),
+    ("rank-monotone-step", 512),
+    ("theta-equals-rank", 11024),
+    ("greedy-equals-filling", 15936),
+    ("greedy-prefix-tight", 960),
+    ("minkowski-sum-membership", 846),
+    ("column-polytope-bases", 16),
+    ("skyline-vertices-lower-interval", 331),
+    ("vertex-swap-symmetry", 3456),
+    ("vertex-swap-stability", 3456),
+    ("theta-submodular", 168704),
+    ("operator-relations", 125),
+    ("recursion-chain-independence", 364),
+    ("schubert-newton-polytope", 24),
+    ("key-newton-lower-interval", 331),
+    ("bruhat-interval-polytope", 24),
+    ("schur-permutohedron", 35),
+    ("coefficient-positivity", 364),
+    ("json-round-trip", 39),
+]
+
+
+def test_verify_n4_seed0_passes_with_pinned_instance_counts():
+    results = checks.run_all(4, seed=0, jobs=1)
+    assert [(r.name, r.ok, r.instances) for r in results] == [
+        (name, True, instances) for name, instances in VERIFY_N4_SEED0]
+    assert sum(instances for _, instances in VERIFY_N4_SEED0) == 285585
 
 
 def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):

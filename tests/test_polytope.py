@@ -575,7 +575,8 @@ class TestCertify:
 class TestGreedyVectors:
     """The prefix-mask enumerator behind `vertices` and certification step
     (c), against one `_greedy` run per permutation, on any integer table:
-    certification takes whatever bounds an `HRep` holds."""
+    certification takes whatever bounds an `HRep` holds.  `_first_order`
+    runs on submodular tables only, so it is checked on those."""
 
     @staticmethod
     def random_tables(rng, n):
@@ -591,19 +592,49 @@ class TestGreedyVectors:
                 for table in self.random_tables(rng, n):
                     assert _greedy_vectors(table, n) == greedy_vectors_by_sweep(table, n), (n, table)
 
+    @staticmethod
+    def submodular_tables(rng, n):
+        """Two theta tables, and two sums of concave functions of |S & A|
+        over random masks A plus a signed modular term."""
+        for density in (0.3, 0.6):
+            yield list(hrep(random_diagram_with_density(rng, n, density)).table)
+        for _ in range(2):
+            parts = [(rng.getrandbits(n), [0, *itertools.accumulate(
+                sorted((rng.randint(-3, 5) for _ in range(n)), reverse=True))]) for _ in range(3)]
+            modular = [rng.randint(-4, 4) for _ in range(n)]
+            yield [sum(g[bin(mask & a).count("1")] for a, g in parts)
+                   + sum(c for i, c in enumerate(modular) if mask >> i & 1) for mask in range(2 ** n)]
+
     def test_first_order_is_the_lexicographically_first(self):
+        # the first order of the S_n sweep reaching each point, or None, on
+        # vertices, members between two vertices, points off the hyperplane
+        # and points beyond a vertex
         rng = random.Random(43)
-        for n in range(6):
-            for table in self.random_tables(rng, n):
-                orders = list(itertools.permutations(range(1, n + 1)))
-                for v in _greedy_vectors(table, n):
-                    assert _first_order(table, v, n) == next(w for w in orders if _greedy(table, w) == v)
-                if n:  # every greedy vector sums to table[-1] - table[0]
-                    assert _first_order(table, (table[-1] - table[0] + 1,) + (0,) * (n - 1), n) is None
+        reached = set()
+        for n in range(7):
+            for table in self.submodular_tables(rng, n):
+                assert _is_submodular(table, n), (n, table)
+                first = {}
+                for w in itertools.permutations(range(1, n + 1)):
+                    first.setdefault(_greedy(table, w), w)
+                verts = sorted(first)
+                points = list(verts)
+                pairs = list(itertools.combinations(verts, 2))
+                for a, b in rng.sample(pairs, min(10, len(pairs))):
+                    points += [tuple(Fraction(x + y, 2) for x, y in zip(a, b)),
+                               tuple(x + (i == 0) for i, x in enumerate(a)),
+                               tuple(2 * x - y for x, y in zip(a, b))]
+                for p in points:
+                    order = _first_order(table, p, n)
+                    assert order == first.get(p), (n, table, p)
+                    reached.add(order is None)
+        assert reached == {True, False}
 
     def test_first_order_enters_each_dead_prefix_once(self):
-        # every mask without 10 is tight at p, but no order completes, since
-        # p sums to 11; a search of the 9! orders of 1..9 would take seconds
+        # p sums to 11, so it is no greedy vector of this modular table: the
+        # pass takes 1..9 and stops at the first prefix with no tight step,
+        # where a depth-first search with no record of dead prefixes would
+        # try all 9! orders of 1..9
         table = (0, *(bin(mask).count("1") for mask in range(1, 2 ** 10)))
         assert _first_order(table, (1,) * 9 + (2,), 10) is None
 
