@@ -12,6 +12,7 @@ from .fillings import (
     fill_column,
     fill_diagram,
     rank_brute,
+    rank_columns,
     rank_diagram,
     rank_filling,
     rank_max_filling,
@@ -76,6 +77,7 @@ __all__ = [
     "member",
     "newton_exponents",
     "rank_brute",
+    "rank_columns",
     "rank_diagram",
     "rank_filling",
     "rank_max_filling",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import perms
 
@@ -29,6 +29,17 @@ def is_int(x) -> bool:
     """Whether x is an integer other than a bool: True and False pass
     isinstance(x, int), but are never a size, a coordinate or a bound."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
+    """The subset of [n] as a frozenset; a repeated element counts once.
+    The one rule for subsets of rows, shared by theta and the matroid rank,
+    so both refuse the same subsets with the same message."""
+    s = frozenset(subset)
+    for i in s:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"subset element {i!r} out of range 1..{n}")
+    return s
 
 
 @dataclass(frozen=True)

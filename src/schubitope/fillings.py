@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .diagrams import Box, Diagram
+from .diagrams import Box, Diagram, check_subset
 from .perms import check_permutation
 
 # cap for the oracle enumerations: C(n, k) bases stay small at desk scale
@@ -175,14 +175,16 @@ def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
     return best
 
 
+def rank_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
+    """Per-column ranks of a subset of [n], the rank analogue of
+    `polytope.theta_columns`; the subset is checked by the same rule."""
+    s = sorted(check_subset(subset, d.n))  # the Diagram checked its columns
+    return [len(_fill(rows, s)) for rows in d.column_rows]
+
+
 def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     """Sum of the column ranks over all columns of the diagram."""
-    s = tuple(subset)
-    _check_values(s)  # once, before sorting; the Diagram checked its columns
-    s = tuple(sorted(s))
-    if s and s[-1] > d.n:  # the message of `polytope.theta`
-        raise ValueError(f"subset element {next(i for i in s if i > d.n)!r} out of range 1..{d.n}")
-    return sum(len(_fill(rows, s)) for rows in d.column_rows)
+    return sum(rank_columns(d, subset))
 
 
 def _check_column_filling(filling: Mapping[int, int]) -> None:

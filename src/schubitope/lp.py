@@ -10,7 +10,8 @@ Bland's rule makes it terminate; sizes here are tiny, so dense rows are fine.
 `hull_vertices` runs it only on the points that two exact certificates
 leave open: a unique lexicographic extreme is a vertex, and the midpoint of
 two other points is not.  `oracles.hull_vertices_by_lp` runs it on every
-point.  Points must be tuples of `int` and `Fraction` of one dimension.
+point.  Points must be tuples of `int` and `Fraction` of one dimension, and
+LP entries `int` or `Fraction`.
 """
 from __future__ import annotations
 
@@ -29,24 +30,23 @@ def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
 
 
 _RATIONAL = {int, Fraction}
-_ENTRY = _RATIONAL | {str}
 
 
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Find x >= 0 with A x = b exactly, or return None when infeasible.
 
-    Entries are integers, Fractions or rational strings such as "1/2"; a
-    float (inexact) or a bool raises ValueError."""
+    Entries are integers or Fractions, the library's exact numbers; any
+    other type, a float (inexact) or a bool included, raises ValueError."""
     m = len(rows)
     k = len(rows[0]) if m else 0
     system = [[*rows[i], rhs[i]] for i in range(m)]
-    if not {type(v) for r in system for v in r} <= _ENTRY:
-        bad = next(v for r in system for v in r if type(v) not in _ENTRY)
-        raise ValueError(f"LP entry {bad!r} is not an integer, a Fraction or a rational string")
-    scale = math.lcm(*(Fraction(v).denominator for r in system for v in r if not isinstance(v, int)))
+    if not {type(v) for r in system for v in r} <= _RATIONAL:
+        bad = next(v for r in system for v in r if type(v) not in _RATIONAL)
+        raise ValueError(f"LP entry {bad!r} is not an integer or a Fraction")
+    scale = math.lcm(*(v.denominator for r in system for v in r if type(v) is Fraction))
     tab: list[list[int]] = []
     for i, r in enumerate(system):
-        r = [v * scale if isinstance(v, int) else int(Fraction(v) * scale) for v in r]
+        r = [v * scale if type(v) is int else int(v * scale) for v in r]
         if r[-1] < 0:
             r = [-v for v in r]
         tab.append(r[:-1] + [scale * (p == i) for p in range(m)] + r[-1:])

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import fillings, polyoracle
-from .diagrams import Diagram
+from .diagrams import Diagram, check_subset
 from .fillings import ENUMERATION_CAP
 from .lp import convex_combination
 from .perms import (
@@ -42,7 +42,6 @@ from .polytope import (
     INTERSECT_CAP,
     Certification,
     HRep,
-    _check_subset,
     _combination_witness,
     _exposed,
     _is_submodular,
@@ -165,7 +164,7 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
     >>> sorted(sorted(b) for b in schubert_matroid_bases({1, 3}, 3))
     [[1, 2], [1, 3]]
     """
-    s = sorted(_check_subset(subset, n))
+    s = sorted(check_subset(subset, n))
     if n > ENUMERATION_CAP:
         raise ValueError(f"basis enumeration capped at n <= {ENUMERATION_CAP}")
     return {

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .diagrams import Diagram, is_int
+from .diagrams import Diagram, check_subset, is_int
 from .perms import check_permutation
 
 STAR = "★"
@@ -43,14 +43,6 @@ HREP_CAP = 12        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 10     # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
-
-
-def _check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
-    s = frozenset(subset)
-    for i in s:
-        if type(i) is not int or not 1 <= i <= n:
-            raise ValueError(f"subset element {i!r} out of range 1..{n}")
-    return s
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -73,7 +65,7 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     """
     if not 1 <= j <= d.n:
         raise ValueError(f"column {j} out of range 1..{d.n}")
-    s = _check_subset(subset, d.n)
+    s = check_subset(subset, d.n)
     col = d.columns[j - 1]
     out = []
     for i in range(1, d.n + 1):
@@ -134,7 +126,7 @@ def _column_table(col: int, n: int) -> list[int]:
 
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column bound contributions."""
-    mask = _subset_mask(_check_subset(subset, d.n))
+    mask = _subset_mask(check_subset(subset, d.n))
     return [_column_theta(col, mask) for col in d.column_masks]
 
 
@@ -547,7 +539,7 @@ def hrep_from_json_dict(data) -> HRep:
         s = entry["S"]
         if not isinstance(s, list) or not all(map(is_int, s)):
             raise ValueError(f"field 'bounds': subset {s!r} must be a list of integers")
-        mask = _subset_mask(_check_subset(s, n))
+        mask = _subset_mask(check_subset(s, n))
         if mask in bounds:
             raise ValueError(f"field 'bounds': duplicate subset {_mask_subset(mask, n)}")
         if not 0 < mask < 2 ** n - 1:

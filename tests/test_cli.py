@@ -1,12 +1,16 @@
+import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import schubitope
 from conftest import D9
 from schubitope import checks, diagrams
-from schubitope.cli import main
+from schubitope.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -169,8 +173,24 @@ class TestErrors:
         assert code == 2 and "budget" in err
 
     def test_point_dimension_mismatch(self, capsys):
-        code, _, err = run_cli(capsys, "member", "--skyline", "1,0,3", "--point", "1,1")
-        assert code == 2 and "--point" in err
+        # the message of `polytope.member`, prefixed with the flag
+        code, out, err = run_cli(capsys, "member", "--skyline", "1,0,3", "--point", "1,1")
+        assert code == 2 and out == ""
+        assert err == "error: --point: point has dimension 2, expected 3\n"
+
+    @pytest.mark.parametrize("verb", ["theta", "rank"])
+    @pytest.mark.parametrize("element", ["0", "5"])
+    def test_subset_element_out_of_range(self, capsys, verb, element):
+        # theta and rank share the library's subset rule and its message
+        code, out, err = run_cli(capsys, verb, "--skyline", "1,0,3", "--set", element)
+        assert code == 2 and out == ""
+        assert err == f"error: --set: subset element {element} out of range 1..3\n"
+
+    def test_bruhat_degrees_differ(self, capsys):
+        # the message of `perms.bruhat_leq`, prefixed with both flags
+        code, out, err = run_cli(capsys, "bruhat", "--u", "12", "--w", "321")
+        assert code == 2 and out == ""
+        assert err == "error: --u/--w: permutation degrees differ: 2 vs 3\n"
 
 
 class TestVerify:
@@ -244,6 +264,58 @@ class TestRoundTrips:
         again = json.dumps(poly_to_json_dict(poly_from_json_dict(json.loads(doc))),
                            separators=(",", ":"))
         assert doc == again
+
+
+SOURCE = ["--diagram FILE", "--rothe PERM", "--skyline COMP"]  # exactly one of them
+
+# every verb's options: flag, metavar, choices or type, whether required, default
+PARSER_TABLE = {
+    "rothe": ["--perm PERM required", "--format {json,text} default json"],
+    "skyline": ["--alpha COMP required", "--format {json,text} default json"],
+    "fill": [*SOURCE, "--perm PERM required", "--format {text} default text"],
+    "vertices": [*SOURCE, "--format {json,text} default json"],
+    "hrep": [*SOURCE, "--format {json,hform} default json"],
+    "theta": [*SOURCE, "--set CSV required", "--format {text,json} default text"],
+    "rank": [*SOURCE, "--set CSV required", "--format {text,json} default text"],
+    "member": [*SOURCE, "--point CSV required", "--format {text,json} default text"],
+    "key": ["--alpha COMP required", "--format {json,text} default json"],
+    "schubert": ["--perm PERM required", "--format {json,text} default json"],
+    "bruhat": ["--u PERM required", "--w PERM required", "--format {text,json} default text"],
+    "verify": ["--n int default 4", "--seed int default 0", "--jobs int default 0",
+               "--format {text,json} default text"],
+}
+
+
+def describe(action):
+    words = ["/".join(action.option_strings)]
+    words += [action.metavar] if action.metavar else []
+    words += ["{" + ",".join(action.choices) + "}"] if action.choices else []
+    words += [action.type.__name__] if action.type else []
+    words += ["required"] if action.required else []
+    words += ["default", str(action.default)] if action.default is not None else []
+    return " ".join(words)
+
+
+def test_parser_pins_every_verb_and_flag():
+    # an edit to the verb table cannot drop, rename or loosen a flag unseen
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {}
+    for verb, sp in sub.choices.items():
+        got[verb] = [describe(a) for a in sp._actions if a.option_strings != ["-h", "--help"]]
+        groups = [([describe(a) for a in g._group_actions], g.required) for g in sp._mutually_exclusive_groups]
+        assert groups == ([(SOURCE, True)] if PARSER_TABLE[verb][:3] == SOURCE else []), verb
+    assert got == PARSER_TABLE
+
+
+def test_package_import_loads_no_reference_code():
+    # oracles, checks and the CLI load only on use: importing `oracles` with
+    # the package made a cold `import schubitope` measurably slower
+    code = "import json, schubitope, sys; print(json.dumps([*sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(schubitope.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "schubitope.polytope" in loaded
+    assert not loaded & {"schubitope.oracles", "schubitope.checks", "schubitope.cli"}
 
 
 def test_module_entry_point():

@@ -11,6 +11,7 @@ from schubitope.fillings import (
     fill_column,
     fill_diagram,
     rank_brute,
+    rank_columns,
     rank_diagram,
     rank_filling,
     rank_max_filling,
@@ -18,7 +19,7 @@ from schubitope.fillings import (
     standardize,
     vertex_vector,
 )
-from schubitope.polytope import theta
+from schubitope.polytope import theta, theta_columns
 
 
 def subsets(n):
@@ -56,7 +57,7 @@ class TestFillColumn:
             fill_column({0, 2}, (1,))
         with pytest.raises(ValueError, match="filling values must be positive integers, got 'a'"):
             rank_filling({1, 2}, {1, "a"})
-        with pytest.raises(ValueError, match="filling values must be positive integers, got True"):
+        with pytest.raises(ValueError, match=r"^subset element True out of range 1\.\.5$"):
             rank_diagram(D9, {True, 3})
 
     def test_output_flagged_and_strict(self):
@@ -184,6 +185,19 @@ class TestRanks:
             with pytest.raises(ValueError) as by_theta:
                 theta(d, subset)
             assert str(by_rank.value) == str(by_theta.value)
+
+    def test_diagram_rank_and_theta_take_the_same_subsets(self):
+        # one rule, `diagrams.check_subset`: repeats count once; 0, n + 1 and
+        # bools are refused by both sides with one message
+        d = skyline((1, 0, 3))
+        for subset in ((1, 1), [3, 2, 3], ()):
+            assert rank_diagram(d, subset) == theta(d, subset) == theta(d, set(subset))
+        assert rank_columns(d, (1, 1)) == theta_columns(d, (1, 1)) == [1, 1, 1]
+        for subset, bad in (({0}, "0"), ({4}, "4"), ({True}, "True"), ((2, False), "False")):
+            for side in (rank_diagram, theta, rank_columns, theta_columns):
+                with pytest.raises(ValueError) as got:
+                    side(d, subset)
+                assert str(got.value) == f"subset element {bad} out of range 1..3", side
 
     def test_diagram_rank_submodular_sampled(self):
         assert_check("rank-submodular", 4, 3072)

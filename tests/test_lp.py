@@ -82,8 +82,12 @@ class TestSolveNonnegative:
                 if others:
                     assert solve_nonnegative(rows, [*p, 1]) == solve_nonnegative_by_fractions(rows, [*p, 1])
 
-    def test_accepts_rational_strings(self):
-        assert solve_nonnegative([["1/2", 1]], ["3/4"]) == [Fraction(3, 2), 0]
+    def test_refuses_rational_strings(self):
+        # the library's exact numbers are int and Fraction; no caller passes text
+        for rows, rhs, bad in (([["1/2", 1]], ["3/4"], "'1/2'"), ([[1, 1]], ["3/4"], "'3/4'")):
+            with pytest.raises(ValueError) as got:
+                solve_nonnegative(rows, rhs)
+            assert str(got.value) == f"LP entry {bad} is not an integer or a Fraction"
 
     @pytest.mark.parametrize("rows, rhs, bad", [
         ([[1]], [0.1], "0.1"),          # would be solved with the binary value of 0.1
@@ -94,7 +98,7 @@ class TestSolveNonnegative:
     def test_rejects_floats_and_bools(self, rows, rhs, bad):
         with pytest.raises(ValueError) as got:
             solve_nonnegative(rows, rhs)
-        assert str(got.value) == f"LP entry {bad} is not an integer, a Fraction or a rational string"
+        assert str(got.value) == f"LP entry {bad} is not an integer or a Fraction"
 
 
 class TestConvexCombination:

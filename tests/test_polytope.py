@@ -630,11 +630,10 @@ class TestGreedyVectors:
                     reached.add(order is None)
         assert reached == {True, False}
 
-    def test_first_order_enters_each_dead_prefix_once(self):
-        # p sums to 11, so it is no greedy vector of this modular table: the
-        # pass takes 1..9 and stops at the first prefix with no tight step,
-        # where a depth-first search with no record of dead prefixes would
-        # try all 9! orders of 1..9
+    def test_first_order_stops_at_the_first_prefix_without_a_tight_step(self):
+        # p sums to 11, so it is no greedy vector of this modular table, whose
+        # every step is 1: the pass takes 1..9, each step tight, and returns
+        # None at the prefix 1..9, where the one step left, 10, is 1 and not 2
         table = (0, *(bin(mask).count("1") for mask in range(1, 2 ** 10)))
         assert _first_order(table, (1,) * 9 + (2,), 10) is None
 
