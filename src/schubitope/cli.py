@@ -73,13 +73,14 @@ def _rothe(args) -> str:
 
 
 def _skyline(args) -> str:
-    return _diagram_doc(diagrams.skyline(_parse("--alpha", perms.parse_composition, args.alpha)), args.format)
+    alpha = _parse("--alpha", perms.parse_composition, args.alpha)
+    return _diagram_doc(_parse("--alpha", diagrams.skyline, alpha), args.format)
 
 
 def _fill(args) -> str:
     d = _load_diagram(args)
     w = _parse("--perm", perms.parse_perm, args.perm)
-    return diagrams.filling_text(d, fillings.fill_diagram(d, w))
+    return diagrams.filling_text(d, _parse("--perm", fillings.fill_diagram, d, w))
 
 
 def _vertices(args) -> str:

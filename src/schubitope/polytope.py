@@ -6,11 +6,14 @@ per proper nonempty subset S, read off column by column from a parenthesis
 word into one table indexed by subset bitmask (bit i-1 set iff i in S).
 Each column enters as its row bitmask, which the diagram computes once
 (`Diagram.column_masks`).
-`hrep` builds that table by doubling: it scans each distinct column's rows
-once, and each row doubles the per-subset scan states, the subsets holding
-that row forming the second half.  One walk over a point's subset sums
-gives membership and its tight rows; it clears the point's denominators
-once, so the sums and the comparisons with the table stay integers.
+`hrep` builds that table in packed integers: each distinct column's part
+of it is one integer with a 16-bit slot per subset, built by scanning the
+column's rows once, each row doubling the packed scan states with a few
+big-integer operations; the parts, each times the number of columns
+sharing it, sum to the table, which is unpacked once.  One walk over a
+point's subset sums gives membership and its tight rows; it clears the
+point's denominators once, so the sums and the comparisons with the table
+stay integers.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
@@ -29,6 +32,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -39,10 +44,12 @@ from .perms import check_permutation
 
 STAR = "★"
 
-HREP_CAP = 12        # 2^n - 2 stored inequalities
+HREP_CAP = 18        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 10     # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
+
+_SLOT = 16           # bits per mask in a packed table, read back as "H"; bounds are at most n^2 <= 324
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -100,28 +107,42 @@ def _column_theta(col: int, mask: int) -> int:
     return count
 
 
-def _column_table(col: int, n: int) -> list[int]:
-    """`_column_theta(col, mask)` for every mask of [n], in mask order.
+def _column_table(col: int, n: int) -> int:
+    """`_column_theta(col, mask)` for every mask of [n], packed into one
+    integer with _SLOT bits per mask, mask 0 in the lowest slot.
 
     The scan of `_column_theta` keeps an open-'(' depth and a count.  Over
-    rows 1..b, b the column's last box, it holds both for every subset of
-    the rows seen so far; each row doubles the arrays, and the subsets that
-    hold the new row are the second half, which is increasing mask order.
-    A box row closes a '(' where one is open (depth - 1, count + 1) outside
-    the subset and is a star (count + 1) inside it; an empty row opens a
-    '(' inside the subset.  Rows below b change no count, so the counts
-    repeat once per subset of those rows."""
-    depth, count = [0], [0]
+    rows 1..b, b the column's last box, both are kept packed for every
+    subset of the rows seen so far; each row doubles them, and the subsets
+    that hold the new row are the upper half, which keeps mask order.  An
+    empty row opens a '(' inside the subset (depth + 1).  A box row is a
+    star (count + 1) inside the subset and closes a '(' where one is open
+    outside it (depth - 1, count + 1); `open_` has a one in each slot whose
+    depth is positive, read off the slot's top bit after adding
+    2^(_SLOT-1) - 1.  Rows below b change no count, so the counts repeat
+    once per subset of those rows.  Depths and counts stay at most n, so no
+    slot borrows from or carries into the next."""
+    depth = count = 0
+    ones = 1                       # a one in each slot
+    top = _SLOT - 1
     b = col.bit_length()
     for i in range(b):
+        shift = _SLOT << i
         if col >> i & 1:
-            depth, count = (
-                [d - 1 if d else 0 for d in depth] + depth,
-                [c + 1 if d else c for c, d in zip(count, depth)] + [c + 1 for c in count],
-            )
+            open_ = (depth + ones * ((1 << top) - 1)) >> top & ones
+            depth, count = (depth - open_) | depth << shift, (count + open_) | (count + ones) << shift
         else:
-            depth, count = depth + [d + 1 for d in depth], count + count
-    return count * (1 << (n - b))
+            depth, count = depth | (depth + ones) << shift, count | count << shift
+        ones |= ones << shift
+    for i in range(b, n):
+        count |= count << (_SLOT << i)
+    return count
+
+
+def _unpack(packed: int, n: int) -> list[int]:
+    """The 2^n slots of a packed table, mask 0 first."""
+    slots = memoryview(packed.to_bytes(2 ** n * _SLOT // 8, sys.byteorder)).cast("H").tolist()
+    return slots if sys.byteorder == "little" else slots[::-1]
 
 
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
@@ -169,10 +190,8 @@ def hrep(d: Diagram) -> HRep:
     """The full halfspace description of the diagram's polytope."""
     if d.n > HREP_CAP:
         raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
-    cols = [col for col in d.column_masks if col]
-    tables = {col: _column_table(col, d.n) for col in set(cols)}  # one build per distinct row set
-    table = tuple(map(sum, zip(*(tables[col] for col in cols)))) if cols else (0,) * 2 ** d.n
-    return HRep(d.n, d.size, table)
+    packed = sum(k * _column_table(col, d.n) for col, k in Counter(d.column_masks).items() if col)
+    return HRep(d.n, d.size, _unpack(packed, d.n))
 
 
 def _check_point(h: HRep, point: Sequence) -> None:

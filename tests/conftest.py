@@ -1,13 +1,16 @@
-"""Shared reference data for the test suite, and `assert_check`, which
-runs a registered `verify` check in place of a hand-copied sweep.
+"""Shared reference data for the test suite; `assert_check`, which runs a
+registered `verify` check in place of a hand-copied sweep; and the
+`fake_pool` fixture, which runs `checks.run_all`'s pool in process.
 
 D9 is the 9-box example diagram whose column words for S = {1, 3} read
 ★()), (★, ((), ()★), ()(.  FIG18 is the 18-box diagram filled by the
 permutation 315624; FIG18_FILLING is the expected filling, transcribed
 box by box.
 """
-from schubitope import Diagram
-from schubitope.checks import run_check
+import pytest
+
+from schubitope import Diagram, checks
+from schubitope.checks import CheckResult, run_check
 
 
 def assert_check(name, n, instances):
@@ -16,6 +19,32 @@ def assert_check(name, n, instances):
     result = run_check(name, n, seed=0)
     assert result.ok, result.counterexample
     assert result.instances == instances, f"{name} swept {result.instances} instances"
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool of `checks.run_all` by a serial one and
+    every check by a stub returning n instances, so no process starts;
+    returns the list of the `max_workers` each pool was opened with."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(checks, "run_check", lambda name, n, seed: CheckResult(name, n))
+    return pools
+
 
 D9 = Diagram(5, frozenset({
     (1, 1), (2, 4), (2, 5), (3, 2), (3, 4), (4, 1), (5, 1), (5, 3), (5, 4),

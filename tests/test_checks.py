@@ -85,27 +85,10 @@ def test_run_all_calls_run_check_once_per_check(monkeypatch):
     (8, None, None),  # unknown core count: serial
     (1, 64, None),
 ])
-def test_jobs_clamp(monkeypatch, jobs, cpus, workers):
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+def test_jobs_clamp(monkeypatch, fake_pool, jobs, cpus, workers):
     monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(checks, "run_check", lambda name, n, seed: CheckResult(name, n))
     results = checks.run_all(2, jobs=jobs)
-    assert pools == ([] if workers is None else [workers])
+    assert fake_pool == ([] if workers is None else [workers])
     assert [r.name for r in results] == checks.check_names()
 
 

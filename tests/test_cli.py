@@ -192,6 +192,16 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "error: --u/--w: permutation degrees differ: 2 vs 3\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("skyline", "--alpha", "9,0"), "--alpha: part 9 in row 1 exceeds the grid size 2"),
+        (("fill", "--skyline", "1,0,3", "--perm", "2134"),
+         "--perm: permutation degree 4 does not match grid size 3"),
+    ])
+    def test_library_errors_name_their_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_small_scope_passes(self, capsys):
@@ -226,6 +236,18 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--jobs", jobs)
         assert code == 2 and out == ""
         assert err == f"error: --jobs: must be 0 (all cores) or a positive worker count, got {jobs}\n"
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        ("0", 4, 4),  # all cores
+        ("0", None, None),  # unknown core count: serial
+        ("1000000", 64, 29),  # one worker per check at most
+        ("1", 64, None),
+    ])
+    def test_jobs_clamp(self, capsys, monkeypatch, fake_pool, jobs, cpus, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", jobs)
+        assert code == 0 and out.splitlines()[-1].startswith("PASS: 29/29 checks passed")
+        assert fake_pool == ([] if workers is None else [workers])
 
 
 class TestRoundTrips:

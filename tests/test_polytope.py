@@ -24,6 +24,7 @@ from schubitope.oracles import (
     walk_by_fractions,
 )
 from schubitope.polytope import (
+    HREP_CAP,
     HRep,
     _column_table,
     _column_theta,
@@ -32,6 +33,7 @@ from schubitope.polytope import (
     _intersection_vertices,
     _is_submodular,
     _subset_mask,
+    _unpack,
     _walk,
     certify_vertices,
     column_word,
@@ -147,7 +149,7 @@ class TestHRep:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            hrep(Diagram(13, frozenset()))
+            hrep(Diagram(19, frozenset()))
 
     def test_is_frozen(self):
         h = hrep(TRAPEZOID)
@@ -171,7 +173,8 @@ class TestHRep:
         # every row set against every subset, n <= 6
         for n in range(7):
             for col in range(2 ** n):
-                assert _column_table(col, n) == [_column_theta(col, mask) for mask in range(2 ** n)], (n, col)
+                table = _unpack(_column_table(col, n), n)
+                assert table == [_column_theta(col, mask) for mask in range(2 ** n)], (n, col)
 
     def test_doubled_table_matches_per_subset_scan(self):
         def per_subset(d):
@@ -192,6 +195,28 @@ class TestHRep:
         ]
         for d in corpus:
             assert hrep(d).table == per_subset(d), d
+
+    def test_packed_table_matches_per_subset_scan_on_sampled_masks(self):
+        # past the full comparison above, up to the cap: about 2,000 masks per diagram
+        rng = random.Random(43)
+        for n in range(13, HREP_CAP + 1):
+            d = random_diagram_with_density(rng, n, 0.5)
+            table = hrep(d).table
+            cols = [_subset_mask(col) for col in d.columns]
+            for mask in [0, 2 ** n - 1] + rng.sample(range(2 ** n), 2000):
+                assert table[mask] == sum(_column_theta(col, mask) for col in cols), (d, mask)
+
+    def test_slots_have_headroom_at_the_cap(self):
+        n = HREP_CAP
+        # the full grid has the largest bounds: n per element of S, n^2 in all
+        table = hrep(Diagram(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))).table
+        assert table == tuple(n * bin(mask).count("1") for mask in range(2 ** n))
+        # a column's only box in row n closes the deepest open '(' (depth n - 1)
+        col = 1 << (n - 1)
+        table = hrep(Diagram(n, frozenset({(n, 1)}))).table
+        rng = random.Random(47)
+        for mask in [2 ** (n - 1) - 1, 2 ** n - 1, col] + rng.sample(range(2 ** n), 2000):
+            assert table[mask] == _column_theta(col, mask), mask
 
     def test_table_matches_column_words(self):
         rng = random.Random(29)
