@@ -10,10 +10,13 @@ Each column enters as its row bitmask, which the diagram computes once
 of it is one integer with a 16-bit slot per subset, built by scanning the
 column's rows once, each row doubling the packed scan states with a few
 big-integer operations; the parts, each times the number of columns
-sharing it, sum to the table, which is unpacked once.  One walk over a
-point's subset sums gives membership and its tight rows; it clears the
-point's denominators once, so the sums and the comparisons with the table
-stay integers.
+sharing it, sum to the table, which is unpacked once; `hrep` keeps the
+last diagram's `HRep`, and the `HRep` keeps its packed table.  Membership
+and a point's tight rows come from its subset sums, all 2^n of them in
+one packed integer built by the same doubling, one coordinate at a time,
+and compared with the packed table in a few big-integer operations
+(`_slack`); the point's denominators are cleared once, so the sums stay
+integers, and the slots are as wide as the bounds and coordinates need.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
@@ -49,7 +52,7 @@ SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 10     # exact certification
 INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 
-_SLOT = 16           # bits per mask in a packed table, read back as "H"; bounds are at most n^2 <= 324
+_SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -145,6 +148,14 @@ def _unpack(packed: int, n: int) -> list[int]:
     return slots if sys.byteorder == "little" else slots[::-1]
 
 
+def _pack(table: Sequence[int], w: int) -> int:
+    """Sum of table[mask] << (w * mask), the inverse of `_unpack` at w = _SLOT.
+    Only the last entry, the total, may be negative: it has the highest
+    slot, so no other slot borrows from it."""
+    *low, total = table
+    return int.from_bytes(b"".join(b.to_bytes(w // 8, "little") for b in low), "little") + (total << w * len(low))
+
+
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column bound contributions."""
     mask = _subset_mask(check_subset(subset, d.n))
@@ -161,21 +172,18 @@ class HRep:
     """Equality sum(x) == total plus sum_{i in S} x_i <= table[mask] for every
     proper nonempty subset S of [n], where bit i-1 of mask is set iff i is
     in S.  table[0] = 0 and table[-1] = total, so the table is the whole
-    set function.  Bounds are stored exactly as given."""
+    set function.  Bounds are stored exactly as given.
+
+    The table packed 16 bits per subset (`packed`) and its largest bound
+    (`max_bound`) are computed once, on first use, and kept; they are not
+    fields, so equality and hashing see only n, the total and the table."""
 
     n: int
     total: int
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_int(self.n) or self.n < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {self.n!r}")
-        if not is_int(self.total):
-            raise ValueError(f"total must be an integer, got {self.total!r}")
-        table = tuple(self.table)
-        ends = table[:1] + table[-1:]
-        if len(table) != 2 ** self.n or ends != (0, self.total) or not all(map(is_int, ends)):
-            raise ValueError(f"table must have 2^{self.n} entries running from 0 to the total {self.total}")
+        table = self._checked_shape(self.n, self.total, self.table)
         if not ({*map(type, table)} <= {int} and min(table) >= 0):  # else find the first bad bound
             for mask in range(1, len(table) - 1):
                 b = table[mask]
@@ -185,13 +193,52 @@ class HRep:
                     )
         object.__setattr__(self, "table", table)
 
+    @staticmethod
+    def _checked_shape(n, total, table) -> tuple:
+        """The table as a tuple, once n, the total, its length and its ends pass."""
+        if not is_int(n) or n < 0:
+            raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
+        if not is_int(total):
+            raise ValueError(f"total must be an integer, got {total!r}")
+        table = tuple(table)
+        ends = table[:1] + table[-1:]
+        if len(table) != 2 ** n or ends != (0, total) or not all(map(is_int, ends)):
+            raise ValueError(f"table must have 2^{n} entries running from 0 to the total {total}")
+        return table
 
+    @classmethod
+    def _from_packed(cls, n: int, total: int, packed: int) -> HRep:
+        """The HRep of a table packed 16 bits per subset, as `hrep` builds it.
+        Its unpacked entries are unsigned shorts, so only the shape is
+        checked; the packed table is kept as `packed`."""
+        h = cls.__new__(cls)
+        table = cls._checked_shape(n, total, _unpack(packed, n))
+        for name, value in (("n", n), ("total", total), ("table", table)):
+            object.__setattr__(h, name, value)
+        h.__dict__["packed"] = packed
+        return h
+
+    @functools.cached_property
+    def packed(self) -> int:
+        """The table packed _SLOT bits per subset, mask 0 lowest (every bound
+        must be below 2^_SLOT)."""
+        return _pack(self.table, _SLOT)
+
+    @functools.cached_property
+    def max_bound(self) -> int:
+        """The largest bound of the table."""
+        return max(self.table)
+
+
+@functools.lru_cache(maxsize=1)
 def hrep(d: Diagram) -> HRep:
-    """The full halfspace description of the diagram's polytope."""
+    """The full halfspace description of the diagram's polytope, memoized for
+    the last diagram only: `vertices(d)` followed by
+    `certify_vertices(hrep(d), ...)` builds the table once."""
     if d.n > HREP_CAP:
         raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
     packed = sum(k * _column_table(col, d.n) for col, k in Counter(d.column_masks).items() if col)
-    return HRep(d.n, d.size, _unpack(packed, d.n))
+    return HRep._from_packed(d.n, d.size, packed)
 
 
 def _check_point(h: HRep, point: Sequence) -> None:
@@ -204,30 +251,67 @@ def _check_point(h: HRep, point: Sequence) -> None:
         raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
 
 
-def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
-    """One pass over the point's subset sums in increasing mask order: the
-    first violated constraint (None when the point is inside) and the masks
-    of the bound rows met with equality before it.
-
-    Coordinates must be `int` or `Fraction`.  The point is scaled once by
-    the lcm L of their denominators, so the walk adds integers and compares
-    them with L * table; witnesses print the unscaled sums."""
+def _scaled(h: HRep, point: Sequence) -> tuple[list[int], int]:
+    """The point's coordinates times the lcm L of their denominators, and L.
+    Coordinates must be `int` or `Fraction`."""
     _check_point(h, point)
     scale = math.lcm(*[x.denominator for x in point])
-    xs = [x.numerator * (scale // x.denominator) for x in point]
+    return [x.numerator * (scale // x.denominator) for x in point], scale
+
+
+def _slack(h: HRep, xs: Sequence[int], scale: int) -> tuple[int, int, int]:
+    """Every subset's slack at a point of the hyperplane, in one packed
+    integer: (slack, ones, w), where slot mask of slack, w bits wide, holds
+    2^(w-1) + scale * table[mask] - sum_{i in mask} xs_i, and ones has a one
+    in each slot.
+
+    w is the smallest 16 * 2^j with scale * max(table) + sum |xs_i| below
+    2^(w-2), so every slot lies strictly between 2^(w-2) and 3 * 2^(w-2):
+    a slot's top bit is clear exactly when its bound is violated, and no
+    step below borrows from or carries into the next slot.  The biased
+    subset sums double mask by mask as `_column_table`'s states do row by
+    row: the masks holding element k+1 are the upper half, each its lower
+    twin minus xs_k."""
+    w = _SLOT
+    span = scale * h.max_bound + sum(map(abs, xs))
+    while span >> (w - 2):
+        w <<= 1
+    sums, ones = 1 << (w - 1), 1
+    for k, x in enumerate(xs):
+        shift = w << k
+        sums |= (sums - x * ones) << shift
+        ones |= ones << shift
+    return sums + scale * (h.packed if w == _SLOT else _pack(h.table, w)), ones, w
+
+
+def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
+    """The first violated constraint in increasing mask order (None when the
+    point is inside) and the masks of the bound rows met with equality
+    before it, read off the packed slack (`_slack`) with a few big-integer
+    operations: a slot is violated where its top bit is clear and tight
+    where it holds the bias exactly.
+
+    The point is scaled once by the lcm L of its denominators (`_scaled`),
+    so the sums are integers compared with L * table; witnesses print the
+    unscaled sums."""
+    xs, scale = _scaled(h, point)
     total = sum(xs)
     if total != scale * h.total:
         return f"coordinate sum {Fraction(total, scale)} != {h.total}", []
-    table = h.table if scale == 1 else [scale * b for b in h.table]
-    sums, tight = [0] * len(table), []
-    for mask in range(1, len(table) - 1):
-        low = mask & -mask
-        got = sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
-        if got >= table[mask]:
-            if got > table[mask]:
-                return f"sum over {_mask_subset(mask, h.n)} is {Fraction(got, scale)} > {h.table[mask]}", tight
-            tight.append(mask)
-    return None, tight
+    slack, ones, w = _slack(h, xs, scale)
+    tops = ones << (w - 1)
+    bad = tops & ~slack
+    tight = (slack ^ (slack - ones)) & tops  # only a slot holding the bias crosses it
+    witness = None
+    if bad:
+        low = bad & -bad
+        mask = low.bit_length() // w - 1
+        tight &= low - 1
+        got = sum(x for k, x in enumerate(xs) if mask >> k & 1)
+        witness = f"sum over {_mask_subset(mask, h.n)} is {Fraction(got, scale)} > {h.table[mask]}"
+    step = w // 8  # bytes per slot; a tight slot's top byte is nonzero
+    flags = tight.to_bytes(step << h.n, "little")[2 * step - 1::step]  # masks 1, 2, ...
+    return witness, list(itertools.compress(range(1, 2 ** h.n - 1), flags))
 
 
 def violated_constraint(h: HRep, point: Sequence) -> str | None:
@@ -236,8 +320,14 @@ def violated_constraint(h: HRep, point: Sequence) -> str | None:
 
 
 def member(h: HRep, point: Sequence) -> bool:
-    """Exact membership test; accepts integer or rational coordinates."""
-    return violated_constraint(h, point) is None
+    """Exact membership test; accepts integer or rational coordinates.  It
+    reads only the top bits of the packed slack (`_slack`)."""
+    xs, scale = _scaled(h, point)
+    if sum(xs) != scale * h.total:
+        return False
+    slack, ones, w = _slack(h, xs, scale)
+    tops = ones << (w - 1)
+    return slack & tops == tops
 
 
 def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tuple:
@@ -411,16 +501,27 @@ def tight_rank(h: HRep, point: Sequence) -> int:
 
 
 def _exposed(p: Sequence, tight: Sequence[int], others: Sequence[Sequence]) -> bool:
-    """Whether c.q < c.p for every q in others, where c_i counts the tight
-    masks holding i.  Summing p's tight rows gives c.x <= c.p on the
-    polytope, with equality only at p when those rows have rank n; so then
-    every point of the polytope but p, and every q, lies below p along c,
-    and p is no convex combination of them."""
+    """Whether some c + t * (1, ..., 1) puts every q in others strictly below
+    p, where c_i counts the tight masks holding i.  Summing p's tight rows
+    gives c.x <= c.p on the polytope, with equality only at p when those
+    rows have rank n; sum(x) is constant on the polytope, so the same holds
+    along c + t * (1, ..., 1) for any t, and then p is no convex combination
+    of the other points of the polytope and the q.  A q on the hyperplane
+    needs c.q < c.p; any other q bounds t on one side, by
+    t * (sum(q) - sum(p)) < c.p - c.q, and the bounds must leave an open
+    interval, which is found exactly in `Fraction`s."""
     if not others:
         return True
     c = [sum(mask >> i & 1 for mask in tight) for i in range(len(p))]
-    top = sum(map(operator.mul, c, p))
-    return all(sum(map(operator.mul, c, q)) < top for q in others)
+    top, total = sum(map(operator.mul, c, p)), sum(p)
+    low, high = [], []
+    for q in others:
+        gap, off = top - sum(map(operator.mul, c, q)), sum(q) - total
+        if off:
+            (high if off > 0 else low).append(Fraction(gap, off))
+        elif gap <= 0:
+            return False
+    return not low or not high or max(low) < min(high)
 
 
 def _intersection_vertices(h: HRep) -> set[tuple]:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ from schubitope.polytope import (
     _greedy_vectors,
     _intersection_vertices,
     _is_submodular,
+    _pack,
+    _scaled,
+    _slack,
     _subset_mask,
     _unpack,
     _walk,
@@ -218,6 +222,49 @@ class TestHRep:
         for mask in [2 ** (n - 1) - 1, 2 ** n - 1, col] + rng.sample(range(2 ** n), 2000):
             assert table[mask] == _column_theta(col, mask), mask
 
+    def test_pack_inverts_unpack(self):
+        rng = random.Random(71)
+        for n in range(6):
+            table = (0, *[rng.randrange(2 ** 16) for _ in range(2 ** n - 1)]) if n else (0,)
+            assert _unpack(_pack(table, 16), n) == list(table)
+            for w in (32, 64, 128):
+                packed = _pack(table, w)
+                assert [packed >> w * m & (1 << w) - 1 for m in range(2 ** n)] == list(table), (n, w)
+        # a negative total sits in the highest slot, below which nothing borrows
+        for w in (16, 32):
+            assert _pack((0, 7, 2, -3), w) == (7 << w) + (2 << 2 * w) - (3 << 3 * w)
+
+    def test_hrep_keeps_the_table_it_packed(self):
+        rng = random.Random(73)
+        for d in [TRAPEZOID, D9] + [random_diagram_with_density(rng, n, 0.5) for n in (1, 6, 11)]:
+            h = hrep(d)
+            assert h.packed == _pack(h.table, 16) and h.max_bound == max(h.table)
+            assert h == HRep(d.n, d.size, h.table)
+
+    def test_memo_keeps_the_last_diagram_only(self):
+        # vertices(d) then hrep(d), as the newton-certify path runs them,
+        # builds the table once
+        d = random_diagram_with_density(random.Random(79), 7, 0.5)
+        h = hrep(d)
+        assert vertices(d) and hrep(Diagram(d.n, d.boxes)) is h
+        hrep(TRAPEZOID)
+        assert hrep(d) is not h and hrep(d) == h
+
+    def test_cache_leaves_equality_hash_and_pickle_unchanged(self):
+        tables = [hrep(TRAPEZOID), hrep(D9), HRep(3, 4, (0, 3, 3, 4, 3, 4, 3, 4)),
+                  HRep(2, 5, (0, 2 ** 17, 1, 5)), HRep(1, -2, (0, -2))]
+        for h in tables:
+            fresh = HRep(h.n, h.total, h.table)
+            member(h, (h.total,) + (0,) * (h.n - 1))  # fill the cache of h only
+            assert "max_bound" in vars(h) and "max_bound" not in vars(fresh)
+            assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+            assert [f.name for f in dataclasses.fields(h)] == ["n", "total", "table"]
+            for copy in (pickle.loads(pickle.dumps(h)), pickle.loads(pickle.dumps(fresh))):
+                assert copy == h and hash(copy) == hash(h)
+                assert copy.max_bound == h.max_bound
+                if h.max_bound < 2 ** 16:
+                    assert copy.packed == h.packed
+
     def test_table_matches_column_words(self):
         rng = random.Random(29)
         for d in [D9] + [random_diagram(rng, n) for n in range(1, 7) for _ in range(4)]:
@@ -288,8 +335,22 @@ def walk_fuzz_points(h, rng):
     return points
 
 
+def assert_walks_agree(h, p):
+    """The packed walk against the naive `Fraction` one, and `member`
+    against the walk's verdict; returns the walk."""
+    got = _walk(h, p)
+    assert got == walk_by_fractions(h, p), (h, p)
+    assert member(h, p) == (got[0] is None), (h, p)
+    return got
+
+
+def slot_width(h, p):
+    """The slot width `_slack` picks for a point of the hyperplane."""
+    return _slack(h, *_scaled(h, p))[2]
+
+
 class TestWalk:
-    """The integer walk against the naive `Fraction` one: the same verdict,
+    """The packed walk against the naive `Fraction` one: the same verdict,
     witness string and tight masks."""
 
     def test_matches_fraction_oracle(self):
@@ -310,6 +371,90 @@ class TestWalk:
             h = hrep(rothe(w))
             for p in walk_fuzz_points(h, rng):
                 assert _walk(h, p) == walk_by_fractions(h, p), (w, p)
+
+
+    @pytest.mark.parametrize("w", [16, 32, 64, 128])
+    def test_slot_width_at_the_span_boundary(self, w):
+        # the slot width is the smallest 16 * 2^j above scale * max(table) +
+        # sum |x_k| + 2 bits: a span just below 2^(w-2) keeps w, a span of
+        # 2^(w-2) doubles it; the trapezoid's table times f, its bound on
+        # {2, 3} raised above the total to set the span
+        f = 2 ** (w - 2) // 16
+        base = hrep(TRAPEZOID).table
+        points = [(3, 1, 0), (2, 1, 1), (4, 0, 0), (5, -1, 0), (3, 2, -1), (1, 3, 0)]
+        for v in points:
+            p = tuple(f * c for c in v)
+            for span, width in ((2 ** (w - 2) - 1, w), (2 ** (w - 2), 2 * w)):
+                table = [f * b for b in base]
+                table[0b110] = span - sum(map(abs, p))
+                h = HRep(3, 4 * f, tuple(table))
+                assert h.max_bound == table[0b110] > h.total
+                assert slot_width(h, p) == width, (v, span)
+                assert_walks_agree(h, p)
+
+    def test_large_coordinates_and_denominators(self):
+        big, eps = 10 ** 30, Fraction(1, 10 ** 12)
+        trapezoid = hrep(TRAPEZOID)
+        wide = HRep(3, 4 * big, tuple(big * b for b in trapezoid.table))
+        cases = [
+            (trapezoid, (big, 4 - big, 0)), (trapezoid, (4 - big, big, 0)), (trapezoid, (-big, 3, 1 + big)),
+            (trapezoid, (big, big, 0)),                                       # off the hyperplane
+            (wide, (3 * big, big, 0)), (wide, (2 * big, big, big)), (wide, (3 * big + 1, big - 1, 0)),
+            (trapezoid, (3 - eps, 1 + eps, 0)), (trapezoid, (3 + eps, 1 - eps, 0)),
+            (trapezoid, (Fraction(5, 3) + eps, Fraction(4, 3), 1 - eps)), (trapezoid, (1, 3 + eps, -eps)),
+            (wide, (3 * big - eps, big + eps, 0)), (wide, (3 * big + eps, big - eps, 0)),
+            (trapezoid, (-1, 2, 3)), (trapezoid, (5, -1, 0)), (trapezoid, (2, -1, 3)), (trapezoid, (1, 3, 0)),
+        ]
+        widths = set()
+        for h, p in cases:
+            assert_walks_agree(h, p)
+            widths.add(slot_width(h, p))
+        assert widths == {16, 64, 128, 256}
+
+    def test_hand_built_tables_with_large_bounds(self):
+        # bounds of 2^16 and more, and bounds above the total, take wider slots
+        rng = random.Random(89)
+        outcomes = set()
+        for n in (2, 3, 4, 5):
+            for _ in range(8):
+                total = rng.randrange(2 ** 17)
+                bounds = [rng.choice((rng.randrange(2 ** 16, 2 ** 20), rng.randrange(2 * total + 1)))
+                          for _ in range(2 ** n - 2)]
+                h = HRep(n, total, (0, *bounds, total))
+                for p in walk_fuzz_points(h, rng):
+                    got = assert_walks_agree(h, p)
+                    outcomes.add(got[0].split()[0] if got[0] else "inside")
+        assert outcomes == {"inside", "sum", "coordinate"}
+
+    def test_smallest_dimensions(self):
+        cases = [
+            (HRep(0, 0, (0,)), [()]),
+            (HRep(1, 5, (0, 5)), [(5,), (Fraction(5),), (4,), (Fraction(11, 2),)]),
+            (HRep(1, -2, (0, -2)), [(-2,), (2,)]),
+            (HRep(2, 3, (0, 1, 3, 3)), [(1, 2), (0, 3), (2, 1), (-1, 4), (Fraction(1, 2), Fraction(5, 2)),
+                                        (3, 3)]),
+            (HRep(2, -1, (0, 0, 3, -1)), [(-1, 0), (0, -1), (-4, 3), (-5, 4), (Fraction(-1, 2), Fraction(-1, 2))]),
+            (hrep(Diagram(2, frozenset({(1, 1), (2, 2)}))), [(1, 1), (2, 0), (0, 2), (3, -1), (1, 0)]),
+        ]
+        for h, points in cases:
+            for p in points:
+                assert_walks_agree(h, p)
+
+    def test_full_grid_at_the_cap(self):
+        # theta(S) = n |S|: x = (n, ..., n) is a member with every mask tight;
+        # moving a unit from j to i < j leaves the masks below {i} tight and
+        # violates {i} first
+        n = HREP_CAP
+        h = hrep(Diagram(n, frozenset(itertools.product(range(1, n + 1), repeat=2))))
+        x = (n,) * n
+        assert member(h, x)
+        assert _walk(h, x) == (None, list(range(1, 2 ** n - 1)))
+        for i, j in ((1, 2), (1, n), (5, 9), (n - 1, n)):
+            p = list(x)
+            p[i - 1] += 1
+            p[j - 1] -= 1
+            assert not member(h, p)
+            assert _walk(h, p) == (f"sum over [{i}] is {n + 1} > {n}", list(range(1, 2 ** (i - 1)))), (i, j)
 
 
 class TestSchubertMatroidBases:
@@ -557,6 +702,33 @@ class TestCertify:
             )
             assert (cert.points, cert.lp_calls) == (claimed, lp_calls)
 
+    def test_points_off_the_hyperplane_are_separated_along_the_all_ones_row(self):
+        # a + b lies above sum(x) = total and a - b below it; a is their
+        # midpoint.  The failures are those of sending every claimed point to
+        # the LP, and only the two outside points and a go there
+        rng = random.Random(67)
+        corpus = [random_diagram_with_density(rng, n, 0.5) for n in (3, 4, 5) * 4]
+        for d in [d for d in corpus if len(vertices(d)) > 1]:
+            h, verts = hrep(d), sorted(vertices(d))
+            a, b = rng.sample(verts, 2)
+            above, below = tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b))
+            for extra, lp_calls in (({above}, 1), ({above, below}, 3)):
+                pts = sorted(set(verts) | extra)
+                every_point = []
+                for idx, p in enumerate(pts):
+                    others = pts[:idx] + pts[idx + 1:]
+                    lam = convex_combination(p, others)
+                    if lam is not None:
+                        combo = " + ".join(f"{c}*{o}" for c, o in zip(lam, others) if c)
+                        every_point.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
+                named = [f.split(":")[0] for f in every_point]
+                assert named == [f"claimed vertex {a} is not a vertex"] * (len(extra) - 1)
+                cert = certify_vertices(h, pts)
+                outside = [f"claimed vertex {q} violates the description: {violated_constraint(h, q)}"
+                           for q in sorted(extra)]
+                assert cert.failures == (*outside, *every_point), d
+                assert cert.lp_calls == lp_calls, d
+
     def test_random_diagrams_up_to_the_cap(self):
         rng = random.Random(78)
         for n, density in ((7, 0.5), (8, 0.3), (9, 0.5)):  # n = 10 is too slow here
@@ -773,9 +945,10 @@ class TestChainCertificates:
     submodularity test their soundness rests on against its definition."""
 
     def test_matches_walk_oracle_on_random_claims(self):
-        # at n = 6 the claims with a + b and with 2a - b send tens to hundreds
-        # of points to the simplex in both routines, seconds per diagram, so
-        # only the other three run there
+        # at n = 6 the claim with 2a - b sends tens to hundreds of points to
+        # the simplex in both routines, seconds per diagram, so only the
+        # other four run there; a + b, off the hyperplane, is separated from
+        # every vertex along c + t * (1, ..., 1)
         rng = random.Random(97)
         sizes = [1] * 10 + [2] * 60 + [3] * 130 + [4] * 150 + [5] * 40 + [6] * 10
         fell = 0
@@ -783,7 +956,7 @@ class TestChainCertificates:
             d = random_diagram(rng, n)
             h, verts = hrep(d), vertices(d)
             claims = claim_families(verts, rng)
-            for claim in claims if n < 6 else claims[:2] + claims[4:]:
+            for claim in claims if n < 6 else claims[:3] + claims[4:]:
                 new, old = certify_vertices(h, claim), certify_vertices_by_walk(h, claim)
                 assert (new.ok, new.method, new.points, new.failures) == \
                     (old.ok, old.method, old.points, old.failures), (d, claim)
