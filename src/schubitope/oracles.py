@@ -6,14 +6,13 @@ recursions re-run with different choices, one greedy filling per
 permutation for the vertex set, one greedy vector per permutation
 (`_greedy`, read off a bound table) for the prefix-mask enumeration of a
 table's greedy vectors and for `edmonds_vertex`, one `Fraction`
-sum per subset for the integer subset-sum walk, one `Fraction` square solve
-per choice of n-1 bound rows for the intersection vertex search, every
-pair of masks for the local submodularity test, one subset-sum walk and
-rank test per claimed point for the chain certificates of vertex
-certification (its second step; the third is shared), a phase-1 simplex
-on `Fraction` entries for the integer-tableau one, one simplex per point
-for the certified hull, and every k-subset compared in the Gale order for
-a column's Schubert matroid bases.  Slow, obvious, and independent of the
+sum per subset for the integer subset-sum walk, every pair of masks for
+the local submodularity test, one subset-sum walk and rank test of the
+tight rows (`tight_rank`) per claimed point for the chain certificates of
+vertex certification (its second step; the third is shared), a phase-1
+simplex on `Fraction` entries for the integer-tableau one, one simplex per
+point for the certified hull, and every k-subset compared in the Gale
+order for a column's Schubert matroid bases.  Slow, obvious, and independent of the
 code they vouch for.  The n! sweeps keep their own cap, `SWEEP_CAP`, and
 the walk certification its own, `CERTIFY_CAP`.
 """
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 from . import fillings, polyoracle
 from .diagrams import Diagram, check_subset
 from .fillings import ENUMERATION_CAP
-from .lp import convex_combination
+from .lp import convex_combination, eliminate
 from .perms import (
     Composition,
     Perm,
@@ -39,16 +38,13 @@ from .perms import (
     swap_adjacent,
 )
 from .polytope import (
-    INTERSECT_CAP,
     Certification,
     HRep,
+    _certifiable,
     _combination_witness,
     _exposed,
-    _is_submodular,
     _missing_vertices,
-    _rank,
     _walk,
-    member,
 )
 
 SWEEP_CAP = 8    # the n! sweeps below; independent of the fast enumerator's cap
@@ -217,42 +213,6 @@ def walk_by_fractions(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     return None, tight
 
 
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular or inconsistent."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]
-
-
-def vertices_by_intersection(h: HRep) -> set[tuple]:
-    """Vertices by brute force: every feasible unique solution of the equality
-    plus n-1 bound rows picked tight, one `solve_unique` per choice."""
-    rows = [
-        ([(mask >> i) & 1 for i in range(h.n)], h.table[mask])
-        for mask in range(1, 2 ** h.n - 1)
-    ]
-    eq_row = ([1] * h.n, h.total)
-    found: set[tuple] = set()
-    for combo in itertools.combinations(rows, h.n - 1):
-        mat = [eq_row[0]] + [r[0] for r in combo]
-        rhs = [eq_row[1]] + [r[1] for r in combo]
-        x = solve_unique(mat, rhs)
-        if x is not None and member(h, x):
-            found.add(tuple(x))
-    return found
-
-
 def is_submodular_by_pairs(table: Sequence[int], n: int) -> bool:
     """Submodularity by its definition: f(A) + f(B) >= f(A | B) + f(A & B)
     for every pair of masks A, B of [n]."""
@@ -260,17 +220,42 @@ def is_submodular_by_pairs(table: Sequence[int], n: int) -> bool:
     return all(table[a] + table[b] >= table[a | b] + table[a & b] for a in range(size) for b in range(size))
 
 
+def _rank(n: int, masks: Iterable[int]) -> int:
+    """Rank of the all-ones row plus the bound rows of the given masks, by
+    exact integer elimination into rows kept with their pivot columns."""
+    echelon: list = []
+    for mask in itertools.chain([2 ** n - 1], masks):  # the full mask's row is all ones
+        if len(echelon) == n:
+            break
+        row = [(mask >> i) & 1 for i in range(n)]
+        for p, e in echelon:
+            if row[p]:
+                row = eliminate(row, e, p)
+        p = next((i for i in range(n) if row[i]), None)
+        if p is not None:
+            echelon.append((p, row))
+    return len(echelon)
+
+
+def tight_rank(h: HRep, point: Sequence) -> int:
+    """Rank of the rows tight at a point of the polytope: the all-ones row
+    plus each bound row met with equality.  The point is a vertex exactly
+    when this is n."""
+    bad, tight = _walk(h, point)
+    if bad is not None:
+        raise ValueError(f"point {tuple(point)} is outside the polytope: {bad}")
+    return _rank(h.n, tight)
+
+
 def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certification:
     """`polytope.certify_vertices` as it was before chain certificates: every
     claimed point is walked over its subset sums, and a member is a vertex
-    when its tight rows have rank n.  Step (c) and the simplex's witness
+    when its tight rows have rank n.  Tables that are not submodular are
+    refused as there (`_certifiable`); step (c) and the simplex's witness
     are the shared `_missing_vertices` and `_combination_witness`."""
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
-    submodular = _is_submodular(h.table, h.n)
-    if not submodular and h.n > INTERSECT_CAP:
-        raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
-    pts = sorted({tuple(p) for p in points})
+    pts = _certifiable(h, points)
     walks = [_walk(h, p) for p in pts]
     outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
     failures = [f"claimed vertex {p} violates the description: {bad}"
@@ -284,9 +269,8 @@ def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certificati
         if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
             failures.append(witness)
 
-    method, missing = _missing_vertices(h, set(pts), submodular)
-    failures += missing
-    return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
+    failures += _missing_vertices(h, set(pts))
+    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)
 
 

@@ -22,12 +22,12 @@ table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
 vectors its prefix orders reach, lists them without the n! orders; a
 one-entry memo keyed by the `HRep` lets `vertices` and the last step of
-`certify_vertices` share one enumeration.  `certify_vertices` proves a
-claimed point of a submodular table a vertex by a chain of tight
-prefixes, the order whose greedy vector it is, found in one forward pass
-(`_first_order`), and walks only the points without one; it re-derives
-the vertices exactly (by a search over tight row choices when a table is
-not submodular) with a witness per defect (`_missing_vertices`).
+`certify_vertices` share one enumeration.  `certify_vertices` refuses a
+table that is not submodular, proves a claimed point a vertex by a chain
+of tight prefixes, the order whose greedy vector it is, found in one
+forward pass (`_first_order`), and walks only the points without one; it
+re-derives the vertices exactly with a witness per defect
+(`_missing_vertices`).
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ STAR = "★"
 HREP_CAP = 18        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 10     # exact certification
-INTERSECT_CAP = 5    # tight-constraint enumeration fallback
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
 
@@ -314,11 +313,6 @@ def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     return witness, list(itertools.compress(range(1, 2 ** h.n - 1), flags))
 
 
-def violated_constraint(h: HRep, point: Sequence) -> str | None:
-    """Name of the first violated constraint, or None when the point is inside."""
-    return _walk(h, point)[0]
-
-
 def member(h: HRep, point: Sequence) -> bool:
     """Exact membership test; accepts integer or rational coordinates.  It
     reads only the top bits of the packed slack (`_slack`)."""
@@ -403,7 +397,8 @@ def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, .
     That is exact because the table is submodular: the sets tight at a
     vertex are closed under union and intersection, so every tight prefix
     of a vertex extends by one element, and no order reaches a point that
-    is not a vertex.  On other tables the pass may miss an order."""
+    is not a vertex.  On other tables the pass may miss an order, so
+    `certify_vertices` refuses them."""
     order: list[int] = []
     mask = 0
     for _ in range(n):
@@ -437,9 +432,10 @@ class Certification:
     """Outcome of the exact vertex certification.
 
     ``failures`` holds one human-readable witness per defect; empty means
-    the claimed points are exactly the vertex set.  ``method`` records how
-    the polytope's own vertices were enumerated for part (c), and
-    ``lp_calls`` how many claimed points part (b) had to send to the
+    the claimed points are exactly the vertex set.  ``method`` names how
+    part (c) enumerated the polytope's own vertices; it is always
+    ``"greedy"`` and is kept so that recorded outcomes stay comparable.
+    ``lp_calls`` counts the claimed points part (b) had to send to the
     phase-1 simplex.
     """
 
@@ -469,37 +465,6 @@ def _is_submodular(table: Sequence[int], n: int) -> bool:
     return True
 
 
-def _extend(echelon: list, row: list[int], n: int) -> list | None:
-    """The echelon (pivot column, row zero at every earlier pivot) with row
-    added, or None when row's first n entries depend on it; entries after
-    the n-th, such as a right-hand side, ride along."""
-    for p, e in echelon:
-        if row[p]:
-            row = lp.eliminate(row, e, p)
-    p = next((i for i in range(n) if row[i]), None)
-    return None if p is None else [*echelon, (p, row)]
-
-
-def _rank(n: int, masks: Iterable[int]) -> int:
-    """Rank of the all-ones row plus the bound rows of the given masks."""
-    echelon: list = []
-    for mask in itertools.chain([2 ** n - 1], masks):  # the full mask's row is all ones
-        if len(echelon) == n:
-            break
-        echelon = _extend(echelon, [(mask >> i) & 1 for i in range(n)], n) or echelon
-    return len(echelon)
-
-
-def tight_rank(h: HRep, point: Sequence) -> int:
-    """Rank of the rows tight at a point of the polytope: the all-ones row
-    plus each bound row met with equality, by exact integer elimination.
-    The point is a vertex exactly when this is n."""
-    bad, tight = _walk(h, point)
-    if bad is not None:
-        raise ValueError(f"point {tuple(point)} is outside the polytope: {bad}")
-    return _rank(h.n, tight)
-
-
 def _exposed(p: Sequence, tight: Sequence[int], others: Sequence[Sequence]) -> bool:
     """Whether some c + t * (1, ..., 1) puts every q in others strictly below
     p, where c_i counts the tight masks holding i.  Summing p's tight rows
@@ -524,33 +489,6 @@ def _exposed(p: Sequence, tight: Sequence[int], others: Sequence[Sequence]) -> b
     return not low or not high or max(low) < min(high)
 
 
-def _intersection_vertices(h: HRep) -> set[tuple]:
-    """Vertices of any bound system: the member solutions of the equality plus
-    n-1 independent bound rows.  A depth-first search picks bound rows in
-    increasing mask order and drops a row as soon as it depends on those
-    already picked, so it completes each full-rank choice once."""
-    n = h.n
-    rows = [[(mask >> i) & 1 for i in range(n)] + [h.table[mask]] for mask in range(1, 2 ** n)]
-    found: set[tuple] = set()
-
-    def search(echelon: list, start: int) -> None:
-        if len(echelon) == n:
-            diagonal: list = []  # back-substitution: each row cleared at the later pivots too
-            for _, row in reversed(echelon):
-                diagonal = _extend(diagonal, row, n)
-            x = tuple(Fraction(row[n], row[p]) for p, row in sorted(diagonal))
-            if x not in found and member(h, x):
-                found.add(x)
-            return
-        for k in range(start, len(rows) - 1):
-            grown = _extend(echelon, rows[k], n)
-            if grown is not None:
-                search(grown, k + 1)
-
-    search(_extend([], rows[-1], n), 0)  # the full mask's row is the equality
-    return found
-
-
 def _combination_witness(p: tuple, others: list[tuple]) -> str | None:
     """The failure naming p a convex combination of the other claimed
     points, by the phase-1 simplex, or None when it is none."""
@@ -561,49 +499,49 @@ def _combination_witness(p: tuple, others: list[tuple]) -> str | None:
     return f"claimed vertex {p} is not a vertex: {p} = {combo}"
 
 
-def _missing_vertices(h: HRep, claimed: set[tuple], submodular: bool) -> tuple[str, list[str]]:
-    """Certification step (c): the method finding the polytope's vertices,
-    greedy vectors (`_vertex_set`) or the search over independent bound rows,
-    and a failure per vertex not claimed; a greedy vector is named with the
-    first order reaching it, in the order a lexicographic S_n sweep meets it."""
-    if submodular:
-        missing = sorted((_first_order(h.table, v, h.n), v) for v in _vertex_set(h) if v not in claimed)
-        return "greedy", [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
-    # p/q for non-integer coordinates; a non-submodular table has n >= 2
-    return "intersection", [f"vertex ({', '.join(map(str, v))}) is missing from the claimed set"
-                            for v in sorted(_intersection_vertices(h)) if v not in claimed]
+def _missing_vertices(h: HRep, claimed: set[tuple]) -> list[str]:
+    """Certification step (c): a failure per greedy vector (`_vertex_set`)
+    not claimed, named with the first order reaching it, in the order a
+    lexicographic S_n sweep meets it."""
+    missing = sorted((_first_order(h.table, v, h.n), v) for v in _vertex_set(h) if v not in claimed)
+    return [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
+
+
+def _certifiable(h: HRep, points: Iterable[Sequence]) -> list[tuple]:
+    """The distinct claimed points, sorted, once each passes `_check_point`;
+    then a table that is not submodular is refused, since every step of
+    certification rests on Edmonds' theorem."""
+    pts = sorted({tuple(p) for p in points})
+    for p in pts:
+        _check_point(h, p)
+    if not _is_submodular(h.table, h.n):
+        raise ValueError("bounds are not submodular; certification covers submodular tables only")
+    return pts
 
 
 def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
-    """Certify that ``points`` is exactly the vertex set of the polytope.
+    """Certify that ``points`` is exactly the vertex set of the polytope of a
+    submodular table; any other table raises `ValueError` (`_certifiable`).
 
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  When the table is submodular, a claimed point with an order
-    whose every prefix is tight (`_first_order`) is the greedy vector along
-    it, so by Edmonds a member and a vertex, cut out by its chain of n - 1
-    proper prefix rows; it needs no walk.  By the same theorem a point
-    without one is no vertex, and is walked for (a) alone.  At a table that
-    is not submodular every point is walked over its subset sums: the first
-    violated bound for (a), and the tight rows, which make a member a
-    vertex when they have rank n.  A vertex is no convex combination of
-    other points in the polytope, nor of claimed points outside it that
-    `_exposed` separates from it, by its chain rows first and then by all
-    its tight rows; only the other points go to the phase-1 simplex
+    points.  A claimed point with an order whose every prefix is tight
+    (`_first_order`) is the greedy vector along it, so by Edmonds a member
+    and a vertex, cut out by its chain of n - 1 proper prefix rows; it needs
+    no walk.  By the same theorem a point without one is no vertex, and is
+    walked for (a) alone.  A vertex is no convex combination of other points
+    in the polytope, nor of claimed points outside it that `_exposed`
+    separates from it, by its chain rows first and then by all its tight
+    rows; only the other points go to the phase-1 simplex
     (`_combination_witness`).  Step (c) is `_missing_vertices`.
     """
     n, table = h.n, h.table
     if n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
-    pts = sorted({tuple(p) for p in points})
-    for p in pts:
-        _check_point(h, p)
-    submodular = _is_submodular(table, n)
-    if not submodular and n > INTERSECT_CAP:
-        raise ValueError(f"vertex enumeration for non-submodular bounds capped at n <= {INTERSECT_CAP}")
+    pts = _certifiable(h, points)
 
-    orders = [_first_order(table, p, n) if submodular else None for p in pts]
+    orders = [_first_order(table, p, n) for p in pts]
     walks = {p: _walk(h, p) for p, order in zip(pts, orders) if order is None}
     outside = [p for p, (bad, _) in walks.items() if bad is not None]
     failures = [f"claimed vertex {p} violates the description: {walks[p][0]}" for p in outside]
@@ -614,17 +552,12 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
             chain = list(itertools.accumulate([1 << (k - 1) for k in order[:-1]], operator.or_))
             if _exposed(p, chain, outside) or _exposed(p, _walk(h, p)[1], outside):
                 continue
-        elif not submodular:
-            bad, tight = walks[p]
-            if bad is None and _rank(n, tight) == n and _exposed(p, tight, outside):
-                continue
         lp_calls += 1
         if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
             failures.append(witness)
 
-    method, missing = _missing_vertices(h, set(pts), submodular)
-    failures += missing
-    return Certification(ok=not failures, method=method, points=len(pts), failures=tuple(failures),
+    failures += _missing_vertices(h, set(pts))
+    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)
 
 

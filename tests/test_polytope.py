@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check
-from schubitope import Diagram
+from schubitope import Diagram, lp, oracles, polytope
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
@@ -19,9 +19,8 @@ from schubitope.oracles import (
     greedy_vectors_by_sweep,
     is_submodular_by_pairs,
     schubert_matroid_bases,
-    solve_unique,
+    tight_rank,
     vertices_by_filling,
-    vertices_by_intersection,
     walk_by_fractions,
 )
 from schubitope.polytope import (
@@ -31,7 +30,6 @@ from schubitope.polytope import (
     _column_theta,
     _first_order,
     _greedy_vectors,
-    _intersection_vertices,
     _is_submodular,
     _pack,
     _scaled,
@@ -49,11 +47,9 @@ from schubitope.polytope import (
     member,
     theta,
     theta_columns,
-    tight_rank,
     vertex_set_from_json_dict,
     vertex_set_to_json_dict,
     vertices,
-    violated_constraint,
 )
 
 
@@ -306,9 +302,9 @@ class TestMember:
 
     def test_witness_prints_unscaled_sums(self):
         h = hrep(TRAPEZOID)
-        assert violated_constraint(h, (Fraction(7, 2), Fraction(1, 2), 0)) == "sum over [1] is 7/2 > 3"
-        assert violated_constraint(h, (Fraction(3), 1, Fraction(1, 3))) == "coordinate sum 13/3 != 4"
-        assert violated_constraint(h, (Fraction(4), Fraction(0), Fraction(0))) == "sum over [1] is 4 > 3"
+        assert _walk(h, (Fraction(7, 2), Fraction(1, 2), 0))[0] == "sum over [1] is 7/2 > 3"
+        assert _walk(h, (Fraction(3), 1, Fraction(1, 3)))[0] == "coordinate sum 13/3 != 4"
+        assert _walk(h, (Fraction(4), Fraction(0), Fraction(0)))[0] == "sum over [1] is 4 > 3"
 
 
 def walk_fuzz_points(h, rng):
@@ -598,7 +594,7 @@ class TestCertify:
 
     def test_is_frozen(self):
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES)
-        for field, value in (("ok", False), ("method", "intersection"), ("points", 0),
+        for field, value in (("ok", False), ("method", "walk"), ("points", 0),
                              ("failures", ("forged",))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cert, field, value)
@@ -622,25 +618,6 @@ class TestCertify:
         assert not cert.ok
         assert any("violates" in f for f in cert.failures)
 
-    def test_non_submodular_bounds_use_intersection_fallback(self):
-        # f({1}) + f({2}) < f({1,2}) + f({}) breaks submodularity; the only
-        # feasible point is (0, 0, 1); table[mask] for masks {}, {1}, {2}, {1,2},
-        # {3}, {1,3}, {2,3}, {1,2,3}
-        h = HRep(3, 1, (0, 0, 0, 1, 1, 1, 1, 1))
-        cert = certify_vertices(h, {(0, 0, 1)})
-        assert cert.ok and cert.method == "intersection"
-        missing = certify_vertices(h, set())
-        assert missing.failures == ("vertex (0, 0, 1) is missing from the claimed set",)
-
-    def test_intersection_witness_prints_fractions_as_p_over_q(self):
-        # x1 + x2, x2 + x3, x1 + x3 <= 1 with total 2: the vertex (1/2, 1/2, 1/2, 1/2)
-        table = [bin(mask).count("1") for mask in range(16)]
-        table[0b0011] = table[0b0110] = table[0b0101] = 1
-        table[-1] = 2
-        cert = certify_vertices(HRep(4, 2, tuple(table)), {(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1)})
-        assert cert.method == "intersection"
-        assert cert.failures == ("vertex (1/2, 1/2, 1/2, 1/2) is missing from the claimed set",)
-
     def test_single_column_polytopes_have_basis_vertices(self):
         for n in range(1, 6):  # one instance per row set of the column
             assert_check("column-polytope-bases", n, 2 ** n)
@@ -649,12 +626,23 @@ class TestCertify:
         with pytest.raises(ValueError, match="cap"):
             certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
 
-    def test_non_submodular_cap_is_checked_before_the_points_are(self):
+    def test_non_submodular_bounds_are_refused_after_the_point_check(self, monkeypatch):
+        # both certifications refuse the table before any walk or LP: a
+        # claim holding a point off the hyperplane raises instead of failing (a)
+        def forbidden(*args):
+            raise AssertionError("walk or LP before the refusal")
+
+        for module, name in ((polytope, "_walk"), (oracles, "_walk"), (lp, "convex_combination")):
+            monkeypatch.setattr(module, name, forbidden)
         h = raised_theta_table(random.Random(7), 6)
-        with pytest.raises(ValueError, match="non-submodular bounds capped at n <= 5"):
-            certify_vertices(h, {(h.total, 0, 0, 0, 0, 0)})
-        with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
-            certify_vertices(h, {(0, 0)})
+        refusal = "bounds are not submodular; certification covers submodular tables only"
+        for certify in (certify_vertices, certify_vertices_by_walk):
+            for claim in (set(), {(h.total, 0, 0, 0, 0, 0)}, {(h.total + 1, 0, 0, 0, 0, 0)}):
+                with pytest.raises(ValueError) as refused:
+                    certify(h, claim)
+                assert str(refused.value) == refusal, (certify, claim)
+            with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
+                certify(h, {(0, 0)})
 
     def test_reports_lp_calls(self):
         assert certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES).lp_calls == 0
@@ -696,7 +684,7 @@ class TestCertify:
                     every_point.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
             assert any(f.startswith(f"claimed vertex {v} is not a vertex") for f in every_point)
             assert cert.failures == (
-                f"claimed vertex {q} violates the description: {violated_constraint(h, q)}",
+                f"claimed vertex {q} violates the description: {_walk(h, q)[0]}",
                 *every_point,
                 *certify_vertices(h, verts[1:]).failures,
             )
@@ -724,7 +712,7 @@ class TestCertify:
                 named = [f.split(":")[0] for f in every_point]
                 assert named == [f"claimed vertex {a} is not a vertex"] * (len(extra) - 1)
                 cert = certify_vertices(h, pts)
-                outside = [f"claimed vertex {q} violates the description: {violated_constraint(h, q)}"
+                outside = [f"claimed vertex {q} violates the description: {_walk(h, q)[0]}"
                            for q in sorted(extra)]
                 assert cert.failures == (*outside, *every_point), d
                 assert cert.lp_calls == lp_calls, d
@@ -772,8 +760,10 @@ class TestCertify:
 class TestGreedyVectors:
     """The prefix-mask enumerator behind `vertices` and certification step
     (c), against one `_greedy` run per permutation, on any integer table:
-    certification takes whatever bounds an `HRep` holds.  `_first_order`
-    runs on submodular tables only, so it is checked on those."""
+    the enumeration assumes nothing of the table, and negative, wide and
+    non-submodular steps test its offset and slot width more than theta
+    tables do.  `_first_order` is exact on submodular tables only, so it is
+    checked on those."""
 
     @staticmethod
     def random_tables(rng, n):
@@ -891,7 +881,8 @@ class TestTightRank:
 
 def raised_theta_table(rng, n):
     """The theta table of a random diagram with one bound raised by 1 or 2,
-    redrawn until it is not submodular.  Raising a bound keeps every table
+    redrawn until it is not submodular: a table the submodularity test must
+    reject and certification must refuse.  Raising a bound keeps every table
     at n <= 2 submodular, so there the redraws would never end."""
     if n < 3:
         raise ValueError(f"no raised theta table at n = {n} is non-submodular")
@@ -900,32 +891,6 @@ def raised_theta_table(rng, n):
         table[rng.randrange(1, 2 ** n - 1)] += rng.randint(1, 2)
         if not _is_submodular(table, n):
             return HRep(n, table[-1], tuple(table))
-
-
-class TestIntersectionVertices:
-    """The depth-first search over independent bound rows behind the
-    non-submodular branch of certification."""
-
-    def test_matches_greedy_sweep_on_theta_tables(self):
-        for n in range(1, 5):
-            for w in itertools.permutations(range(1, n + 1)):
-                assert _intersection_vertices(hrep(rothe(w))) == vertices(rothe(w)), w
-        rng = random.Random(5)
-        for n in (1, 2, 2, 3, 3, 4, 4, 5):
-            d = random_diagram(rng, n)
-            assert _intersection_vertices(hrep(d)) == vertices(d), d
-
-    def test_matches_combinations_oracle_on_non_submodular_tables(self):
-        rng = random.Random(9)
-        tables = [raised_theta_table(rng, n) for n in (3, 4) for _ in range(8)]
-        for h in tables + [raised_theta_table(rng, 5)]:
-            assert _intersection_vertices(h) == vertices_by_intersection(h), h
-
-    def test_oracle_solve_unique(self):
-        assert solve_unique([[1, 1], [1, -1]], [3, 1]) == [2, 1]
-
-    def test_oracle_solve_unique_singular(self):
-        assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None
 
 
 def claim_families(verts, rng):
@@ -963,13 +928,6 @@ class TestChainCertificates:
                 assert new.lp_calls <= old.lp_calls, (d, claim)
                 fell += new.lp_calls < old.lp_calls
         assert fell > 0
-
-    def test_matches_walk_oracle_on_non_submodular_tables(self):
-        rng = random.Random(98)
-        for n in (3, 4) * 15:
-            h = raised_theta_table(rng, n)
-            for claim in claim_families(_intersection_vertices(h), rng):
-                assert certify_vertices(h, claim) == certify_vertices_by_walk(h, claim), (h, claim)
 
     def test_oracle_keeps_its_own_cap(self):
         with pytest.raises(ValueError, match="cap"):
