@@ -11,11 +11,9 @@ from .diagrams import Diagram, rothe, skyline
 from .fillings import (
     fill_column,
     fill_diagram,
-    rank_brute,
     rank_columns,
     rank_diagram,
     rank_filling,
-    rank_max_filling,
     sort_filling,
     standardize,
     vertex_vector,
@@ -97,11 +95,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the Gale-order basis enumeration is reference code in `oracles`, loaded
-    # on first use: compiling `oracles` in every cold `import schubitope`
-    # made that import 5-12% slower
-    if name == "schubert_matroid_bases":
-        from .oracles import schubert_matroid_bases
+    # the reference ranks and the Gale-order basis enumeration live in
+    # `oracles`, loaded on first use: compiling `oracles` in every cold
+    # `import schubitope` made that import 5-12% slower
+    if name in ("rank_brute", "rank_max_filling", "schubert_matroid_bases"):
+        from . import oracles
 
-        return schubert_matroid_bases
+        return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -193,8 +193,8 @@ def check_rank_three_ways(m: int, rng: random.Random) -> Steps:
         for s in _subsets(m):
             yield
             a = fillings.rank_filling(rows, s)
-            b = fillings.rank_brute(rows, s)
-            c = fillings.rank_max_filling(rows, s)
+            b = oracles.rank_brute(rows, s)
+            c = oracles.rank_max_filling(rows, s)
             if not (a == b == c):
                 return f"C={sorted(rows)} S={sorted(s)}: {a},{b},{c}"
 
@@ -298,10 +298,10 @@ def check_theta_equals_rank(m: int, rng: random.Random) -> Steps:
 @check("greedy-equals-filling", scope=4)
 def check_greedy_equals_filling(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=15):
-        rank = {s: fillings.rank_diagram(d, s) for s in _subsets(m)}
+        rank = [fillings.rank_diagram(d, s) for s in _subsets(m)]
         for w in all_perms(m):
             yield
-            if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank.__getitem__, w):
+            if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank, w):
                 return f"D={_diagram_str(d)} w={w}"
 
 
@@ -325,8 +325,8 @@ def check_minkowski_membership(m: int, rng: random.Random) -> Steps:
         h = polytope.hrep(d)
         per_column = [
             [tuple(int(i in b) for i in range(1, m + 1))
-             for b in oracles.schubert_matroid_bases(col, m)]
-            for col in d.columns
+             for b in oracles.schubert_matroid_bases(polytope._mask_subset(col, m), m)]
+            for col in d.column_masks
         ]
         sums = set()
         for combo in itertools.product(*per_column):

@@ -6,13 +6,12 @@ the polytope built from a diagram lives in R^n, so n matters even for
 empty rows.
 
 A Schubitope is a sum of per-column pieces, so the library reads a
-diagram column by column.  Each `Diagram` computes its per-column data
-once, on first use, and keeps it: the row sets (`columns`), the rows in
-increasing order (`column_rows`, for the greedy fillings) and the row
-bitmasks (`column_masks`, for theta and the bound table).  The boxes are
-checked once, when the diagram is built, so the code reading these needs
-no further checks.  The cached values are not fields, so equality and
-hashing see only n and the boxes.
+diagram column by column, each column as its row bitmask: bit i-1 is set
+iff row i holds a box.  The greedy fillings, theta and the bound table all
+read these masks (`column_masks`), which each `Diagram` computes once, on
+first use, and keeps.  The boxes are checked once, when the diagram is
+built, so the code reading the masks needs no further checks.  The cached
+masks are not a field, so equality and hashing see only n and the boxes.
 """
 from __future__ import annotations
 
@@ -70,22 +69,12 @@ class Diagram:
         return sorted(self.boxes)
 
     @functools.cached_property
-    def columns(self) -> tuple[frozenset[int], ...]:
-        """Per-column row sets: columns[j-1] = {i : (i, j) is a box}."""
-        cols: list[set[int]] = [set() for _ in range(self.n)]
-        for r, c in self.boxes:
-            cols[c - 1].add(r)
-        return tuple(frozenset(s) for s in cols)
-
-    @functools.cached_property
-    def column_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per-column rows in increasing order: column_rows[j-1] = sorted(columns[j-1])."""
-        return tuple(tuple(sorted(col)) for col in self.columns)
-
-    @functools.cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Per-column row bitmasks: bit i-1 of column_masks[j-1] is set iff (i, j) is a box."""
-        return tuple(sum(1 << (r - 1) for r in col) for col in self.columns)
+        masks = [0] * self.n
+        for r, c in self.boxes:
+            masks[c - 1] |= 1 << (r - 1)
+        return tuple(masks)
 
 
 def rothe(w: Sequence[int]) -> Diagram:

@@ -1,31 +1,23 @@
-"""Greedy column fillings and the Schubert-matroid rank functions they compute.
+"""Greedy column fillings and the Schubert-matroid rank they compute.
 
 A filling of a column is a dict mapping row index to the value placed in
 that row.  Fillings produced here are always column-strict (distinct
 values) and flagged (the value in row i never exceeds i).
 
-The same rank is computed three independent ways: by the greedy filling
-(`rank_filling`), by enumerating matroid bases (`rank_brute`), and by
-exhaustive search over flagged fillings (`rank_max_filling`).  The brute
-variants exist as oracles; they agree with the greedy one on every input
-small enough to enumerate.
-
-Each public function checks its inputs once, on entry, and then runs the
-unchecked kernel `_fill` per column.  The diagram functions read each
-column's sorted rows from `Diagram.column_rows`, which the diagram
-computes once, so a sweep over many orders or subsets of one diagram
-sorts no column twice.
+A column is its row bitmask, bit i-1 set iff row i holds a box, as the
+diagram keeps it (`Diagram.column_masks`).  Each public function checks
+its inputs once, on entry, and then runs the unchecked kernel `_fill` per
+column mask, so a sweep over many orders or subsets of one diagram builds
+no column twice.  The reference ranks that the greedy rank is checked
+against, by basis enumeration and by exhaustive search, are
+`oracles.rank_brute` and `oracles.rank_max_filling`.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .diagrams import Box, Diagram, check_subset
 from .perms import check_permutation
-
-# cap for the oracle enumerations: C(n, k) bases stay small at desk scale
-ENUMERATION_CAP = 12
 
 
 def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
@@ -38,20 +30,19 @@ def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
     >>> fill_column({2, 3, 4, 6}, (3, 1, 5, 6, 2, 4))
     {3: 3, 2: 1, 6: 5, 4: 2}
     """
-    order = _sorted_rows(rows)
+    col = _column_mask(rows)
     _check_values(values)
-    return _fill(order, values)
+    return _fill(col, values)
 
 
-def _sorted_rows(rows: Iterable[int]) -> list[int]:
-    """The column rows in increasing order, type-checked before sorting,
-    which raises TypeError on mixed types."""
-    order = [*rows]
-    if not {*map(type, order)} <= {int} or order and min(order) < 1:
-        bad = next(r for r in order if type(r) is not int or r < 1)
+def _column_mask(rows: Iterable[int]) -> int:
+    """The column's row bitmask; a repeated row counts once.  The rows are
+    type-checked first, so True is no row 1."""
+    rows = [*rows]
+    if not {*map(type, rows)} <= {int} or rows and min(rows) < 1:
+        bad = next(r for r in rows if type(r) is not int or r < 1)
         raise ValueError(f"column rows must be positive integers, got {bad!r}")
-    order.sort()
-    return order
+    return sum(1 << (r - 1) for r in {*rows})
 
 
 def _check_values(values: Sequence[int]) -> None:
@@ -66,14 +57,16 @@ def _check_values(values: Sequence[int]) -> None:
         raise ValueError(f"filling values must be positive integers, got {next(v for v in values if v < 1)}")
 
 
-def _fill(order: Sequence[int], values: Sequence[int]) -> dict[int, int]:
-    """`fill_column` on increasing rows and distinct positive values, unchecked."""
+def _fill(col: int, values: Sequence[int]) -> dict[int, int]:
+    """`fill_column` on a row bitmask and distinct positive values, unchecked:
+    value v takes the lowest set bit at or above bit v-1, which is cleared."""
     filled: dict[int, int] = {}
     for v in values:
-        for r in order:
-            if r >= v and r not in filled:
-                filled[r] = v
-                break
+        free = col >> (v - 1)
+        if free:
+            low = free & -free
+            filled[v - 1 + low.bit_length()] = v
+            col ^= low << (v - 1)
     return filled
 
 
@@ -88,8 +81,8 @@ def fill_diagram(d: Diagram, w: Sequence[int]) -> dict[Box, int]:
     """Apply the greedy filling to every column independently, with the entries of w."""
     w = _check_order(d, w)
     out: dict[Box, int] = {}
-    for j, rows in enumerate(d.column_rows, 1):  # rows checked by Diagram, values by _check_order
-        for r, v in _fill(rows, w).items():
+    for j, col in enumerate(d.column_masks, 1):  # rows checked by Diagram, values by _check_order
+        for r, v in _fill(col, w).items():
             out[(r, j)] = v
     return out
 
@@ -102,8 +95,8 @@ def vertex_vector(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
     """
     w = _check_order(d, w)
     counts = [0] * d.n
-    for rows in d.column_rows:
-        for v in _fill(rows, w).values():
+    for col in d.column_masks:
+        for v in _fill(col, w).values():
             counts[v - 1] += 1
     return tuple(counts)
 
@@ -120,66 +113,11 @@ def rank_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
     return len(fill_column(rows, sorted(s)))
 
 
-def _check_enumeration_size(rows: Sequence[int]) -> None:
-    if len(rows) > ENUMERATION_CAP or (rows and rows[-1] > ENUMERATION_CAP):
-        raise ValueError(
-            f"column {tuple(rows)} too large for oracle enumeration (cap {ENUMERATION_CAP})"
-        )
-
-
-def rank_brute(rows: Iterable[int], subset: Iterable[int]) -> int:
-    """Oracle rank: max |subset ∩ B| over all bases B of the column's Schubert matroid.
-
-    A basis is any set of the same size whose sorted entries are dominated
-    entrywise by the sorted column rows (Gale order).
-    """
-    values = tuple(subset)
-    _check_values(values)  # the checks and messages of `rank_filling`
-    rows = _sorted_rows(rows)
-    _check_enumeration_size(rows)
-    if not rows:
-        return 0
-    want = set(values)
-    best = 0
-    for basis in itertools.combinations(range(1, rows[-1] + 1), len(rows)):
-        if all(a <= b for a, b in zip(basis, rows)):
-            best = max(best, len(want.intersection(basis)))
-    return best
-
-
-def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
-    """Oracle rank: the largest column-strict flagged filling drawing values from the subset.
-
-    Exhaustive backtracking over all partial assignments; independent of
-    both the greedy algorithm and the basis enumeration.
-    """
-    values = tuple(subset)
-    _check_values(values)  # the checks and messages of `rank_filling`
-    values = sorted(values)
-    rows = _sorted_rows(rows)
-    _check_enumeration_size(rows)
-    best = 0
-
-    def search(vi: int, occupied: frozenset[int], count: int) -> None:
-        nonlocal best
-        if vi == len(values):
-            best = max(best, count)
-            return
-        search(vi + 1, occupied, count)
-        v = values[vi]
-        for r in rows:
-            if r >= v and r not in occupied:
-                search(vi + 1, occupied | {r}, count + 1)
-
-    search(0, frozenset(), 0)
-    return best
-
-
 def rank_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column ranks of a subset of [n], the rank analogue of
     `polytope.theta_columns`; the subset is checked by the same rule."""
     s = sorted(check_subset(subset, d.n))  # the Diagram checked its columns
-    return [len(_fill(rows, s)) for rows in d.column_rows]
+    return [len(_fill(col, s)) for col in d.column_masks]
 
 
 def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:

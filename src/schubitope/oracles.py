@@ -3,18 +3,20 @@
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one greedy filling per
-permutation for the vertex set, one greedy vector per permutation
-(`_greedy`, read off a bound table) for the prefix-mask enumeration of a
-table's greedy vectors and for `edmonds_vertex`, one `Fraction`
-sum per subset for the integer subset-sum walk, every pair of masks for
-the local submodularity test, one subset-sum walk and rank test of the
-tight rows (`tight_rank`) per claimed point for the chain certificates of
-vertex certification (its second step; the third is shared), a phase-1
-simplex on `Fraction` entries for the integer-tableau one, one simplex per
-point for the certified hull, and every k-subset compared in the Gale
-order for a column's Schubert matroid bases.  Slow, obvious, and independent of the
-code they vouch for.  The n! sweeps keep their own cap, `SWEEP_CAP`, and
-the walk certification its own, `CERTIFY_CAP`.
+permutation for the vertex set, one `edmonds_vertex` run per permutation
+for the prefix-mask enumeration of a table's greedy vectors, one
+`Fraction` sum per subset for the integer subset-sum walk, every pair of
+masks for the local submodularity test, one subset-sum walk and rank test
+of the tight rows (`tight_rank`) per claimed point for the chain
+certificates of vertex certification (its second step; the third is
+shared), a phase-1 simplex on `Fraction` entries for the integer-tableau
+one, one simplex per point for the certified hull, every k-subset compared
+in the Gale order for a column's Schubert matroid bases, and for the
+greedy filling's rank in that matroid, the largest intersection with a
+basis (`rank_brute`) and an exhaustive search over flagged fillings
+(`rank_max_filling`).  Slow, obvious, and independent of the code they
+vouch for.  The n! sweeps, the walk certification and the enumerations
+keep their own caps.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import fillings, polyoracle
 from .diagrams import Diagram, check_subset
-from .fillings import ENUMERATION_CAP
+from .fillings import _check_values, _column_mask
 from .lp import convex_combination, eliminate
 from .perms import (
     Composition,
@@ -43,12 +45,16 @@ from .polytope import (
     _certifiable,
     _combination_witness,
     _exposed,
+    _mask_subset,
     _missing_vertices,
     _walk,
+    edmonds_vertex,
 )
 
 SWEEP_CAP = 8    # the n! sweeps below; independent of the fast enumerator's cap
 CERTIFY_CAP = 8  # the walk certification below; independent of the chain one's cap
+# cap for the basis and filling enumerations: C(n, k) bases stay small at desk scale
+ENUMERATION_CAP = 12
 
 
 def bruhat_lower_interval(w: Sequence[int]) -> set[Perm]:
@@ -170,26 +176,59 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
     }
 
 
-def _greedy(table, w: Sequence[int]) -> tuple:
-    """Edmonds' greedy vector along the order w: coordinate w_k receives
-    table[{w_1..w_k}] - table[{w_1..w_{k-1}}], subsets as bitmasks."""
-    x: list = [0] * len(w)
-    mask = 0
-    prev = table[0]
-    for k in w:
-        mask |= 1 << (k - 1)
-        cur = table[mask]
-        x[k - 1] = cur - prev
-        prev = cur
-    return tuple(x)
+def _check_enumeration_size(rows: Iterable[int]) -> list[int]:
+    """The distinct column rows, increasing, checked as `fillings.fill_column`
+    checks them and refused past `ENUMERATION_CAP`."""
+    col = _column_mask(rows)
+    rows = _mask_subset(col, col.bit_length())
+    if col >> ENUMERATION_CAP:
+        raise ValueError(f"column {tuple(rows)} too large for oracle enumeration (cap {ENUMERATION_CAP})")
+    return rows
+
+
+def rank_brute(rows: Iterable[int], subset: Iterable[int]) -> int:
+    """Rank by the bases: max |subset ∩ B| over all bases B of the column's
+    Schubert matroid (`schubert_matroid_bases`)."""
+    values = tuple(subset)
+    _check_values(values)  # the checks and messages of `fillings.rank_filling`
+    rows = _check_enumeration_size(rows)
+    want = set(values)
+    return max(len(want & b) for b in schubert_matroid_bases(rows, max(rows, default=0)))
+
+
+def rank_max_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
+    """Rank as the largest column-strict flagged filling drawing values from the subset.
+
+    Exhaustive backtracking over all partial assignments; independent of
+    both the greedy algorithm and the basis enumeration.
+    """
+    values = tuple(subset)
+    _check_values(values)  # the checks and messages of `fillings.rank_filling`
+    values = sorted(values)
+    rows = _check_enumeration_size(rows)
+    best = 0
+
+    def search(vi: int, occupied: frozenset[int], count: int) -> None:
+        nonlocal best
+        if vi == len(values):
+            best = max(best, count)
+            return
+        search(vi + 1, occupied, count)
+        v = values[vi]
+        for r in rows:
+            if r >= v and r not in occupied:
+                search(vi + 1, occupied | {r}, count + 1)
+
+    search(0, frozenset(), 0)
+    return best
 
 
 def greedy_vectors_by_sweep(table: Sequence[int], n: int) -> set[tuple]:
     """The greedy vectors of a bound table (indexed by subset bitmask), one
-    `_greedy` run per permutation of S_n."""
+    `edmonds_vertex` run per permutation of S_n."""
     if n > SWEEP_CAP:
         raise ValueError(f"full S_{n} sweep exceeds the enumeration budget (n <= {SWEEP_CAP})")
-    return {_greedy(table, w) for w in itertools.permutations(range(1, n + 1))}
+    return {edmonds_vertex(table, w) for w in itertools.permutations(range(1, n + 1))}
 
 
 def walk_by_fractions(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:

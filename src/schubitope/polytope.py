@@ -21,13 +21,11 @@ theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
 vectors its prefix orders reach, lists them without the n! orders; a
-one-entry memo keyed by the `HRep` lets `vertices` and the last step of
-`certify_vertices` share one enumeration.  `certify_vertices` refuses a
-table that is not submodular, proves a claimed point a vertex by a chain
-of tight prefixes, the order whose greedy vector it is, found in one
-forward pass (`_first_order`), and walks only the points without one; it
-re-derives the vertices exactly with a witness per defect
-(`_missing_vertices`).
+one-entry memo keyed by the `HRep` lets `vertices` and `certify_vertices`
+share one enumeration.  `certify_vertices` refuses a table that is not
+submodular, proves a claimed point a vertex by finding it among them, and
+walks only the other points; it names each missing vertex by the first
+order reaching it, found in one forward pass (`_first_order`).
 """
 from __future__ import annotations
 
@@ -39,7 +37,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import lp
 from .diagrams import Diagram, check_subset, is_int
@@ -75,10 +73,10 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     if not 1 <= j <= d.n:
         raise ValueError(f"column {j} out of range 1..{d.n}")
     s = check_subset(subset, d.n)
-    col = d.columns[j - 1]
+    col = d.column_masks[j - 1]
     out = []
     for i in range(1, d.n + 1):
-        inside = i in col
+        inside = col >> (i - 1) & 1
         if not inside and i in s:
             out.append("(")
         elif inside and i not in s:
@@ -324,20 +322,22 @@ def member(h: HRep, point: Sequence) -> bool:
     return slack & tops == tops
 
 
-def edmonds_vertex(f: Callable[[frozenset[int]], int], w: Sequence[int]) -> tuple:
+def edmonds_vertex(table: Sequence[int], w: Sequence[int]) -> tuple:
     """Greedy vertex of the base polytope of a set function, along the order w.
+    The function is a table indexed by subset bitmask, as `HRep.table` is.
 
-    Coordinate w_k receives f({w_1..w_k}) - f({w_1..w_{k-1}}).  The caller
-    guarantees f(empty) = 0 and submodularity when vertex semantics are
-    claimed.
-    """
+    Coordinate w_k receives table[{w_1..w_k}] - table[{w_1..w_{k-1}}].  The
+    caller guarantees table[0] = 0 and submodularity when vertex semantics
+    are claimed."""
     w = check_permutation(w)
+    if len(table) != 2 ** len(w):
+        raise ValueError(f"table has {len(table)} entries, expected 2^{len(w)}")
     x: list = [0] * len(w)
-    prefix: frozenset[int] = frozenset()
-    prev = f(prefix)
+    mask = 0
+    prev = table[0]
     for k in w:
-        prefix = prefix | {k}
-        cur = f(prefix)
+        mask |= 1 << (k - 1)
+        cur = table[mask]
         x[k - 1] = cur - prev
         prev = cur
     return tuple(x)
@@ -388,7 +388,8 @@ def _vertex_set(h: HRep) -> frozenset[tuple[int, ...]]:
 
 def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
     """The lexicographically first order whose greedy vector is v, or None,
-    for a submodular table.
+    for a submodular table: certification names a missing vertex by it, and
+    reads a claimed vertex's chain rows off it when some point is outside.
 
     Along an order the greedy coordinates telescope, so the order reaches v
     exactly when each element k it adds to a prefix mask S is a tight step:
@@ -508,12 +509,13 @@ def _missing_vertices(h: HRep, claimed: set[tuple]) -> list[str]:
 
 
 def _certifiable(h: HRep, points: Iterable[Sequence]) -> list[tuple]:
-    """The distinct claimed points, sorted, once each passes `_check_point`;
-    then a table that is not submodular is refused, since every step of
+    """The distinct claimed points, sorted, once each passes `_check_point`
+    (first, so a malformed coordinate cannot break the sort); then a table that is not submodular is refused, since every step of
     certification rests on Edmonds' theorem."""
-    pts = sorted({tuple(p) for p in points})
+    pts = [tuple(p) for p in points]
     for p in pts:
         _check_point(h, p)
+    pts = sorted(set(pts))
     if not _is_submodular(h.table, h.n):
         raise ValueError("bounds are not submodular; certification covers submodular tables only")
     return pts
@@ -526,13 +528,14 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     Three exact checks run in order: (a) every claimed point satisfies the
     halfspace description, (b) no claimed point is a convex combination of
     the others, (c) every vertex of the polytope appears among the claimed
-    points.  A claimed point with an order whose every prefix is tight
-    (`_first_order`) is the greedy vector along it, so by Edmonds a member
-    and a vertex, cut out by its chain of n - 1 proper prefix rows; it needs
-    no walk.  By the same theorem a point without one is no vertex, and is
-    walked for (a) alone.  A vertex is no convex combination of other points
-    in the polytope, nor of claimed points outside it that `_exposed`
-    separates from it, by its chain rows first and then by all its tight
+    points.  The greedy vectors of the table (`_vertex_set`), which step (c)
+    needs anyway, are enumerated first.  A claimed point among them is the
+    greedy vector along some order, so by Edmonds a member and a vertex, cut
+    out by its chain of n - 1 proper prefix rows; it needs no walk.  By the
+    same theorem any other point is no vertex, and is walked for (a) alone.
+    A vertex is no convex combination of other points in the polytope, nor
+    of claimed points outside it that `_exposed` separates from it, by its
+    chain rows (read off `_first_order`) first and then by all its tight
     rows; only the other points go to the phase-1 simplex
     (`_combination_witness`).  Step (c) is `_missing_vertices`.
     """
@@ -540,15 +543,18 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     if n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
     pts = _certifiable(h, points)
+    verts = _vertex_set(h)
 
-    orders = [_first_order(table, p, n) for p in pts]
-    walks = {p: _walk(h, p) for p, order in zip(pts, orders) if order is None}
+    walks = {p: _walk(h, p) for p in pts if p not in verts}
     outside = [p for p, (bad, _) in walks.items() if bad is not None]
     failures = [f"claimed vertex {p} violates the description: {walks[p][0]}" for p in outside]
 
     lp_calls = 0
-    for idx, (p, order) in enumerate(zip(pts, orders)):
-        if order is not None:
+    for idx, p in enumerate(pts):
+        if p in verts:
+            if not outside:
+                continue
+            order = _first_order(table, p, n)
             chain = list(itertools.accumulate([1 << (k - 1) for k in order[:-1]], operator.or_))
             if _exposed(p, chain, outside) or _exposed(p, _walk(h, p)[1], outside):
                 continue

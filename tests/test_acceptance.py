@@ -181,7 +181,7 @@ def test_criterion_10_theta_rank_corpus():
                 break
         if bad:
             break
-        rank = lambda s: rank_diagram(d, s)
+        rank = [rank_diagram(d, s) for s in subsets(4)]
         for w in itertools.permutations(range(1, 5)):
             if vertex_vector(d, w) != edmonds_vertex(rank, w):
                 doc = json.dumps(diagrams.to_json_dict(d), separators=(",", ":"))

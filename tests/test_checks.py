@@ -96,8 +96,8 @@ def test_jobs_clamp(monkeypatch, fake_pool, jobs, cpus, workers):
 # counterexamples are those of `verify --n 4 --seed 0`.
 
 def test_rank_brute_fault_caught_first(monkeypatch):
-    brute = fillings.rank_brute
-    monkeypatch.setattr(fillings, "rank_brute", lambda rows, s: brute(rows, s) + 1)
+    brute = oracles.rank_brute
+    monkeypatch.setattr(oracles, "rank_brute", lambda rows, s: brute(rows, s) + 1)
     assert run_check("rank-three-ways", 4, seed=0) == CheckResult(
         "rank-three-ways", 1, "C=[] S=[]: 0,1,0")
 
@@ -194,8 +194,8 @@ def test_verify_n4_seed0_passes_with_pinned_instance_counts():
 
 
 def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
-    brute = fillings.rank_brute
-    monkeypatch.setattr(fillings, "rank_brute", lambda rows, s: brute(rows, s) + 1)
+    brute = oracles.rank_brute
+    monkeypatch.setattr(oracles, "rank_brute", lambda rows, s: brute(rows, s) + 1)
     code = main(["verify", "--n", "2", "--jobs", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1

@@ -338,6 +338,12 @@ def test_package_import_loads_no_reference_code():
     loaded = set(json.loads(proc.stdout))
     assert "schubitope.polytope" in loaded
     assert not loaded & {"schubitope.oracles", "schubitope.checks", "schubitope.cli"}
+    # the package still exports the reference ranks, resolved from `oracles` on use
+    from schubitope import oracles
+
+    for name in ("rank_brute", "rank_max_filling"):
+        assert getattr(schubitope, name) is getattr(oracles, name)
+        assert name in schubitope.__all__
 
 
 def test_module_entry_point():

@@ -62,26 +62,21 @@ def _sample_diagrams():
 
 
 class TestColumnData:
-    def test_column_rows_are_sorted_columns(self):
-        for d in _sample_diagrams():
-            assert d.column_rows == tuple(tuple(sorted(col)) for col in d.columns)
-            assert all(type(rows) is tuple for rows in d.column_rows)
-
     def test_column_masks_are_subset_masks(self):
         from schubitope.polytope import _subset_mask
 
         for d in _sample_diagrams():
-            assert d.column_masks == tuple(_subset_mask(col) for col in d.columns)
+            rows = [{r for r, c in d.boxes if c == j} for j in range(1, d.n + 1)]
+            assert d.column_masks == tuple(map(_subset_mask, rows))
 
     def test_cache_leaves_equality_hash_and_pickle_unchanged(self):
         # verify --jobs > 1 sends diagrams to worker processes by pickling
         for d in _sample_diagrams():
             fresh = Diagram(d.n, d.boxes)
-            d.column_rows, d.column_masks  # fill the cache of d only
+            d.column_masks  # fill the cache of d only
             assert d == fresh and hash(d) == hash(fresh)
             for copy in (pickle.loads(pickle.dumps(d)), pickle.loads(pickle.dumps(fresh))):
                 assert copy == d and hash(copy) == hash(d)
-                assert copy.column_rows == d.column_rows
                 assert copy.column_masks == d.column_masks
 
 

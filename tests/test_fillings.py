@@ -10,15 +10,14 @@ from schubitope.diagrams import skyline
 from schubitope.fillings import (
     fill_column,
     fill_diagram,
-    rank_brute,
     rank_columns,
     rank_diagram,
     rank_filling,
-    rank_max_filling,
     sort_filling,
     standardize,
     vertex_vector,
 )
+from schubitope.oracles import rank_brute, rank_max_filling
 from schubitope.polytope import theta, theta_columns
 
 

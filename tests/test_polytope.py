@@ -14,7 +14,6 @@ from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
-    _greedy,
     certify_vertices_by_walk,
     greedy_vectors_by_sweep,
     is_submodular_by_pairs,
@@ -178,7 +177,7 @@ class TestHRep:
 
     def test_doubled_table_matches_per_subset_scan(self):
         def per_subset(d):
-            cols = [_subset_mask(col) for col in d.columns]
+            cols = d.column_masks
             return tuple(sum(_column_theta(col, mask) for col in cols) for mask in range(2 ** d.n))
 
         rng = random.Random(41)
@@ -202,7 +201,7 @@ class TestHRep:
         for n in range(13, HREP_CAP + 1):
             d = random_diagram_with_density(rng, n, 0.5)
             table = hrep(d).table
-            cols = [_subset_mask(col) for col in d.columns]
+            cols = d.column_masks
             for mask in [0, 2 ** n - 1] + rng.sample(range(2 ** n), 2000):
                 assert table[mask] == sum(_column_theta(col, mask) for col in cols), (d, mask)
 
@@ -313,7 +312,7 @@ def walk_fuzz_points(h, rng):
     as `Fraction`s, and each of those shifted outside (one unit moved
     between two coordinates) or off the hyperplane (1/3 added)."""
     n = h.n
-    verts = [_greedy(h.table, rng.sample(range(1, n + 1), n)) for _ in range(3)]
+    verts = [edmonds_vertex(h.table, rng.sample(range(1, n + 1), n)) for _ in range(3)]
     points = list(verts)
     for u, v in itertools.combinations(verts, 2):
         for q in (2, 3, 6, 7):
@@ -484,32 +483,35 @@ class TestSchubertMatroidBases:
 class TestEdmondsVertex:
     def test_matches_intro_vector(self):
         d = skyline((1, 0, 3))
-        assert edmonds_vertex(lambda s: rank_diagram(d, s), (2, 1, 3)) == (1, 3, 0)
+        assert edmonds_vertex([rank_diagram(d, s) for s in subsets(3)], (2, 1, 3)) == (1, 3, 0)
 
     def test_zero_function(self):
-        assert edmonds_vertex(lambda s: 0, (3, 1, 2)) == (0, 0, 0)
+        assert edmonds_vertex([0] * 8, (3, 1, 2)) == (0, 0, 0)
 
     def test_modular_function(self):
         c = (5, 2, 7)
-        f = lambda s: sum(c[i - 1] for i in s)
+        table = [sum(c[i - 1] for i in s) for s in subsets(3)]
         for w in itertools.permutations(range(1, 4)):
-            assert edmonds_vertex(f, w) == c
+            assert edmonds_vertex(table, w) == c
 
-    def test_matches_greedy_on_the_table_of_f(self):
-        # any set function, f(empty) != 0 included: each coordinate is a
-        # difference of f along the prefixes, with f(empty) as the base
+    def test_prefix_sums_telescope(self):
+        # any table, of any sign and with table[0] != 0: the coordinates
+        # along each prefix of w sum to table[prefix] - table[0]
         rng = random.Random(5)
         for n in range(0, 6):
             for _ in range(6):
                 table = [rng.randint(-4, 9) for _ in range(2 ** n)]
-                f = lambda s: table[_subset_mask(s)]
                 for w in itertools.permutations(range(1, n + 1)):
-                    assert edmonds_vertex(f, w) == _greedy(table, w)
+                    x = edmonds_vertex(table, w)
+                    for k in range(n + 1):
+                        prefix = w[:k]
+                        assert sum(x[i - 1] for i in prefix) == table[_subset_mask(prefix)] - table[0], (table, w, k)
 
-    def test_calls_f_once_per_prefix_in_order(self):
-        seen = []
-        edmonds_vertex(lambda s: seen.append(s) or len(seen), (3, 1, 2))
-        assert seen == [frozenset(), {3}, {1, 3}, {1, 2, 3}]
+    def test_refuses_a_table_of_the_wrong_length(self):
+        for table in ([0] * 7, [0] * 16, []):
+            with pytest.raises(ValueError) as refused:
+                edmonds_vertex(table, (3, 1, 2))
+            assert str(refused.value) == f"table has {len(table)} entries, expected 2^3"
 
     def test_agrees_with_filling_on_random_diagrams(self):
         assert_check("greedy-equals-filling", 4, 15936)
@@ -625,6 +627,18 @@ class TestCertify:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
+
+    @pytest.mark.parametrize("certify", [certify_vertices, certify_vertices_by_walk])
+    @pytest.mark.parametrize("claim, message", [
+        ([(1, 0, 3), ("1", 0, 3)], "point coordinate 1 is '1', expected an integer or a Fraction"),
+        ([(1, 0, 3), (1, [0], 3)], "point coordinate 2 is [0], expected an integer or a Fraction"),
+    ])
+    def test_malformed_claims_get_the_one_line_error(self, certify, claim, message):
+        # each point is checked before the claim is sorted and de-duplicated,
+        # which would raise TypeError on a string or a list coordinate
+        with pytest.raises(ValueError) as refused:
+            certify(hrep(TRAPEZOID), claim)
+        assert str(refused.value) == message
 
     def test_non_submodular_bounds_are_refused_after_the_point_check(self, monkeypatch):
         # both certifications refuse the table before any walk or LP: a
@@ -749,7 +763,7 @@ class TestCertify:
                 claimed.add((h.total + 1,) + (0,) * (n - 2) + (-1,))
             swept = {}
             for w in itertools.permutations(range(1, n + 1)):
-                swept.setdefault(_greedy(h.table, w), w)
+                swept.setdefault(edmonds_vertex(h.table, w), w)
             missing = [f"vertex {v} (greedy order {w}) is missing from the claimed set"
                        for v, w in swept.items() if v not in claimed]
             failures = certify_vertices(h, claimed).failures
@@ -759,7 +773,7 @@ class TestCertify:
 
 class TestGreedyVectors:
     """The prefix-mask enumerator behind `vertices` and certification step
-    (c), against one `_greedy` run per permutation, on any integer table:
+    (c), against one `edmonds_vertex` run per permutation, on any integer table:
     the enumeration assumes nothing of the table, and negative, wide and
     non-submodular steps test its offset and slot width more than theta
     tables do.  `_first_order` is exact on submodular tables only, so it is
@@ -803,7 +817,7 @@ class TestGreedyVectors:
                 assert _is_submodular(table, n), (n, table)
                 first = {}
                 for w in itertools.permutations(range(1, n + 1)):
-                    first.setdefault(_greedy(table, w), w)
+                    first.setdefault(edmonds_vertex(table, w), w)
                 verts = sorted(first)
                 points = list(verts)
                 pairs = list(itertools.combinations(verts, 2))
