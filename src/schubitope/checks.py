@@ -75,9 +75,11 @@ def _diagram_str(d: Diagram) -> str:
     return json.dumps(diagrams.to_json_dict(d), separators=(",", ":"))
 
 
-def _subsets(n: int) -> Iterator[frozenset[int]]:
-    for mask in range(2 ** n):
-        yield frozenset(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[frozenset[int], ...]:
+    """Every subset of [n], in increasing bitmask order, built once per n
+    for the checks that sweep them."""
+    return tuple(frozenset(polytope._mask_subset(mask, n)) for mask in range(2 ** n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,11 +7,16 @@ empty rows.
 
 A Schubitope is a sum of per-column pieces, so the library reads a
 diagram column by column, each column as its row bitmask: bit i-1 is set
-iff row i holds a box.  The greedy fillings, theta and the bound table all
-read these masks (`column_masks`), which each `Diagram` computes once, on
-first use, and keeps.  The boxes are checked once, when the diagram is
+iff row i holds a box.  The bound table reads these masks (`column_masks`).
+The greedy fillings and theta ask the same question of every column, so
+they read all the masks at once, laid side by side in one integer
+(`packed_columns`): column j takes the slot of n + 1 bits starting at bit
+(j-1)(n+1), its row mask in the low n bits and a guard bit n that is always
+set; `column_slots(n)` gives the slot width and the integer with a one at
+bit 0 of each slot, and `split_columns` reads the slots back.  Each `Diagram` computes both encodings once, on first
+use, and keeps them.  The boxes are checked once, when the diagram is
 built, so the code reading the masks needs no further checks.  The cached
-masks are not a field, so equality and hashing see only n and the boxes.
+encodings are not fields, so equality and hashing see only n and the boxes.
 """
 from __future__ import annotations
 
@@ -39,6 +44,20 @@ def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
         if type(i) is not int or not 1 <= i <= n:
             raise ValueError(f"subset element {i!r} out of range 1..{n}")
     return s
+
+
+@functools.lru_cache(maxsize=16)  # a process works at a few grid sizes at a time
+def column_slots(n: int) -> tuple[int, int]:
+    """The layout of `Diagram.packed_columns` in an n x n grid: the slot
+    width n + 1, and the integer with a one at bit 0 of each of the n slots."""
+    width = n + 1
+    return width, ((1 << width * n) - 1) // ((1 << width) - 1)
+
+
+def split_columns(packed: int, n: int) -> list[int]:
+    """The n slots of an integer laid out as `Diagram.packed_columns`, column 1 first."""
+    width = n + 1
+    return [packed >> k & (1 << width) - 1 for k in range(0, width * n, width)]
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,13 @@ class Diagram:
         for r, c in self.boxes:
             masks[c - 1] |= 1 << (r - 1)
         return tuple(masks)
+
+    @functools.cached_property
+    def packed_columns(self) -> int:
+        """Every column's row bitmask in its slot of `column_slots(n)`, guard bits set:
+        bit (j-1)(n+1) + i-1 is set iff (i, j) is a box, and bit (j-1)(n+1) + n always."""
+        width, low = column_slots(self.n)
+        return (low << self.n) + sum(1 << (c - 1) * width + r - 1 for r, c in self.boxes)
 
 
 def rothe(w: Sequence[int]) -> Diagram:

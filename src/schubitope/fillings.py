@@ -4,19 +4,30 @@ A filling of a column is a dict mapping row index to the value placed in
 that row.  Fillings produced here are always column-strict (distinct
 values) and flagged (the value in row i never exceeds i).
 
-A column is its row bitmask, bit i-1 set iff row i holds a box, as the
-diagram keeps it (`Diagram.column_masks`).  Each public function checks
-its inputs once, on entry, and then runs the unchecked kernel `_fill` per
-column mask, so a sweep over many orders or subsets of one diagram builds
-no column twice.  The reference ranks that the greedy rank is checked
-against, by basis enumeration and by exhaustive search, are
-`oracles.rank_brute` and `oracles.rank_max_filling`.
+Every column of a diagram is filled by the same values in the same order,
+so the filling runs on all columns at once, on the diagram's packed
+columns (`Diagram.packed_columns`: one slot of n + 1 bits per column, the
+column's free rows in the low n bits and a guard bit n that is always
+set).  One fill step, `_placements`, places a value in every column with a
+few big-integer operations, and the callers read what it placed: its bit
+count is the value's coordinate of `vertex_vector`, the counts over a
+sorted subset sum to `rank_diagram`, each slot's count is a column's rank
+(`rank_columns`), and the bits decode into boxes (`fill_diagram`).
+`fill_column` and `rank_filling` run the same step on one slot over the
+ranks of the column's rows, so a huge row index costs no more than a
+small one.  Each public function checks its inputs once, on entry.  The
+per-column loop the fill step replaced is `oracles._fill`, its reference;
+the reference ranks that the greedy rank is checked against, by basis
+enumeration and by exhaustive search, are `oracles.rank_brute` and
+`oracles.rank_max_filling`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .diagrams import Box, Diagram, check_subset
+from .diagrams import Box, Diagram, check_subset, column_slots, split_columns
 from .perms import check_permutation
 
 
@@ -30,24 +41,30 @@ def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
     >>> fill_column({2, 3, 4, 6}, (3, 1, 5, 6, 2, 4))
     {3: 3, 2: 1, 6: 5, 4: 2}
     """
-    col = _column_mask(rows)
+    rows = [0, *_column_rows(rows)]
     _check_values(values)
-    return _fill(col, values)
+    # only the order between rows and values decides where a value lands,
+    # so the column is one slot over the ranks of its rows, all free: bit
+    # k-1 stands for rows[k], and value v starts from bisect_left(rows, v),
+    # the rank of the first row at or after it
+    m = len(rows) - 1
+    placed = _placements((2 << m) - 1, 1, m, map(bisect_left, repeat(rows), values))
+    return {rows[p.bit_length()]: v for v, p in zip(values, placed) if p}
 
 
-def _column_mask(rows: Iterable[int]) -> int:
-    """The column's row bitmask; a repeated row counts once.  The rows are
-    type-checked first, so True is no row 1."""
+def _column_rows(rows: Iterable[int]) -> list[int]:
+    """The column's distinct rows, increasing; a repeated row counts once.
+    The rows are type-checked first, so True is no row 1."""
     rows = [*rows]
     if not {*map(type, rows)} <= {int} or rows and min(rows) < 1:
         bad = next(r for r in rows if type(r) is not int or r < 1)
         raise ValueError(f"column rows must be positive integers, got {bad!r}")
-    return sum(1 << (r - 1) for r in {*rows})
+    return sorted({*rows})
 
 
 def _check_values(values: Sequence[int]) -> None:
     # type() rather than isinstance(), so True is no row or value; one type
-    # test per call, since fillings run once per column per order or subset
+    # test per call, since fillings run once per order or subset
     if not {*map(type, values)} <= {int}:
         bad = next(v for v in values if type(v) is not int)
         raise ValueError(f"filling values must be positive integers, got {bad!r}")
@@ -57,17 +74,29 @@ def _check_values(values: Sequence[int]) -> None:
         raise ValueError(f"filling values must be positive integers, got {next(v for v in values if v < 1)}")
 
 
-def _fill(col: int, values: Sequence[int]) -> dict[int, int]:
-    """`fill_column` on a row bitmask and distinct positive values, unchecked:
-    value v takes the lowest set bit at or above bit v-1, which is cleared."""
-    filled: dict[int, int] = {}
+def _placements(cols: int, low: int, n: int, values: Iterable[int]) -> list[int]:
+    """The fill step for each value in turn, on every column at once,
+    unchecked: the bits each value takes, at most one per slot.
+
+    cols packs each column's free rows into the low n bits of a slot n + 1
+    bits wide, whose bit n, the guard, is set; low has a one at bit 0 of
+    each slot, and every value is in 1..n + 1 (n + 1 finds only guards).
+    For value v, x = cols >> (v-1) starts each slot with that column's free
+    rows v..n, then its guard; the bits above the guard come from the next
+    slot.  The guard keeps every slot of x nonzero, so x - low borrows only
+    inside each slot, and x & ~(x - low) is each slot's lowest set bit: the
+    topmost free box with row index >= v, or the guard where none is left.
+    Shifted back and without the guards, those are the boxes v takes; they
+    are no longer free."""
+    rows = low * ((1 << n) - 1)
+    placed = []
     for v in values:
-        free = col >> (v - 1)
-        if free:
-            low = free & -free
-            filled[v - 1 + low.bit_length()] = v
-            col ^= low << (v - 1)
-    return filled
+        v -= 1
+        x = cols >> v
+        p = (x & ~(x - low)) << v & rows
+        cols ^= p
+        placed.append(p)
+    return placed
 
 
 def _check_order(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
@@ -78,12 +107,17 @@ def _check_order(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
 
 
 def fill_diagram(d: Diagram, w: Sequence[int]) -> dict[Box, int]:
-    """Apply the greedy filling to every column independently, with the entries of w."""
+    """Apply the greedy filling to every column independently, with the entries of w.
+    The boxes come in fill order, value by value along w."""
     w = _check_order(d, w)
+    width, low = column_slots(d.n)
     out: dict[Box, int] = {}
-    for j, col in enumerate(d.column_masks, 1):  # rows checked by Diagram, values by _check_order
-        for r, v in _fill(col, w).items():
-            out[(r, j)] = v
+    for v, p in zip(w, _placements(d.packed_columns, low, d.n, w)):
+        while p:
+            k = p.bit_length() - 1  # from the top, so p shrinks as its bits go
+            c, r = divmod(k, width)
+            out[(r + 1, c + 1)] = v
+            p ^= 1 << k
     return out
 
 
@@ -95,9 +129,8 @@ def vertex_vector(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
     """
     w = _check_order(d, w)
     counts = [0] * d.n
-    for col in d.column_masks:
-        for v in _fill(col, w).values():
-            counts[v - 1] += 1
+    for v, p in zip(w, _placements(d.packed_columns, column_slots(d.n)[1], d.n, w)):
+        counts[v - 1] = p.bit_count()
     return tuple(counts)
 
 
@@ -113,16 +146,22 @@ def rank_filling(rows: Iterable[int], subset: Iterable[int]) -> int:
     return len(fill_column(rows, sorted(s)))
 
 
+def _subset_placements(d: Diagram, subset: Iterable[int]) -> list[int]:
+    """The fill step's placements for a subset of [n], checked by the rule
+    theta uses, in increasing order (the Diagram checked its columns)."""
+    return _placements(d.packed_columns, column_slots(d.n)[1], d.n, sorted(check_subset(subset, d.n)))
+
+
 def rank_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column ranks of a subset of [n], the rank analogue of
-    `polytope.theta_columns`; the subset is checked by the same rule."""
-    s = sorted(check_subset(subset, d.n))  # the Diagram checked its columns
-    return [len(_fill(col, s)) for col in d.column_masks]
+    `polytope.theta_columns`: each slot's count of the placed bits."""
+    placed = sum(_subset_placements(d, subset))  # disjoint bits
+    return [c.bit_count() for c in split_columns(placed, d.n)]
 
 
 def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
     """Sum of the column ranks over all columns of the diagram."""
-    return sum(rank_columns(d, subset))
+    return sum(map(int.bit_count, _subset_placements(d, subset)))
 
 
 def _check_column_filling(filling: Mapping[int, int]) -> None:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: subword enumeration for the Bruhat
 order, breadth-first swap closure for the composition order, chain
-recursions re-run with different choices, one greedy filling per
+recursions re-run with different choices, one column and one value at
+a time for the greedy filling (`_fill`) and one column and one row at a
+time for its column-word bound (`_column_theta`), which the packed fill
+step and theta scans are tested against, one greedy filling per
 permutation for the vertex set, one `edmonds_vertex` run per permutation
 for the prefix-mask enumeration of a table's greedy vectors, one
 `Fraction` sum per subset for the integer subset-sum walk, every pair of
@@ -26,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import fillings, polyoracle
 from .diagrams import Diagram, check_subset
-from .fillings import _check_values, _column_mask
+from .fillings import _check_values, _column_rows
 from .lp import convex_combination, eliminate
 from .perms import (
     Composition,
@@ -45,7 +48,6 @@ from .polytope import (
     _certifiable,
     _combination_witness,
     _exposed,
-    _mask_subset,
     _missing_vertices,
     _walk,
     edmonds_vertex,
@@ -179,11 +181,46 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
 def _check_enumeration_size(rows: Iterable[int]) -> list[int]:
     """The distinct column rows, increasing, checked as `fillings.fill_column`
     checks them and refused past `ENUMERATION_CAP`."""
-    col = _column_mask(rows)
-    rows = _mask_subset(col, col.bit_length())
-    if col >> ENUMERATION_CAP:
+    rows = _column_rows(rows)
+    if rows and rows[-1] > ENUMERATION_CAP:
         raise ValueError(f"column {tuple(rows)} too large for oracle enumeration (cap {ENUMERATION_CAP})")
     return rows
+
+
+def _fill(col: int, values: Sequence[int]) -> dict[int, int]:
+    """`fillings.fill_column` on a row bitmask and distinct positive values,
+    one column and one value at a time: value v takes the lowest set bit
+    at or above bit v-1, which is cleared.  The reference for the packed
+    fill step (`fillings._placements`)."""
+    filled: dict[int, int] = {}
+    for v in values:
+        free = col >> (v - 1)
+        if free:
+            low = free & -free
+            filled[v - 1 + low.bit_length()] = v
+            col ^= low << (v - 1)
+    return filled
+
+
+def _column_theta(col: int, mask: int) -> int:
+    """Stars plus inside-out matched '()' pairs of the column word, read
+    straight from the column's row bitmask and the subset bitmask, one row
+    at a time.  Rows below the column's last box can only add an unmatched
+    '('.  The reference for the packed scans behind `polytope.theta` (all
+    columns, one subset) and `polytope.hrep` (one column, every subset)."""
+    depth = count = 0
+    bit = 1
+    while bit <= col:
+        if mask & bit:
+            if col & bit:
+                count += 1           # star
+            else:
+                depth += 1           # '('
+        elif col & bit and depth:    # ')' closing an open '('
+            depth -= 1
+            count += 1
+        bit <<= 1
+    return count
 
 
 def rank_brute(rows: Iterable[int], subset: Iterable[int]) -> int:
@@ -294,7 +331,7 @@ def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certificati
     are the shared `_missing_vertices` and `_combination_witness`."""
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
-    pts = _certifiable(h, points)
+    pts = sorted(_certifiable(h, points))
     walks = [_walk(h, p) for p in pts]
     outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
     failures = [f"claimed vertex {p} violates the description: {bad}"

@@ -4,8 +4,12 @@ The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
 per proper nonempty subset S, read off column by column from a parenthesis
 word into one table indexed by subset bitmask (bit i-1 set iff i in S).
-Each column enters as its row bitmask, which the diagram computes once
-(`Diagram.column_masks`).
+For one subset, `theta` and `theta_columns` scan the rows once on every
+column at once, each column's open-'(' depth and count packed in its slot
+of the diagram's packed columns (`Diagram.packed_columns`, n + 1 bits per
+column), so theta is one remainder of the packed counts.  For the whole
+table, each column enters as its row bitmask, which the diagram computes
+once (`Diagram.column_masks`).
 `hrep` builds that table in packed integers: each distinct column's part
 of it is one integer with a 16-bit slot per subset, built by scanning the
 column's rows once, each row doubling the packed scan states with a few
@@ -24,8 +28,9 @@ vectors its prefix orders reach, lists them without the n! orders; a
 one-entry memo keyed by the `HRep` lets `vertices` and `certify_vertices`
 share one enumeration.  `certify_vertices` refuses a table that is not
 submodular, proves a claimed point a vertex by finding it among them, and
-walks only the other points; it names each missing vertex by the first
-order reaching it, found in one forward pass (`_first_order`).
+walks only the other points, sorting the claim only when there are some;
+it names each missing vertex by the first order reaching it, found in one
+forward pass (`_first_order`).
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .diagrams import Diagram, check_subset, is_int
+from .diagrams import Diagram, check_subset, column_slots, is_int, split_columns
 from .perms import check_permutation
 
 STAR = "★"
@@ -86,32 +91,12 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     return "".join(out)
 
 
-def _column_theta(col: int, mask: int) -> int:
-    """Stars plus inside-out matched '()' pairs of the column word, read
-    straight from the column's row bitmask and the subset bitmask.  Rows
-    below the column's last box can only add an unmatched '('.  This is
-    the single-subset scan behind `theta`; `_column_table` runs it for
-    every subset at once."""
-    depth = count = 0
-    bit = 1
-    while bit <= col:
-        if mask & bit:
-            if col & bit:
-                count += 1           # star
-            else:
-                depth += 1           # '('
-        elif col & bit and depth:    # ')' closing an open '('
-            depth -= 1
-            count += 1
-        bit <<= 1
-    return count
-
-
 def _column_table(col: int, n: int) -> int:
-    """`_column_theta(col, mask)` for every mask of [n], packed into one
-    integer with _SLOT bits per mask, mask 0 in the lowest slot.
+    """The column's theta for every mask of [n], packed into one integer
+    with _SLOT bits per mask, mask 0 in the lowest slot.
 
-    The scan of `_column_theta` keeps an open-'(' depth and a count.  Over
+    The column-word scan (`oracles._column_theta` runs it for one mask)
+    keeps an open-'(' depth and a count.  Over
     rows 1..b, b the column's last box, both are kept packed for every
     subset of the rows seen so far; each row doubles them, and the subsets
     that hold the new row are the upper half, which keeps mask order.  An
@@ -153,15 +138,47 @@ def _pack(table: Sequence[int], w: int) -> int:
     return int.from_bytes(b"".join(b.to_bytes(w // 8, "little") for b in low), "little") + (total << w * len(low))
 
 
+def _theta_counts(d: Diagram, subset: Iterable[int]) -> int:
+    """Every column's theta for one subset, packed in the slots of the
+    diagram's packed columns (`Diagram.packed_columns`), by one scan of the
+    rows top to bottom on all columns at once.
+
+    Per slot, depth counts the open '(' and count the stars and matched
+    pairs, as in the column-word rule (`oracles._column_theta` runs it one
+    column at a time).  A subset row holds a star where its box is
+    (count + 1) and opens a '(' where it is empty (depth + 1).  Any other
+    row's box closes a '(' where one is open (depth - 1, count + 1).  depth
+    is kept biased by 2^n - 1, so bit n of a slot is set exactly when its
+    depth is positive.  depth and count stay at most n, so no slot carries
+    into the next."""
+    n = d.n
+    s = check_subset(subset, n)
+    _, low = column_slots(n)
+    cols = d.packed_columns
+    depth = low * ((1 << n) - 1)
+    count = 0
+    for i in range(n):
+        box = cols >> i & low
+        if i + 1 in s:
+            count += box
+            depth += low ^ box
+        else:
+            close = box & depth >> n
+            depth -= close
+            count += close
+    return count
+
+
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
     """Per-column bound contributions."""
-    mask = _subset_mask(check_subset(subset, d.n))
-    return [_column_theta(col, mask) for col in d.column_masks]
+    return split_columns(_theta_counts(d, subset), d.n)
 
 
 def theta(d: Diagram, subset: Iterable[int]) -> int:
-    """Upper bound for sum_{i in subset} x_i over the diagram's polytope."""
-    return sum(theta_columns(d, subset))
+    """Upper bound for sum_{i in subset} x_i over the diagram's polytope: the
+    sum of the packed column counts, which is their remainder mod
+    2^(n+1) - 1, since 2^(n+1) is 1 mod it and theta is at most n^2, below it."""
+    return _theta_counts(d, subset) % ((2 << d.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -508,14 +525,15 @@ def _missing_vertices(h: HRep, claimed: set[tuple]) -> list[str]:
     return [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
 
 
-def _certifiable(h: HRep, points: Iterable[Sequence]) -> list[tuple]:
-    """The distinct claimed points, sorted, once each passes `_check_point`
-    (first, so a malformed coordinate cannot break the sort); then a table that is not submodular is refused, since every step of
-    certification rests on Edmonds' theorem."""
+def _certifiable(h: HRep, points: Iterable[Sequence]) -> set[tuple]:
+    """The distinct claimed points, once each passes `_check_point` (first,
+    so a malformed coordinate cannot break a later sort); then a table that
+    is not submodular is refused, since every step of certification rests
+    on Edmonds' theorem."""
     pts = [tuple(p) for p in points]
     for p in pts:
         _check_point(h, p)
-    pts = sorted(set(pts))
+    pts = set(pts)
     if not _is_submodular(h.table, h.n):
         raise ValueError("bounds are not submodular; certification covers submodular tables only")
     return pts
@@ -542,8 +560,11 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     n, table = h.n, h.table
     if n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
-    pts = _certifiable(h, points)
+    claimed = _certifiable(h, points)
     verts = _vertex_set(h)
+    # the order only fixes that of the failures and of the simplex's points,
+    # and a claim of vertices alone has neither
+    pts = list(claimed) if claimed <= verts else sorted(claimed)
 
     walks = {p: _walk(h, p) for p in pts if p not in verts}
     outside = [p for p, (bad, _) in walks.items() if bad is not None]
@@ -562,7 +583,7 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
         if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
             failures.append(witness)
 
-    failures += _missing_vertices(h, set(pts))
+    failures += _missing_vertices(h, claimed)
     return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures),
                          lp_calls=lp_calls)
 

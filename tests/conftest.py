@@ -1,5 +1,6 @@
 """Shared reference data for the test suite; `assert_check`, which runs a
-registered `verify` check in place of a hand-copied sweep; and the
+registered `verify` check in place of a hand-copied sweep;
+`column_diagrams`, whose columns run through every row mask; and the
 `fake_pool` fixture, which runs `checks.run_all`'s pool in process.
 
 D9 is the 9-box example diagram whose column words for S = {1, 3} read
@@ -19,6 +20,15 @@ def assert_check(name, n, instances):
     result = run_check(name, n, seed=0)
     assert result.ok, result.counterexample
     assert result.instances == instances, f"{name} swept {result.instances} instances"
+
+
+def column_diagrams(n):
+    """Diagrams whose columns run through every row mask of [n], n masks
+    to a diagram, the last one padded with empty columns."""
+    for start in range(0, 2 ** n, max(n, 1)):
+        chunk = range(2 ** n)[start:start + n]
+        yield Diagram(n, frozenset((r, j) for j, col in enumerate(chunk, 1)
+                                   for r in range(1, n + 1) if col >> (r - 1) & 1))
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from conftest import D9, assert_check
 from schubitope import Diagram
 from schubitope.checks import random_diagram
 from schubitope.diagrams import (
+    column_slots,
     filling_text,
     from_json_dict,
     rothe,
@@ -69,15 +70,25 @@ class TestColumnData:
             rows = [{r for r, c in d.boxes if c == j} for j in range(1, d.n + 1)]
             assert d.column_masks == tuple(map(_subset_mask, rows))
 
+    def test_packed_columns_lay_the_masks_side_by_side(self):
+        # column j's mask in the slot at bit (j-1)(n+1), its guard bit n set
+        for d in _sample_diagrams():
+            width, low = column_slots(d.n)
+            assert width == d.n + 1
+            assert low == sum(1 << j * width for j in range(d.n))
+            guard = 1 << d.n
+            assert d.packed_columns == sum((guard | col) << j * width for j, col in enumerate(d.column_masks))
+
     def test_cache_leaves_equality_hash_and_pickle_unchanged(self):
         # verify --jobs > 1 sends diagrams to worker processes by pickling
         for d in _sample_diagrams():
             fresh = Diagram(d.n, d.boxes)
-            d.column_masks  # fill the cache of d only
+            d.column_masks, d.packed_columns  # fill the caches of d only
             assert d == fresh and hash(d) == hash(fresh)
             for copy in (pickle.loads(pickle.dumps(d)), pickle.loads(pickle.dumps(fresh))):
                 assert copy == d and hash(copy) == hash(d)
                 assert copy.column_masks == d.column_masks
+                assert copy.packed_columns == d.packed_columns
 
 
 class TestRothe:

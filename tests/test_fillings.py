@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS, assert_check
+from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS, assert_check, column_diagrams
 from schubitope import Diagram
 from schubitope.checks import random_diagram
 from schubitope.diagrams import skyline
@@ -17,7 +18,7 @@ from schubitope.fillings import (
     standardize,
     vertex_vector,
 )
-from schubitope.oracles import rank_brute, rank_max_filling
+from schubitope.oracles import _fill, rank_brute, rank_max_filling
 from schubitope.polytope import theta, theta_columns
 
 
@@ -200,6 +201,110 @@ class TestRanks:
 
     def test_diagram_rank_submodular_sampled(self):
         assert_check("rank-submodular", 4, 3072)
+
+
+def assert_fill_matches_reference(d, w):
+    """fill_diagram and vertex_vector against one column and one value at a
+    time (`oracles._fill`); fill_diagram gives its boxes value by value along w."""
+    expected = {(r, j): v for j, col in enumerate(d.column_masks, 1) for r, v in _fill(col, w).items()}
+    got = fill_diagram(d, w)
+    assert got == expected, (d, w)
+    steps = [w.index(v) for v in got.values()]
+    assert steps == sorted(steps), (d, w)
+    counts = [0] * d.n
+    for v in expected.values():
+        counts[v - 1] += 1
+    assert vertex_vector(d, w) == tuple(counts), (d, w)
+
+
+def assert_ranks_match_reference(d, subset):
+    expected = [len(_fill(col, sorted(subset))) for col in d.column_masks]
+    assert rank_columns(d, subset) == expected, (d, subset)
+    assert rank_diagram(d, subset) == sum(expected), (d, subset)
+
+
+def naive_fill_column(rows, values):
+    """The greedy rule on a list of rows: each value takes the first free row at or after it."""
+    free, out = sorted(set(rows)), {}
+    for v in values:
+        r = next((r for r in free if r >= v), None)
+        if r is not None:
+            free.remove(r)
+            out[r] = v
+    return out
+
+
+class TestPackedFillStep:
+    """The packed fill step against the per-column reference `oracles._fill`."""
+
+    def test_every_column_and_order_up_to_n5(self):
+        for n in range(6):
+            for d in column_diagrams(n):
+                for w in itertools.permutations(range(1, n + 1)):
+                    assert_fill_matches_reference(d, w)
+                for s in subsets(n):
+                    assert_ranks_match_reference(d, s)
+
+    def test_random_diagrams_n6_to_30(self):
+        rng = random.Random(61)
+        for n in range(6, 31):
+            for density in (0.2, 0.5, 0.8):
+                d = Diagram(n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                                         if rng.random() < density))
+                for _ in range(4):
+                    w = rng.sample(range(1, n + 1), n)
+                    assert_fill_matches_reference(d, w)
+                    assert_ranks_match_reference(d, {i for i in range(1, n + 1) if rng.random() < 0.5})
+
+    def test_edge_cases(self):
+        corpus = [
+            Diagram(0, frozenset()),
+            Diagram(1, frozenset()),
+            Diagram(1, frozenset({(1, 1)})),
+            Diagram(2, frozenset({(2, 1)})),
+            Diagram(2, frozenset({(1, 2), (2, 2)})),     # an empty first column
+            Diagram(7, frozenset({(7, 4)})),              # its only box in row n
+            Diagram(7, frozenset((r, c) for r in range(1, 8) for c in (1, 7))),
+        ]
+        for d in corpus:
+            for w in itertools.islice(itertools.permutations(range(1, d.n + 1)), 60):
+                assert_fill_matches_reference(d, w)
+            for s in itertools.islice(subsets(d.n), 60):
+                assert_ranks_match_reference(d, s)
+
+    @pytest.mark.parametrize("n", [18, 64])
+    def test_full_grid(self, n):
+        # every column full: value v takes row v in every column
+        d = Diagram(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))
+        rng = random.Random(n)
+        for w in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n))):
+            assert fill_diagram(d, w) == {(v, j): v for v in range(1, n + 1) for j in range(1, n + 1)}
+            assert vertex_vector(d, w) == (n,) * n
+            assert_fill_matches_reference(d, w)
+        s = {i for i in range(1, n + 1) if rng.random() < 0.5}
+        assert rank_columns(d, s) == [len(s)] * n and rank_diagram(d, s) == n * len(s)
+
+    def test_fill_column_matches_reference(self):
+        # every row set of [4] against every ordered choice of values in 1..5
+        for rows in subsets(4):
+            col = sum(1 << (r - 1) for r in rows)
+            for k in range(6):
+                for values in itertools.permutations(range(1, 6), k):
+                    got = fill_column(rows, values)
+                    expected = _fill(col, values)
+                    assert got == expected and list(got) == list(expected), (rows, values)
+
+    def test_huge_rows_answer_at_once(self):
+        # the column is one slot over the ranks of its rows, so a row of
+        # 10**12 costs what a row of 3 does
+        rows, values = {3, 10 ** 12, 10 ** 12 + 5}, (2, 10 ** 12, 7, 1, 10 ** 12 + 6, 10 ** 12 + 5)
+        start = time.perf_counter()
+        got = fill_column(rows, values)
+        assert time.perf_counter() - start < 0.5
+        assert got == naive_fill_column(rows, values) == {3: 2, 10 ** 12: 10 ** 12, 10 ** 12 + 5: 7}
+        assert list(got) == list(naive_fill_column(rows, values))
+        assert fill_column({10 ** 12}, (1,)) == {10 ** 12: 1}
+        assert rank_filling({10 ** 12, 5}, {10 ** 12 + 1, 6, 1}) == 2
 
 
 FIG_SORT_COLUMN = (1, 3, 4, 5, 7, 8)

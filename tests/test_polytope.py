@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check
+from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check, column_diagrams
 from schubitope import Diagram, lp, oracles, polytope
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
+    _column_theta,
     certify_vertices_by_walk,
     greedy_vectors_by_sweep,
     is_submodular_by_pairs,
@@ -26,10 +27,10 @@ from schubitope.polytope import (
     HREP_CAP,
     HRep,
     _column_table,
-    _column_theta,
     _first_order,
     _greedy_vectors,
     _is_submodular,
+    _mask_subset,
     _pack,
     _scaled,
     _slack,
@@ -118,6 +119,62 @@ class TestTheta:
         for _ in range(5):
             d = random_diagram(rng, 4)
             assert theta(d, {1, 2, 3, 4}) == d.size
+
+
+def assert_theta_matches_reference(d, mask):
+    """theta and theta_columns against one column and one row at a time
+    (`oracles._column_theta`)."""
+    expected = [_column_theta(col, mask) for col in d.column_masks]
+    s = _mask_subset(mask, d.n)
+    assert theta_columns(d, s) == expected, (d, mask)
+    assert theta(d, s) == sum(expected), (d, mask)
+
+
+class TestPackedThetaScan:
+    """The θ scan on every column at once against `oracles._column_theta`."""
+
+    def test_every_column_and_subset_up_to_n6(self):
+        for n in range(7):
+            for d in column_diagrams(n):
+                for mask in range(2 ** n):
+                    assert_theta_matches_reference(d, mask)
+
+    def test_random_diagrams_n6_to_30(self):
+        rng = random.Random(67)
+        for n in range(6, 31):
+            for density in (0.2, 0.5, 0.8):
+                d = random_diagram_with_density(rng, n, density)
+                for mask in [0, 2 ** n - 1] + [rng.getrandbits(n) for _ in range(6)]:
+                    assert_theta_matches_reference(d, mask)
+
+    def test_edge_cases(self):
+        corpus = [
+            Diagram(0, frozenset()),
+            Diagram(1, frozenset()),
+            Diagram(1, frozenset({(1, 1)})),
+            Diagram(2, frozenset({(2, 1)})),
+            Diagram(2, frozenset({(1, 2), (2, 2)})),     # an empty first column
+            Diagram(7, frozenset({(7, 4)})),              # its only box in row n
+        ]
+        for d in corpus:
+            for mask in range(2 ** d.n):
+                assert_theta_matches_reference(d, mask)
+        # the deepest open '(' (depth n - 1) closed by a box in row n
+        for n in (18, 64):
+            d = Diagram(n, frozenset({(n, 1)}))
+            assert theta_columns(d, range(1, n)) == [1] + [0] * (n - 1)
+            assert theta(d, range(1, n)) == 1
+
+    @pytest.mark.parametrize("n", [18, 64])
+    def test_full_grid(self, n):
+        # the largest depths, counts and sum: n per element of S in each of the n columns
+        d = Diagram(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))
+        rng = random.Random(n)
+        for mask in [0, 1, 2 ** n - 1, 2 ** (n - 1), 2 ** (n - 1) - 1] + [rng.getrandbits(n) for _ in range(8)]:
+            k = bin(mask).count("1")
+            assert theta_columns(d, _mask_subset(mask, n)) == [k] * n
+            assert theta(d, _mask_subset(mask, n)) == n * k
+            assert_theta_matches_reference(d, mask)
 
 
 class TestHRep:
@@ -627,6 +684,19 @@ class TestCertify:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
+
+    def test_claim_order_does_not_change_the_outcome(self):
+        # the claim is sorted only when some point is not a vertex; either
+        # way the outcome is the walk oracle's, which always sorts
+        rng = random.Random(29)
+        verts = sorted(TRAPEZOID_VERTICES)
+        h = hrep(TRAPEZOID)
+        for extra in ([], [(2, 1, 1)], [(4, 0, 0), (2, 1, 1)], [(0, 0, 4)]):
+            claim = verts[1:] + extra
+            expected = certify_vertices_by_walk(h, claim)
+            for _ in range(6):
+                rng.shuffle(claim)
+                assert certify_vertices(h, claim) == expected, claim
 
     @pytest.mark.parametrize("certify", [certify_vertices, certify_vertices_by_walk])
     @pytest.mark.parametrize("claim, message", [
