@@ -6,8 +6,8 @@ with ``@check(name, scope=k)``: ``scope`` is the largest size it sweeps.
 `run_check` calls it with ``m = min(n, scope)`` and its own seeded
 ``random.Random(f"{seed}:{name}")``.  The check yields once per instance,
 just before comparing it, and on the first mismatch returns a
-reproducible counterexample string; `run_check` counts the yields and
-builds the `CheckResult`, also when the check raises.  `verify --n`
+reproducible counterexample string; `run_check` counts the yields, times
+the run and builds the `CheckResult`, also when the check raises.  `verify --n`
 accepts 1..`largest_scope()`, the largest registered scope, since a
 larger n would sweep nothing more.
 Checks only read shared immutable values, so they can run in a process
@@ -20,8 +20,9 @@ import itertools
 import json
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator
 
 from . import diagrams, fillings, lp, oracles, perms, polyoracle, polytope
@@ -33,9 +34,14 @@ Steps = Generator[None, None, "str | None"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's answer, compared on its name, instance count and
+    counterexample; the effective scope and the wall seconds it ran are
+    reported beside them but take no part in equality."""
     name: str
     instances: int
     counterexample: str | None = None
+    scope: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -591,16 +597,21 @@ def run_check(name: str, n: int, seed: int) -> CheckResult:
     An exception raised by the check fails that check alone, with the
     exception as its counterexample."""
     scope, body = _REGISTRY[name]
-    steps = body(min(n, scope), random.Random(f"{seed}:{name}"))
+    m = min(n, scope)
+    start = time.perf_counter()
+    steps = body(m, random.Random(f"{seed}:{name}"))
     instances = 0
     while True:
         try:
             next(steps)
         except StopIteration as stop:
-            return CheckResult(name, instances, stop.value)
+            counterexample = stop.value
+            break
         except Exception as exc:  # a crash fails this check only
-            return CheckResult(name, instances, f"raised {type(exc).__name__}: {exc}")
+            counterexample = f"raised {type(exc).__name__}: {exc}"
+            break
         instances += 1
+    return CheckResult(name, instances, counterexample, m, time.perf_counter() - start)
 
 
 def _run_check_args(args: tuple[str, int, int]) -> CheckResult:
@@ -620,15 +631,17 @@ def run_all(n: int, seed: int = 0, jobs: int = 1) -> list[CheckResult]:
 
 
 def format_report(results: Iterable[CheckResult]) -> str:
+    """One line per check with its instance count, effective scope and
+    seconds, then a summary line whose seconds are the checks' sum."""
     results = list(results)
     lines = []
     for r in results:
-        if r.ok:
-            lines.append(f"PASS {r.name} ({r.instances} instances)")
-        else:
-            lines.append(f"FAIL {r.name} ({r.instances} instances): {r.counterexample}")
+        ran = f"{r.instances} instances, scope {r.scope}, {r.seconds:.2f} s"
+        lines.append(f"PASS {r.name} ({ran})" if r.ok else f"FAIL {r.name} ({ran}): {r.counterexample}")
     failed = sum(not r.ok for r in results)
     total = sum(r.instances for r in results)
+    seconds = sum(r.seconds for r in results)
     verdict = "FAIL" if failed else "PASS"
-    lines.append(f"{verdict}: {len(results) - failed}/{len(results)} checks passed, {total} instances")
+    lines.append(f"{verdict}: {len(results) - failed}/{len(results)} checks passed, "
+                 f"{total} instances, {seconds:.2f} s")
     return "\n".join(lines)

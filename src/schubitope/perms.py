@@ -5,28 +5,41 @@ Permutations are plain tuples in one-line notation with values 1..n, so
 non-negative integers.  All functions are pure and never mutate their
 arguments; values are safe to share between workers.
 
-The public functions check their arguments once, on entry, and then call
-unchecked kernels (`_w_of`, `_bruhat_leq`) on the permutations they built
-themselves, so the composition order and its lower intervals pay one
-check per argument rather than one per inner call.
+The public functions check their arguments once, on entry.  Both orders
+then run one unchecked kernel, `_bruhat_leq`: the tableau test that
+compares the increasingly sorted prefixes of two words of one length.
+`bruhat_leq` runs it on two permutations.  The composition order runs it
+on the compositions themselves, with the arguments swapped, so neither
+`composition_leq` nor `vertex_compositions` builds a permutation label.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from bisect import insort
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 Composition = tuple[int, ...]
+
+# the one part type accepted; type() rather than isinstance(), since
+# True == 1 passes isinstance(x, int)
+_INT = frozenset({int})
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_list(n: int) -> list[int]:
+    """[1, ..., n], built once per length; callers compare it and never
+    mutate it."""
+    return list(range(1, n + 1))
 
 
 def check_permutation(w: Sequence[int]) -> Perm:
     """Return ``w`` as a tuple after checking it is a bijection on 1..n."""
     t = tuple(w)
-    # type() rather than isinstance(): True == 1 passes isinstance(x, int);
     # one type test, before sorting, which raises TypeError on mixed types
-    if not {*map(type, t)} <= {int} or sorted(t) != list(range(1, len(t) + 1)):
+    if not {*map(type, t)} <= _INT or sorted(t) != _identity_list(len(t)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 
@@ -34,7 +47,7 @@ def check_permutation(w: Sequence[int]) -> Perm:
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Return ``alpha`` as a tuple after checking all parts are >= 0."""
     t = tuple(alpha)
-    if not {*map(type, t)} <= {int} or t and min(t) < 0:
+    if not {*map(type, t)} <= _INT or t and min(t) < 0:
         raise ValueError(f"composition parts must be non-negative integers: {t!r}")
     return t
 
@@ -52,6 +65,7 @@ def inverse(w: Sequence[int]) -> Perm:
 
 def length(w: Sequence[int]) -> int:
     """Coxeter length, i.e. the number of inversions."""
+    w = check_permutation(w)
     return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
 
 
@@ -99,10 +113,14 @@ def bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
     return _bruhat_leq(u, w)
 
 
-def _bruhat_leq(u: Perm, w: Perm) -> bool:
-    """`bruhat_leq` on two permutations of one degree, unchecked.  Both
-    sorted prefixes grow by one insertion per step; the full prefixes are
-    equal, so the last is skipped."""
+def _bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
+    """The tableau test on two words of one length, one a rearrangement
+    of the other, unchecked: each increasingly sorted prefix u_1..u_i is
+    entrywise <= the sorted w_1..w_i.  `bruhat_leq` runs it on two
+    permutations; `composition_leq` and `vertex_compositions` run it on
+    two compositions, the larger one first.  Both sorted prefixes grow by
+    one insertion per step; the full prefixes are equal, so the last is
+    skipped."""
     pu: list[int] = []
     pw: list[int] = []
     for a, b in zip(u[:-1], w[:-1]):
@@ -151,17 +169,13 @@ def w_of(alpha: Sequence[int]) -> Perm:
 
     Positions holding the largest part receive the labels 1, 2, ... in
     left-to-right order, then the positions of the next largest part, and
-    so on; equal parts therefore get consecutive labels.
+    so on; equal parts therefore get consecutive labels.  A stable sort of
+    the positions by decreasing part hands them out.
 
     >>> w_of((2, 0, 1, 3, 2, 0, 1))
     (2, 6, 4, 1, 3, 7, 5)
     """
-    return _w_of(check_composition(alpha))
-
-
-def _w_of(alpha: Composition) -> Perm:
-    """`w_of` on a checked composition: a stable sort of the positions by
-    decreasing part hands out the labels."""
+    alpha = check_composition(alpha)
     w = [0] * len(alpha)
     for label, pos in enumerate(sorted(range(len(alpha)), key=alpha.__getitem__, reverse=True), 1):
         w[pos] = label
@@ -169,37 +183,70 @@ def _w_of(alpha: Composition) -> Perm:
 
 
 def composition_leq(beta: Sequence[int], alpha: Sequence[int]) -> bool:
-    """Composition order: same part multiset and w_of(beta) <= w_of(alpha) in Bruhat order.
+    """Composition order: beta <= alpha iff beta is a rearrangement of
+    alpha and w_of(beta) <= w_of(alpha) in Bruhat order.
+
+    Decided on the compositions themselves by the tableau criterion for
+    Bruhat order on the quotient S_n/S_lambda (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, ch. 2): beta <= alpha exactly when
+    beta is a rearrangement of alpha and each increasingly sorted prefix
+    alpha_1..alpha_i is entrywise <= the sorted beta_1..beta_i.  w_of gives
+    larger parts smaller labels, which is why the arguments swap.
 
     Compositions compare only at equal length; pad with trailing zeros
     before calling if needed.
+
+    >>> composition_leq((3, 1, 0), (1, 0, 3))
+    True
     """
-    beta, alpha = check_composition(beta), check_composition(alpha)
-    if len(beta) != len(alpha):
-        raise ValueError(f"composition lengths differ: {len(beta)} vs {len(alpha)}")
-    if sorted(beta) != sorted(alpha):
-        return False
-    return _bruhat_leq(_w_of(beta), _w_of(alpha))
+    b, a = tuple(beta), tuple(alpha)
+    # one type test over both, then one sort each: the first sorted entry
+    # is the smallest part, and the sorted lists decide the multiset test
+    if {*map(type, b), *map(type, a)} <= _INT:
+        sb, sa = sorted(b), sorted(a)
+        if (not sb or sb[0] >= 0) and (not sa or sa[0] >= 0):
+            if len(b) != len(a):
+                raise ValueError(f"composition lengths differ: {len(b)} vs {len(a)}")
+            return sb == sa and _bruhat_leq(a, b)
+    # some part is bad: check_composition raises its message, beta first
+    check_composition(b)
+    check_composition(a)
+    raise AssertionError(f"a bad part in {b!r} or {a!r} passed check_composition")
+
+
+def _rearrangements(parts: Composition) -> Iterator[Composition]:
+    """The distinct rearrangements of ``parts`` in increasing lexicographic
+    order, one at a time, by the classic next-permutation step."""
+    p = sorted(parts)
+    last = len(p) - 1
+    while True:
+        yield tuple(p)
+        i = last - 1
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 def vertex_compositions(alpha: Sequence[int]) -> list[Composition]:
     """All compositions beta <= alpha, as a lexicographically sorted list.
 
-    Computed as {lambda_of(alpha) acted on by sigma : sigma <= w_of(alpha)},
-    deduplicated.
+    The distinct rearrangements beta of alpha, generated lazily in
+    increasing lexicographic order and kept when each sorted prefix of
+    alpha is entrywise <= that of beta: the tableau criterion of
+    `composition_leq` (Bjorner-Brenti, ch. 2).  Memory is O(output), not
+    O(n!).
 
     >>> vertex_compositions((1, 0, 3))
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]
     """
     alpha = check_composition(alpha)
-    lam = sorted(alpha, reverse=True)
-    wa = _w_of(alpha)
-    found = {
-        tuple([lam[k - 1] for k in sigma])  # act(lam, sigma)
-        for sigma in itertools.permutations(range(1, len(alpha) + 1))
-        if _bruhat_leq(sigma, wa)
-    }
-    return sorted(found)
+    return [beta for beta in _rearrangements(alpha) if _bruhat_leq(alpha, beta)]
 
 
 def parse_perm(text: str) -> Perm:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,24 @@ def test_runner_counts_yields_and_returns_counterexample(monkeypatch):
     assert run_check("toy", 7, seed=3) == CheckResult("toy", 2, "i=1")
     expected = random.Random("3:toy").random()
     assert seen == [(1, expected), (2, expected)]
+
+
+def test_result_carries_effective_scope_and_seconds(monkeypatch):
+    def toy(m, rng):
+        yield
+
+    monkeypatch.setitem(checks._REGISTRY, "toy", (3, toy))
+    small, large = run_check("toy", 2, seed=0), run_check("toy", 9, seed=0)
+    assert (small.scope, large.scope) == (2, 3)
+    assert small.seconds >= 0 and large.seconds >= 0
+    # timings are no part of the answer
+    assert CheckResult("toy", 1, None, 2, 0.5) == CheckResult("toy", 1, None, 2, 7.0)
+    report = checks.format_report([CheckResult("a", 3, None, 2, 0.25), CheckResult("b", 1, "x", 4, 1.5)])
+    assert report.splitlines() == [
+        "PASS a (3 instances, scope 2, 0.25 s)",
+        "FAIL b (1 instances, scope 4, 1.50 s): x",
+        "FAIL: 1/2 checks passed, 4 instances, 1.75 s",
+    ]
 
 
 def test_raising_check_fails_alone(monkeypatch):
@@ -199,8 +218,9 @@ def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
     code = main(["verify", "--n", "2", "--jobs", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert "FAIL rank-three-ways (1 instances): C=[] S=[]: 0,1,0" in lines
-    assert lines[-1] == "FAIL: 28/29 checks passed, 1501 instances"
+    assert any(re.fullmatch(r"FAIL rank-three-ways \(1 instances, scope 2, \d+\.\d\d s\): C=\[\] S=\[\]: 0,1,0", line)
+               for line in lines)
+    assert re.fullmatch(r"FAIL: 28/29 checks passed, 1501 instances, \d+\.\d\d s", lines[-1])
 
 
 def test_verify_reports_raising_checks_and_exits_1(monkeypatch, capsys):
@@ -218,7 +238,7 @@ def test_verify_reports_raising_checks_and_exits_1(monkeypatch, capsys):
         "FAIL vertex-swap-symmetry",
         "FAIL vertex-swap-stability",
     ]
-    assert failed[0] == ("FAIL lower-interval-recursion (1 instances): "
-                         "raised ValueError: adjacent-swap index 0 out of range 1..0")
-    assert all("instances): raised ValueError: " in line for line in failed)
-    assert lines[-1] == "FAIL: 25/29 checks passed, 1486 instances"
+    assert re.fullmatch(r"FAIL lower-interval-recursion \(1 instances, scope 2, \d+\.\d\d s\): "
+                        r"raised ValueError: adjacent-swap index 0 out of range 1\.\.0", failed[0])
+    assert all(re.search(r"instances, scope 2, \d+\.\d\d s\): raised ValueError: ", line) for line in failed)
+    assert re.fullmatch(r"FAIL: 25/29 checks passed, 1486 instances, \d+\.\d\d s", lines[-1])

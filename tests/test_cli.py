@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -214,11 +215,15 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["status"] == "pass"
         assert all(c["counterexample"] is None for c in doc["checks"])
+        # answer fields only: no timing enters the JSON report
+        assert all(set(c) == {"name", "instances", "counterexample"} for c in doc["checks"])
 
     def test_deterministic_given_seed(self, capsys):
+        # the text report times each check; everything but the seconds repeats
         _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "1", "--seed", "42")
         _, out2, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "1", "--seed", "42")
-        assert out1 == out2
+        untimed = [re.sub(r", \d+\.\d\d s\b", "", out) for out in (out1, out2)]
+        assert untimed[0] == untimed[1] and not re.search(r"\d s\b", untimed[0])
 
     def test_worker_pool(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "2")

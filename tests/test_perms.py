@@ -1,3 +1,7 @@
+import itertools
+import random
+import tracemalloc
+
 import pytest
 
 from conftest import assert_check
@@ -56,6 +60,12 @@ class TestValidation:
         with pytest.raises(ValueError) as got:
             perms.check_composition(alpha)
         assert str(got.value) == f"composition parts must be non-negative integers: {alpha!r}"
+
+    @pytest.mark.parametrize("w", [(2, 2, 1), (1.5, 0.2), (True,), (0, 1)])
+    def test_length_checks_its_argument(self, w):
+        with pytest.raises(ValueError) as got:
+            length(w)
+        assert str(got.value) == f"not a permutation of 1..{len(w)}: {w!r}"
 
     def test_composition_rejects_bools(self):
         with pytest.raises(ValueError, match=r"must be non-negative integers: \(True, 0, 2\)"):
@@ -161,12 +171,69 @@ class TestCompositionOrder:
         assert not composition_leq((2, 0, 1), (1, 0, 3))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError) as got:
             composition_leq((1, 0), (1, 0, 0))
+        assert str(got.value) == "composition lengths differ: 2 vs 3"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_swap_oracle(self, n):
         assert_check("composition-order-swap-oracle", n, {1: 16, 2: 272, 3: 4368, 4: 69904}[n])
+
+    @pytest.mark.parametrize("n, samples", [(5, 12), (6, 6)])
+    def test_matches_swap_oracle_and_definition_past_verify_scope(self, n, samples):
+        # the registered check sweeps n <= 4; each sampled alpha is compared
+        # with every rearrangement and with random compositions of its length
+        rng = random.Random(f"composition-order:{n}")
+        for _ in range(samples):
+            alpha = tuple(rng.randrange(4) for _ in range(n))
+            reachable = oracles.swap_reachable_set(alpha)
+            others = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(20)]
+            for beta in [*set(itertools.permutations(alpha)), *others]:
+                by_definition = sorted(beta) == sorted(alpha) and bruhat_leq(w_of(beta), w_of(alpha))
+                assert composition_leq(beta, alpha) == (beta in reachable) == by_definition, (beta, alpha)
+
+
+# (1, "a") must raise ValueError, not the TypeError that sorting it raises
+BAD_PARTS = [("1", 2), (True, 0), (1.0, 2), (-1, 2), (0, 2, -3), (1, "a")]
+
+
+class TestCompositionOrderValidation:
+    """`composition_leq` validates both arguments in one pass; a bad part
+    still raises `check_composition`'s message, beta's before alpha's."""
+
+    @staticmethod
+    def message(alpha):
+        return f"composition parts must be non-negative integers: {alpha!r}"
+
+    @pytest.mark.parametrize("bad", BAD_PARTS)
+    def test_bad_beta(self, bad):
+        with pytest.raises(ValueError) as got:
+            composition_leq(bad, (0,) * len(bad))
+        assert str(got.value) == self.message(bad)
+
+    @pytest.mark.parametrize("bad", BAD_PARTS)
+    def test_bad_alpha(self, bad):
+        with pytest.raises(ValueError) as got:
+            composition_leq((0,) * len(bad), bad)
+        assert str(got.value) == self.message(bad)
+
+    @pytest.mark.parametrize("bad", BAD_PARTS)
+    def test_bad_both_reports_beta(self, bad):
+        other = (-7,) * len(bad)
+        with pytest.raises(ValueError) as got:
+            composition_leq(bad, other)
+        assert str(got.value) == self.message(bad)
+        with pytest.raises(ValueError) as got:
+            composition_leq(other, bad)
+        assert str(got.value) == self.message(other)
+
+    def test_bad_part_wins_over_length_mismatch(self):
+        with pytest.raises(ValueError) as got:
+            composition_leq((-1, 2), (1, 0, 0))
+        assert str(got.value) == self.message((-1, 2))
+        with pytest.raises(ValueError) as got:
+            composition_leq((1, 0), (1, 0, True))
+        assert str(got.value) == self.message((1, 0, True))
 
 
 class TestVertexCompositions:
@@ -191,6 +258,23 @@ class TestVertexCompositions:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_recursion_chain_independent(self, n):
         assert_check("lower-interval-chain-independence", n, {1: 4, 2: 20, 3: 84, 4: 340}[n])
+
+    def test_matches_swap_recursion_at_n5(self):
+        # the registered checks sweep n <= 4
+        for alpha in compositions(5, 3):
+            assert vertex_compositions(alpha) == sorted(oracles.vertex_compositions_recursive(alpha)), alpha
+
+    def test_lazy_in_the_rearrangements(self):
+        # 10 rearrangements among 10! orders: no list of all n! orders is built
+        alpha = (0,) * 9 + (1,)
+        tracemalloc.start()
+        try:
+            out = vertex_compositions(alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == [tuple(int(i == k) for i in range(10)) for k in reversed(range(10))]
+        assert peak < 2 ** 20
 
 
 class TestSerialization:
