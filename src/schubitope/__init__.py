@@ -17,6 +17,7 @@ from .fillings import (
     sort_filling,
     standardize,
     vertex_vector,
+    vertex_vectors,
 )
 from .lp import convex_combination, hull_vertices
 from .perms import (
@@ -89,6 +90,7 @@ __all__ = [
     "theta_columns",
     "vertex_compositions",
     "vertex_vector",
+    "vertex_vectors",
     "vertices",
     "w_of",
 ]

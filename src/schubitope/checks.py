@@ -307,9 +307,9 @@ def check_theta_equals_rank(m: int, rng: random.Random) -> Steps:
 def check_greedy_equals_filling(m: int, rng: random.Random) -> Steps:
     for d in theta_rank_corpus(m, rng, samples=15):
         rank = [fillings.rank_diagram(d, s) for s in _subsets(m)]
-        for w in all_perms(m):
+        for w, x in fillings.vertex_vectors(d):
             yield
-            if fillings.vertex_vector(d, w) != polytope.edmonds_vertex(rank, w):
+            if x != polytope.edmonds_vertex(rank, w):
                 return f"D={_diagram_str(d)} w={w}"
 
 
@@ -380,14 +380,16 @@ def check_skyline_lower_interval(m: int, rng: random.Random) -> Steps:
 @check("vertex-swap-symmetry", scope=4)
 def check_vertex_swap_symmetry(m: int, rng: random.Random) -> Steps:
     for alpha in compositions(m, min(m, 3)):
-        d = diagrams.skyline(alpha)
-        for r in oracles.descent_violations(alpha):
+        if not (descents := oracles.descent_violations(alpha)):
+            continue
+        vecs = dict(fillings.vertex_vectors(diagrams.skyline(alpha)))
+        for r in descents:
             for w in all_perms(m):
                 if w.index(r) > w.index(r + 1):
                     continue
                 yield
-                lhs = fillings.vertex_vector(d, w)
-                rhs = perms.swap_adjacent(fillings.vertex_vector(d, perms.swap_values(w, r)), r)
+                lhs = vecs[w]
+                rhs = perms.swap_adjacent(vecs[perms.swap_values(w, r)], r)
                 if lhs != rhs:
                     return f"alpha={alpha} r={r} w={w}"
 
@@ -395,14 +397,16 @@ def check_vertex_swap_symmetry(m: int, rng: random.Random) -> Steps:
 @check("vertex-swap-stability", scope=4)
 def check_vertex_swap_stability(m: int, rng: random.Random) -> Steps:
     for alpha in compositions(m, min(m, 3)):
-        d = diagrams.skyline(alpha)
-        for r in oracles.descent_violations(alpha):
-            d_sorted = diagrams.skyline(perms.swap_adjacent(alpha, r))
+        if not (descents := oracles.descent_violations(alpha)):
+            continue
+        vecs = dict(fillings.vertex_vectors(diagrams.skyline(alpha)))
+        for r in descents:
+            sorted_vecs = dict(fillings.vertex_vectors(diagrams.skyline(perms.swap_adjacent(alpha, r))))
             for w in all_perms(m):
                 if w.index(r) > w.index(r + 1):
                     continue
                 yield
-                if fillings.vertex_vector(d, w) != fillings.vertex_vector(d_sorted, w):
+                if vecs[w] != sorted_vecs[w]:
                     return f"alpha={alpha} r={r} w={w}"
 
 
@@ -583,8 +587,15 @@ def check_json_round_trip(m: int, rng: random.Random) -> Steps:
 
 # --------------------------------------------------------------- runner
 
-def check_names() -> list[str]:
-    return list(_REGISTRY)
+def check_names(only: Iterable[str] | None = None) -> list[str]:
+    """The registered check names in registry order, or those of them in
+    ``only``; a name in ``only`` that no check has raises ValueError."""
+    if only is None:
+        return list(_REGISTRY)
+    only = set(only)
+    if unknown := only - _REGISTRY.keys():
+        raise ValueError(f"no check named {min(unknown)!r}")
+    return [name for name in _REGISTRY if name in only]
 
 
 def largest_scope() -> int:
@@ -618,11 +629,12 @@ def _run_check_args(args: tuple[str, int, int]) -> CheckResult:
     return run_check(*args)
 
 
-def run_all(n: int, seed: int = 0, jobs: int = 1) -> list[CheckResult]:
-    """Run every check, scoped to n.  Deterministic for a fixed seed; with
-    jobs > 1 the work fans out to a process pool of at most one worker per
-    check and per CPU, and results are still assembled in registry order."""
-    work = [(name, n, seed) for name in _REGISTRY]
+def run_all(n: int, seed: int = 0, jobs: int = 1, only: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run every check, or the checks named in ``only`` (`check_names`),
+    scoped to n.  Deterministic for a fixed seed; with jobs > 1 the work
+    fans out to a process pool of at most one worker per check and per
+    CPU, and results are still assembled in registry order."""
+    work = [(name, n, seed) for name in check_names(only)]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
         return [run_check(*item) for item in work]

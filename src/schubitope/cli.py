@@ -179,7 +179,8 @@ def _verify(args) -> tuple[int, str]:
     if args.jobs < 0:
         raise ValueError(f"--jobs: must be 0 (all cores) or a positive worker count, got {args.jobs}")
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    results = checks.run_all(args.n, seed=args.seed, jobs=jobs)
+    only = None if args.only is None else _parse("--only", checks.check_names, args.only.split(","))
+    results = checks.run_all(args.n, seed=args.seed, jobs=jobs, only=only)
     code = 0 if all(r.ok for r in results) else 1
     if args.format == "text":
         return code, checks.format_report(results)
@@ -210,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=0,
                     help="worker processes, at most one per check and per core; "
                          "0 (the default) means all cores")
+    sp.add_argument("--only", metavar="NAME[,NAME]",
+                    help="run only the named checks, in registry order (default: every check)")
     sp.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 

@@ -13,6 +13,10 @@ few big-integer operations, and the callers read what it placed: its bit
 count is the value's coordinate of `vertex_vector`, the counts over a
 sorted subset sum to `rank_diagram`, each slot's count is a column's rank
 (`rank_columns`), and the bits decode into boxes (`fill_diagram`).
+`vertex_vectors` walks every order of [n] at once: the fill state after a
+prefix does not depend on what follows it, so it keeps the state after
+each prefix depth and refills only the suffix in which an order differs
+from the one before it.
 `fill_column` and `rank_filling` run the same step on one slot over the
 ranks of the column's rows, so a huge row index costs no more than a
 small one.  Each public function checks its inputs once, on entry.  The
@@ -24,8 +28,8 @@ enumeration and by exhaustive search, are `oracles.rank_brute` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from itertools import permutations, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagrams import Box, Diagram, check_subset, column_slots, split_columns
 from .perms import check_permutation
@@ -87,7 +91,9 @@ def _placements(cols: int, low: int, n: int, values: Iterable[int]) -> list[int]
     inside each slot, and x & ~(x - low) is each slot's lowest set bit: the
     topmost free box with row index >= v, or the guard where none is left.
     Shifted back and without the guards, those are the boxes v takes; they
-    are no longer free."""
+    are no longer free.  `vertex_vectors` writes the same step inline, the
+    one other place it is written: it runs on short suffixes, where a call
+    and a list per order cost about as much as the step itself."""
     rows = low * ((1 << n) - 1)
     placed = []
     for v in values:
@@ -132,6 +138,39 @@ def vertex_vector(d: Diagram, w: Sequence[int]) -> tuple[int, ...]:
     for v, p in zip(w, _placements(d.packed_columns, column_slots(d.n)[1], d.n, w)):
         counts[v - 1] = p.bit_count()
     return tuple(counts)
+
+
+def vertex_vectors(d: Diagram) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(w, vertex_vector(d, w)) for every order w of [n], lazily, in
+    `itertools.permutations(range(1, n + 1))` order.
+
+    states[k] is the packed fill state after the first k values of the
+    current order; each order reruns the fill step only from the first
+    position where it differs from the previous order.
+
+    >>> [x for _, x in vertex_vectors(Diagram(2, {(2, 1)}))]
+    [(1, 0), (0, 1)]
+    """
+    n = d.n
+    low = column_slots(n)[1]
+    rows = low * ((1 << n) - 1)
+    states = [d.packed_columns] * (n + 1)
+    counts = [0] * n
+    prev = (0,) * n
+    for w in permutations(range(1, n + 1)):
+        i = 0
+        while i < n and w[i] == prev[i]:
+            i += 1
+        cols = states[i]
+        for k in range(i, n):
+            v = w[k] - 1
+            x = cols >> v
+            p = (x & ~(x - low)) << v & rows
+            cols ^= p
+            counts[v] = p.bit_count()
+            states[k + 1] = cols
+        prev = w
+        yield w, tuple(counts)
 
 
 def rank_filling(rows: Iterable[int], subset: Iterable[int]) -> int:

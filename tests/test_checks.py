@@ -170,6 +170,33 @@ def test_rank_submodular_fault_caught(monkeypatch):
         "S=[1, 2, 3] T=[2, 3, 4]")
 
 
+@pytest.mark.parametrize("name, counterexample", [
+    ("greedy-equals-filling", 'D={"n":4,"boxes":[[1,2],[2,1],[2,2],[2,4],[3,2],[3,3],[4,4]]} w=(2, 1, 3, 4)'),
+    ("vertex-swap-symmetry", "alpha=(0, 0, 0, 1) r=3 w=(2, 1, 3, 4)"),
+    ("vertex-swap-stability", "alpha=(0, 0, 0, 1) r=3 w=(2, 1, 3, 4)"),
+])
+def test_vertex_vectors_fault_caught(monkeypatch, name, counterexample):
+    # one wrong vector in the whole run: order (2, 1, 3, 4) of the first diagram walked
+    walk, walked = fillings.vertex_vectors, []
+
+    def faulty(d):
+        walked.append(d)
+        first = len(walked) == 1
+        for w, x in walk(d):
+            yield w, ((x[0] + 1, *x[1:]) if first and w == (2, 1, 3, 4) else x)
+
+    monkeypatch.setattr(fillings, "vertex_vectors", faulty)
+    instances = 7 if name == "greedy-equals-filling" else 4
+    assert run_check(name, 4, seed=0) == CheckResult(name, instances, counterexample)
+
+
+@pytest.mark.parametrize("name", ["vertex-swap-symmetry", "vertex-swap-stability"])
+def test_vertex_swap_checks_at_n5(monkeypatch, name):
+    # both swap identities hold on every skyline with n = 5 and parts <= 3
+    monkeypatch.setitem(checks._REGISTRY, name, (5, checks._REGISTRY[name][1]))
+    assert run_check(name, 5, seed=0) == CheckResult(name, 92160)
+
+
 # every check's instance count at `verify --n 4 --seed 0`; a refactor of a
 # check's sweep must leave it sweeping the same instances
 VERIFY_N4_SEED0 = [

@@ -235,6 +235,33 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: --n: must be in 1..5 (the largest check scope), got {n}\n"
 
+    def test_only_text(self, capsys):
+        # registry order, whatever the order the names are given in
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--jobs", "1",
+                               "--only", "vertex-swap-stability,rothe-box-count")
+        lines = [re.sub(r", \d+\.\d\d s\b", "", line) for line in out.splitlines()]
+        assert code == 0
+        assert lines == [
+            "PASS rothe-box-count (9 instances, scope 3)",
+            "PASS vertex-swap-stability (144 instances, scope 3)",
+            "PASS: 2/2 checks passed, 153 instances",
+        ]
+
+    def test_only_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "4", "--jobs", "1", "--format", "json",
+                               "--only", "greedy-equals-filling")
+        assert code == 0
+        assert out == '{"status":"pass","checks":[{"name":"greedy-equals-filling","instances":15936,' \
+                      '"counterexample":null}]}\n'
+
+    @pytest.mark.parametrize("only, bad", [("rothe-box-count,nope", "nope"), ("", ""),
+                                           ("rothe-box-count, json-round-trip", " json-round-trip")])
+    def test_only_unknown_name(self, capsys, monkeypatch, only, bad):
+        monkeypatch.setattr(checks, "run_all", lambda *args, **kwargs: pytest.fail("run_all ran"))
+        code, out, err = run_cli(capsys, "verify", "--jobs", "1", "--only", only)
+        assert code == 2 and out == ""
+        assert err == f"error: --only: no check named {bad!r}\n"
+
     @pytest.mark.parametrize("jobs", ["-1", "-5"])
     def test_negative_jobs(self, capsys, monkeypatch, jobs):
         monkeypatch.setattr(checks, "run_all", lambda *args, **kwargs: pytest.fail("run_all ran"))
@@ -309,7 +336,7 @@ PARSER_TABLE = {
     "schubert": ["--perm PERM required", "--format {json,text} default json"],
     "bruhat": ["--u PERM required", "--w PERM required", "--format {text,json} default text"],
     "verify": ["--n int default 4", "--seed int default 0", "--jobs int default 0",
-               "--format {text,json} default text"],
+               "--only NAME[,NAME]", "--format {text,json} default text"],
 }
 
 

@@ -1,13 +1,14 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import D9, FIG18, FIG18_FILLING, FIG18_W, TRAPEZOID, TRAPEZOID_FILLINGS, assert_check, column_diagrams
 from schubitope import Diagram
 from schubitope.checks import random_diagram
-from schubitope.diagrams import skyline
+from schubitope.diagrams import rothe, skyline
 from schubitope.fillings import (
     fill_column,
     fill_diagram,
@@ -17,9 +18,10 @@ from schubitope.fillings import (
     sort_filling,
     standardize,
     vertex_vector,
+    vertex_vectors,
 )
 from schubitope.oracles import _fill, rank_brute, rank_max_filling
-from schubitope.polytope import theta, theta_columns
+from schubitope.polytope import theta, theta_columns, vertices
 
 
 def subsets(n):
@@ -128,6 +130,54 @@ class TestVertexVector:
         with pytest.raises(ValueError) as got:
             vertex_vector(TRAPEZOID, w)
         assert str(got.value) == str(expected.value)
+
+
+class TestVertexVectors:
+    """The walk over all orders against `vertex_vector`, one order at a time;
+    the two write the fill step apart (inline, and `_placements`)."""
+
+    @staticmethod
+    def assert_walk_matches(d):
+        orders = itertools.permutations(range(1, d.n + 1))
+        assert list(vertex_vectors(d)) == [(w, vertex_vector(d, w)) for w in orders], d
+
+    def test_rothe_diagrams_up_to_n5(self):
+        for n in range(6):
+            for w in itertools.permutations(range(1, n + 1)):
+                self.assert_walk_matches(rothe(w))
+
+    def test_skylines_up_to_n4(self):
+        for n in range(1, 5):
+            for alpha in itertools.product(range(n + 1), repeat=n):
+                self.assert_walk_matches(skyline(alpha))
+
+    def test_random_diagrams_up_to_n6(self):
+        rng = random.Random(20)
+        for n in range(7):
+            for _ in range(30):
+                self.assert_walk_matches(random_diagram(rng, n))
+
+    def test_smallest_grids(self):
+        assert list(vertex_vectors(Diagram(0, frozenset()))) == [((), ())]
+        assert list(vertex_vectors(Diagram(1, frozenset()))) == [((1,), (0,))]
+        assert list(vertex_vectors(Diagram(1, frozenset({(1, 1)})))) == [((1,), (1,))]
+
+    def test_vectors_are_the_vertices(self):
+        rng = random.Random(21)
+        for d in [FIG18, D9, *(random_diagram(rng, n) for n in range(1, 6) for _ in range(4))]:
+            assert {x for _, x in vertex_vectors(d)} == vertices(d), d
+
+    def test_lazy(self):
+        # the first of 10! orders arrives without building anything n!-sized
+        d = random_diagram(random.Random(22), 10)
+        tracemalloc.start()
+        try:
+            w, x = next(vertex_vectors(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w, x) == (tuple(range(1, 11)), vertex_vector(d, w))
+        assert peak < 2 ** 20
 
 
 class TestRanks:
