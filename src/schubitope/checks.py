@@ -642,14 +642,17 @@ def run_all(n: int, seed: int = 0, jobs: int = 1, only: Iterable[str] | None = N
         return list(pool.map(_run_check_args, work))
 
 
-def format_report(results: Iterable[CheckResult]) -> str:
+def format_report(results: Iterable[CheckResult], n: int, seed: int) -> str:
     """One line per check with its instance count, effective scope and
-    seconds, then a summary line whose seconds are the checks' sum."""
+    seconds, then a summary line whose seconds are the checks' sum.  A
+    failing check's line ends with the command that reruns it alone with
+    the run's n and seed, which reproduces it (`run_check`)."""
     results = list(results)
     lines = []
     for r in results:
         ran = f"{r.instances} instances, scope {r.scope}, {r.seconds:.2f} s"
-        lines.append(f"PASS {r.name} ({ran})" if r.ok else f"FAIL {r.name} ({ran}): {r.counterexample}")
+        lines.append(f"PASS {r.name} ({ran})" if r.ok else f"FAIL {r.name} ({ran}): {r.counterexample}; "
+                     f"reproduce: schubitope verify --only {r.name} --n {n} --seed {seed}")
     failed = sum(not r.ok for r in results)
     total = sum(r.instances for r in results)
     seconds = sum(r.seconds for r in results)

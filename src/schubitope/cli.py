@@ -183,7 +183,7 @@ def _verify(args) -> tuple[int, str]:
     results = checks.run_all(args.n, seed=args.seed, jobs=jobs, only=only)
     code = 0 if all(r.ok for r in results) else 1
     if args.format == "text":
-        return code, checks.format_report(results)
+        return code, checks.format_report(results, args.n, args.seed)
     found = [{"name": r.name, "instances": r.instances, "counterexample": r.counterexample} for r in results]
     return code, _compact({"status": "fail" if code else "pass", "checks": found})
 

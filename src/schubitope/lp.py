@@ -1,17 +1,18 @@
 """Exact rational linear algebra on integer rows: phase-1 simplex, hull vertices.
 
 Answers are never approximate.  All elimination goes through one kernel,
-`eliminate`, shared with the echelon forms of `polytope`.  The simplex
+`eliminate`, shared with the tight-row rank test of `oracles`.  The simplex
 scales its system once by the common denominator of its entries; its
 pivots are positive, so each tableau row is a positive multiple of the exact
 rational row, and signs, ratio tests (by cross-multiplication) and Bland's
 choices match the `Fraction` tableau of `oracles.solve_nonnegative_by_fractions`.
 Bland's rule makes it terminate; sizes here are tiny, so dense rows are fine.
-`hull_vertices` runs it only on the points that two exact certificates
-leave open: a unique lexicographic extreme is a vertex, and the midpoint of
-two other points is not.  `oracles.hull_vertices_by_lp` runs it on every
-point.  Points must be tuples of `int` and `Fraction` of one dimension, and
-LP entries `int` or `Fraction`.
+`hull_vertices`, the simplex's one user, runs it only on the points that
+two exact certificates leave open: a unique lexicographic extreme is a
+vertex, and the midpoint of two other points is not.
+`oracles.hull_vertices_by_lp` runs it on every point.  Points must be
+tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
+`Fraction`.
 """
 from __future__ import annotations
 

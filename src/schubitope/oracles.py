@@ -10,9 +10,9 @@ permutation for the vertex set, one `edmonds_vertex` run per permutation
 for the prefix-mask enumeration of a table's greedy vectors, one
 `Fraction` sum per subset for the integer subset-sum walk, every pair of
 masks for the local submodularity test, one subset-sum walk and rank test
-of the tight rows (`tight_rank`) per claimed point for the chain
-certificates of vertex certification (its second step; the third is
-shared), a phase-1 simplex on `Fraction` entries for the integer-tableau
+of the tight rows (`tight_rank`) per claimed point for the vertex lookup
+of certification (the missing vertices are shared; neither runs the
+simplex), a phase-1 simplex on `Fraction` entries for the integer-tableau
 one, one simplex per point for the certified hull, every k-subset compared
 in the Gale order for a column's Schubert matroid bases, and for the
 greedy filling's rank in that matroid, the largest intersection with a
@@ -46,9 +46,8 @@ from .polytope import (
     Certification,
     HRep,
     _certifiable,
-    _combination_witness,
-    _exposed,
     _missing_vertices,
+    _non_vertex,
     _walk,
     edmonds_vertex,
 )
@@ -324,30 +323,21 @@ def tight_rank(h: HRep, point: Sequence) -> int:
 
 
 def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certification:
-    """`polytope.certify_vertices` as it was before chain certificates: every
-    claimed point is walked over its subset sums, and a member is a vertex
-    when its tight rows have rank n.  Tables that are not submodular are
-    refused as there (`_certifiable`); step (c) and the simplex's witness
-    are the shared `_missing_vertices` and `_combination_witness`."""
+    """`polytope.certify_vertices` without the vertex lookup: every claimed
+    point is walked over its subset sums, and a member is a vertex when its
+    tight rows have rank n (`_rank`).  Tables that are not submodular are
+    refused as there (`_certifiable`); the failure strings and the missing
+    vertices are the shared `_non_vertex` and `_missing_vertices`."""
     if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
     pts = sorted(_certifiable(h, points))
-    walks = [_walk(h, p) for p in pts]
-    outside = [p for p, (bad, _) in zip(pts, walks) if bad is not None]
-    failures = [f"claimed vertex {p} violates the description: {bad}"
-                for p, (bad, _) in zip(pts, walks) if bad is not None]
-
-    lp_calls = 0
-    for idx, (p, (bad, tight)) in enumerate(zip(pts, walks)):
-        if bad is None and _rank(h.n, tight) == h.n and _exposed(p, tight, outside):
-            continue
-        lp_calls += 1
-        if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
-            failures.append(witness)
-
+    failures = []
+    for p in pts:
+        bad, tight = _walk(h, p)
+        if bad is not None or _rank(h.n, tight) < h.n:
+            failures.append(_non_vertex(p, bad, h.n))
     failures += _missing_vertices(h, set(pts))
-    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures),
-                         lp_calls=lp_calls)
+    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures))
 
 
 def schubert_by_last_ascent(w: Sequence[int]) -> polyoracle.Polynomial:

@@ -28,23 +28,21 @@ vectors its prefix orders reach, lists them without the n! orders; a
 one-entry memo keyed by the `HRep` lets `vertices` and `certify_vertices`
 share one enumeration.  `certify_vertices` refuses a table that is not
 submodular, proves a claimed point a vertex by finding it among them, and
-walks only the other points, sorting the claim only when there are some;
-it names each missing vertex by the first order reaching it, found in one
-forward pass (`_first_order`).
+walks each other point once, only to name the bound it violates, if any;
+no step of it runs the simplex.  It names each missing vertex by the first
+order reaching it, found in one forward pass (`_first_order`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import lp
 from .diagrams import Diagram, check_subset, column_slots, is_int, split_columns
 from .perms import check_permutation
 
@@ -405,8 +403,7 @@ def _vertex_set(h: HRep) -> frozenset[tuple[int, ...]]:
 
 def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
     """The lexicographically first order whose greedy vector is v, or None,
-    for a submodular table: certification names a missing vertex by it, and
-    reads a claimed vertex's chain rows off it when some point is outside.
+    for a submodular table: certification names a missing vertex by it.
 
     Along an order the greedy coordinates telescope, so the order reaches v
     exactly when each element k it adds to a prefix mask S is a tight step:
@@ -449,19 +446,18 @@ def vertices(d: Diagram) -> set[tuple[int, ...]]:
 class Certification:
     """Outcome of the exact vertex certification.
 
-    ``failures`` holds one human-readable witness per defect; empty means
-    the claimed points are exactly the vertex set.  ``method`` names how
-    part (c) enumerated the polytope's own vertices; it is always
+    ``failures`` holds one human-readable witness per defect: one per
+    claimed point that is no vertex, in sorted order, then one per vertex
+    missing from the claim; empty means the claimed points are exactly the
+    vertex set.  ``points`` counts the distinct claimed points.  ``method``
+    names how the polytope's own vertices were enumerated; it is always
     ``"greedy"`` and is kept so that recorded outcomes stay comparable.
-    ``lp_calls`` counts the claimed points part (b) had to send to the
-    phase-1 simplex.
     """
 
     ok: bool
     method: str
     points: int
     failures: tuple[str, ...]
-    lp_calls: int
 
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:
@@ -483,44 +479,18 @@ def _is_submodular(table: Sequence[int], n: int) -> bool:
     return True
 
 
-def _exposed(p: Sequence, tight: Sequence[int], others: Sequence[Sequence]) -> bool:
-    """Whether some c + t * (1, ..., 1) puts every q in others strictly below
-    p, where c_i counts the tight masks holding i.  Summing p's tight rows
-    gives c.x <= c.p on the polytope, with equality only at p when those
-    rows have rank n; sum(x) is constant on the polytope, so the same holds
-    along c + t * (1, ..., 1) for any t, and then p is no convex combination
-    of the other points of the polytope and the q.  A q on the hyperplane
-    needs c.q < c.p; any other q bounds t on one side, by
-    t * (sum(q) - sum(p)) < c.p - c.q, and the bounds must leave an open
-    interval, which is found exactly in `Fraction`s."""
-    if not others:
-        return True
-    c = [sum(mask >> i & 1 for mask in tight) for i in range(len(p))]
-    top, total = sum(map(operator.mul, c, p)), sum(p)
-    low, high = [], []
-    for q in others:
-        gap, off = top - sum(map(operator.mul, c, q)), sum(q) - total
-        if off:
-            (high if off > 0 else low).append(Fraction(gap, off))
-        elif gap <= 0:
-            return False
-    return not low or not high or max(low) < min(high)
-
-
-def _combination_witness(p: tuple, others: list[tuple]) -> str | None:
-    """The failure naming p a convex combination of the other claimed
-    points, by the phase-1 simplex, or None when it is none."""
-    lam = lp.convex_combination(p, others)
-    if lam is None:
-        return None
-    combo = " + ".join(f"{c}*{q}" for c, q in zip(lam, others) if c)
-    return f"claimed vertex {p} is not a vertex: {p} = {combo}"
+def _non_vertex(p: tuple, violation: str | None, n: int) -> str:
+    """The failure of a claimed point that is no vertex: the first bound it
+    violates (`_walk`), or, for a member, that its tight rows fall short."""
+    if violation is not None:
+        return f"claimed vertex {p} violates the description: {violation}"
+    return f"claimed vertex {p} is not a vertex: it lies in the polytope, but its tight rows have rank below {n}"
 
 
 def _missing_vertices(h: HRep, claimed: set[tuple]) -> list[str]:
-    """Certification step (c): a failure per greedy vector (`_vertex_set`)
-    not claimed, named with the first order reaching it, in the order a
-    lexicographic S_n sweep meets it."""
+    """A failure per greedy vector (`_vertex_set`) not claimed, named with
+    the first order reaching it, in the order a lexicographic S_n sweep
+    meets it."""
     missing = sorted((_first_order(h.table, v, h.n), v) for v in _vertex_set(h) if v not in claimed)
     return [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
 
@@ -543,49 +513,20 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     """Certify that ``points`` is exactly the vertex set of the polytope of a
     submodular table; any other table raises `ValueError` (`_certifiable`).
 
-    Three exact checks run in order: (a) every claimed point satisfies the
-    halfspace description, (b) no claimed point is a convex combination of
-    the others, (c) every vertex of the polytope appears among the claimed
-    points.  The greedy vectors of the table (`_vertex_set`), which step (c)
-    needs anyway, are enumerated first.  A claimed point among them is the
-    greedy vector along some order, so by Edmonds a member and a vertex, cut
-    out by its chain of n - 1 proper prefix rows; it needs no walk.  By the
-    same theorem any other point is no vertex, and is walked for (a) alone.
-    A vertex is no convex combination of other points in the polytope, nor
-    of claimed points outside it that `_exposed` separates from it, by its
-    chain rows (read off `_first_order`) first and then by all its tight
-    rows; only the other points go to the phase-1 simplex
-    (`_combination_witness`).  Step (c) is `_missing_vertices`.
+    By Edmonds the vertices of that polytope are exactly the greedy vectors
+    of the table (`_vertex_set`), so each claimed point is decided on its
+    own, by lookup.  A claimed point among them passes with no walk.  Every
+    other point fails once, in sorted order: walked over its subset sums
+    (`_walk`), it either violates a bound, named as the first in mask
+    order, or lies in the polytope without being a vertex.  Then each vertex
+    missing from the claim fails (`_missing_vertices`).
     """
-    n, table = h.n, h.table
-    if n > CERTIFY_CAP:
+    if h.n > CERTIFY_CAP:
         raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
     claimed = _certifiable(h, points)
-    verts = _vertex_set(h)
-    # the order only fixes that of the failures and of the simplex's points,
-    # and a claim of vertices alone has neither
-    pts = list(claimed) if claimed <= verts else sorted(claimed)
-
-    walks = {p: _walk(h, p) for p in pts if p not in verts}
-    outside = [p for p, (bad, _) in walks.items() if bad is not None]
-    failures = [f"claimed vertex {p} violates the description: {walks[p][0]}" for p in outside]
-
-    lp_calls = 0
-    for idx, p in enumerate(pts):
-        if p in verts:
-            if not outside:
-                continue
-            order = _first_order(table, p, n)
-            chain = list(itertools.accumulate([1 << (k - 1) for k in order[:-1]], operator.or_))
-            if _exposed(p, chain, outside) or _exposed(p, _walk(h, p)[1], outside):
-                continue
-        lp_calls += 1
-        if witness := _combination_witness(p, pts[:idx] + pts[idx + 1:]):
-            failures.append(witness)
-
+    failures = [_non_vertex(p, _walk(h, p)[0], h.n) for p in sorted(claimed - _vertex_set(h))]
     failures += _missing_vertices(h, claimed)
-    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures),
-                         lp_calls=lp_calls)
+    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
 
 
 def hrep_to_json_dict(h: HRep) -> dict:

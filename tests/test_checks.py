@@ -47,10 +47,11 @@ def test_result_carries_effective_scope_and_seconds(monkeypatch):
     assert small.seconds >= 0 and large.seconds >= 0
     # timings are no part of the answer
     assert CheckResult("toy", 1, None, 2, 0.5) == CheckResult("toy", 1, None, 2, 7.0)
-    report = checks.format_report([CheckResult("a", 3, None, 2, 0.25), CheckResult("b", 1, "x", 4, 1.5)])
+    report = checks.format_report([CheckResult("a", 3, None, 2, 0.25), CheckResult("b", 1, "x", 4, 1.5)],
+                                  n=9, seed=5)
     assert report.splitlines() == [
         "PASS a (3 instances, scope 2, 0.25 s)",
-        "FAIL b (1 instances, scope 4, 1.50 s): x",
+        "FAIL b (1 instances, scope 4, 1.50 s): x; reproduce: schubitope verify --only b --n 9 --seed 5",
         "FAIL: 1/2 checks passed, 4 instances, 1.75 s",
     ]
 
@@ -245,9 +246,17 @@ def test_verify_reports_failure_and_exits_1(monkeypatch, capsys):
     code = main(["verify", "--n", "2", "--jobs", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert any(re.fullmatch(r"FAIL rank-three-ways \(1 instances, scope 2, \d+\.\d\d s\): C=\[\] S=\[\]: 0,1,0", line)
-               for line in lines)
+    rerun = "schubitope verify --only rank-three-ways --n 2 --seed 0"
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert len(failed) == 1
+    assert re.fullmatch(r"FAIL rank-three-ways \(1 instances, scope 2, \d+\.\d\d s\): C=\[\] S=\[\]: 0,1,0; "
+                        r"reproduce: " + rerun, failed[0])
     assert re.fullmatch(r"FAIL: 28/29 checks passed, 1501 instances, \d+\.\d\d s", lines[-1])
+    # the command on the FAIL line reproduces it
+    assert main(rerun.split()[1:]) == 1
+    again = capsys.readouterr().out.splitlines()
+    untimed = [re.sub(r", \d+\.\d\d s\b", "", line) for line in (failed[0], again[0])]
+    assert len(again) == 2 and untimed[0] == untimed[1]
 
 
 def test_verify_reports_raising_checks_and_exits_1(monkeypatch, capsys):
@@ -266,6 +275,7 @@ def test_verify_reports_raising_checks_and_exits_1(monkeypatch, capsys):
         "FAIL vertex-swap-stability",
     ]
     assert re.fullmatch(r"FAIL lower-interval-recursion \(1 instances, scope 2, \d+\.\d\d s\): "
-                        r"raised ValueError: adjacent-swap index 0 out of range 1\.\.0", failed[0])
+                        r"raised ValueError: adjacent-swap index 0 out of range 1\.\.0; "
+                        r"reproduce: schubitope verify --only lower-interval-recursion --n 2 --seed 0", failed[0])
     assert all(re.search(r"instances, scope 2, \d+\.\d\d s\): raised ValueError: ", line) for line in failed)
     assert re.fullmatch(r"FAIL: 25/29 checks passed, 1486 instances, \d+\.\d\d s", lines[-1])

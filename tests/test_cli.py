@@ -229,6 +229,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "2")
         assert code == 0
 
+    def test_failing_check_names_its_rerun(self, capsys, monkeypatch):
+        # a FAIL line ends with the command that reruns the check alone; the
+        # JSON report carries no such command
+        def run_all(n, seed, jobs, only):
+            return [checks.CheckResult("rothe-box-count", 7, "diagram of (2, 1)", min(n, 5), 0.5)]
+
+        monkeypatch.setattr(checks, "run_all", run_all)
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--seed", "11", "--jobs", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL rothe-box-count (7 instances, scope 3, 0.50 s): diagram of (2, 1); "
+            "reproduce: schubitope verify --only rothe-box-count --n 3 --seed 11",
+            "FAIL: 0/1 checks passed, 7 instances, 0.50 s",
+        ]
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--seed", "11", "--jobs", "1", "--format", "json")
+        assert code == 1
+        assert out == '{"status":"fail","checks":[{"name":"rothe-box-count","instances":7,' \
+                      '"counterexample":"diagram of (2, 1)"}]}\n'
+
     @pytest.mark.parametrize("n", ["-1", "0", "6"])
     def test_scope_out_of_range(self, capsys, n):
         code, out, err = run_cli(capsys, "verify", "--n", n, "--jobs", "1")

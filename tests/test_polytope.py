@@ -686,8 +686,8 @@ class TestCertify:
             certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
 
     def test_claim_order_does_not_change_the_outcome(self):
-        # the claim is sorted only when some point is not a vertex; either
-        # way the outcome is the walk oracle's, which always sorts
+        # only the claimed points that are no vertex are sorted; the outcome
+        # is the walk oracle's, which sorts them all
         rng = random.Random(29)
         verts = sorted(TRAPEZOID_VERTICES)
         h = hrep(TRAPEZOID)
@@ -728,78 +728,49 @@ class TestCertify:
             with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
                 certify(h, {(0, 0)})
 
-    def test_reports_lp_calls(self):
-        assert certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES).lp_calls == 0
+    def test_one_failure_per_non_vertex_point(self):
+        # an interior point fails as a member that is no vertex, a point
+        # outside on its first violated bound, and no vertex fails with them
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES | {(2, 1, 1)})
-        assert cert.lp_calls == 1
-        assert cert.failures == (
+        assert (cert.points, cert.failures) == (5, (
             "claimed vertex (2, 1, 1) is not a vertex: "
-            "(2, 1, 1) = 1/6*(1, 0, 3) + 1/3*(1, 3, 0) + 1/2*(3, 0, 1)",
-        )
-        # with a point outside the polytope, the LP gets that point and the
-        # vertices it is not separated from: (3, 0, 1) and (3, 1, 0) lie
-        # between it and other vertices
+            "it lies in the polytope, but its tight rows have rank below 3",
+        ))
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES | {(4, 0, 0)})
-        assert cert.lp_calls == 3
-        assert cert.failures == (
+        assert (cert.points, cert.failures) == (5, (
             "claimed vertex (4, 0, 0) violates the description: sum over [1] is 4 > 3",
-            "claimed vertex (3, 0, 1) is not a vertex: (3, 0, 1) = 1/3*(1, 0, 3) + 2/3*(4, 0, 0)",
-            "claimed vertex (3, 1, 0) is not a vertex: (3, 1, 0) = 1/3*(1, 3, 0) + 2/3*(4, 0, 0)",
-        )
+        ))
 
-    def test_outside_point_sends_only_unseparated_points_to_the_lp(self):
+    def test_point_beyond_a_vertex_fails_alone(self):
         # a short vertex set plus q = 2v - u, outside the polytope beyond the
-        # vertex v; the failures are those of sending every claimed point to
-        # the LP, with fewer LP calls
+        # vertex v: q fails on its first violated bound, v does not fail
         rng = random.Random(61)
-        for n, claimed, lp_calls in ((5, 18, 6), (6, 74, 22)):  # every point went to the LP before
+        for n, claimed in ((5, 18), (6, 74)):
             d = random_diagram_with_density(rng, n, 0.3)
             h, verts = hrep(d), sorted(vertices(d))
             u, v = verts[1], verts[-1]
             q = tuple(2 * b - a for a, b in zip(u, v))
-            pts = sorted(set(verts[1:]) | {q})
-            cert = certify_vertices(h, pts)
-            every_point = []
-            for idx, p in enumerate(pts):
-                others = pts[:idx] + pts[idx + 1:]
-                lam = convex_combination(p, others)
-                if lam is not None:
-                    combo = " + ".join(f"{c}*{o}" for c, o in zip(lam, others) if c)
-                    every_point.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
-            assert any(f.startswith(f"claimed vertex {v} is not a vertex") for f in every_point)
+            cert = certify_vertices(h, set(verts[1:]) | {q})
             assert cert.failures == (
                 f"claimed vertex {q} violates the description: {_walk(h, q)[0]}",
-                *every_point,
                 *certify_vertices(h, verts[1:]).failures,
             )
-            assert (cert.points, cert.lp_calls) == (claimed, lp_calls)
+            assert cert.points == claimed
 
-    def test_points_off_the_hyperplane_are_separated_along_the_all_ones_row(self):
+    def test_points_off_the_hyperplane_fail_alone(self):
         # a + b lies above sum(x) = total and a - b below it; a is their
-        # midpoint.  The failures are those of sending every claimed point to
-        # the LP, and only the two outside points and a go there
+        # midpoint, but only the two outside points fail, on the coordinate sum
         rng = random.Random(67)
         corpus = [random_diagram_with_density(rng, n, 0.5) for n in (3, 4, 5) * 4]
         for d in [d for d in corpus if len(vertices(d)) > 1]:
             h, verts = hrep(d), sorted(vertices(d))
             a, b = rng.sample(verts, 2)
             above, below = tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b))
-            for extra, lp_calls in (({above}, 1), ({above, below}, 3)):
-                pts = sorted(set(verts) | extra)
-                every_point = []
-                for idx, p in enumerate(pts):
-                    others = pts[:idx] + pts[idx + 1:]
-                    lam = convex_combination(p, others)
-                    if lam is not None:
-                        combo = " + ".join(f"{c}*{o}" for c, o in zip(lam, others) if c)
-                        every_point.append(f"claimed vertex {p} is not a vertex: {p} = {combo}")
-                named = [f.split(":")[0] for f in every_point]
-                assert named == [f"claimed vertex {a} is not a vertex"] * (len(extra) - 1)
-                cert = certify_vertices(h, pts)
-                outside = [f"claimed vertex {q} violates the description: {_walk(h, q)[0]}"
-                           for q in sorted(extra)]
-                assert cert.failures == (*outside, *every_point), d
-                assert cert.lp_calls == lp_calls, d
+            for extra in ({above}, {above, below}):
+                cert = certify_vertices(h, set(verts) | extra)
+                assert cert.failures == tuple(
+                    f"claimed vertex {q} violates the description: coordinate sum {sum(q)} != {h.total}"
+                    for q in sorted(extra)), d
 
     def test_random_diagrams_up_to_the_cap(self):
         rng = random.Random(78)
@@ -807,9 +778,9 @@ class TestCertify:
             d = random_diagram_with_density(rng, n, density)
             h, verts = hrep(d), vertices(d)
             cert = certify_vertices(h, verts)
-            assert cert.ok and cert.method == "greedy" and cert.lp_calls == 0, d
+            assert cert.ok and cert.method == "greedy", d
             short = certify_vertices(h, verts - {min(verts)})
-            assert len(short.failures) == 1 and short.lp_calls == 0
+            assert len(short.failures) == 1
             assert short.failures[0].startswith(f"vertex {min(verts)} (greedy order ")
 
     def test_trapezoid_missing_witnesses_in_sweep_order(self):
@@ -821,9 +792,10 @@ class TestCertify:
         )
 
     def test_missing_witnesses_match_the_permutation_sweep(self):
-        # the witnesses of step (c) are those of the lexicographic S_n sweep:
-        # each missing vertex once, with the first order reaching it, in the
-        # order the sweep first meets them, after every (a) and (b) failure
+        # the missing-vertex witnesses are those of the lexicographic S_n
+        # sweep: each missing vertex once, with the first order reaching it,
+        # in the order the sweep first meets them, after every failure of a
+        # claimed point
         rng = random.Random(83)
         for n in (1, 2, 3, 4, 5, 6) * 50:
             d = random_diagram(rng, n)
@@ -842,12 +814,12 @@ class TestCertify:
 
 
 class TestGreedyVectors:
-    """The prefix-mask enumerator behind `vertices` and certification step
-    (c), against one `edmonds_vertex` run per permutation, on any integer table:
-    the enumeration assumes nothing of the table, and negative, wide and
-    non-submodular steps test its offset and slot width more than theta
-    tables do.  `_first_order` is exact on submodular tables only, so it is
-    checked on those."""
+    """The prefix-mask enumerator behind `vertices` and certification's
+    missing vertices, against one `edmonds_vertex` run per permutation, on
+    any integer table: the enumeration assumes nothing of the table, and
+    negative, wide and non-submodular steps test its offset and slot width
+    more than theta tables do.  `_first_order` is exact on submodular tables
+    only, so it is checked on those."""
 
     @staticmethod
     def random_tables(rng, n):
@@ -989,29 +961,38 @@ def claim_families(verts, rng):
 
 
 class TestChainCertificates:
-    """Certification by chains of tight prefixes against the walk of every
-    claimed point it replaces (`oracles.certify_vertices_by_walk`), and the
-    submodularity test their soundness rests on against its definition."""
+    """Certification by lookup among the greedy vectors against the walk and
+    tight-row rank test of every claimed point (`oracles.certify_vertices_by_walk`),
+    and the submodularity test their soundness rests on against its definition."""
 
     def test_matches_walk_oracle_on_random_claims(self):
-        # at n = 6 the claim with 2a - b sends tens to hundreds of points to
-        # the simplex in both routines, seconds per diagram, so only the
-        # other four run there; a + b, off the hyperplane, is separated from
-        # every vertex along c + t * (1, ..., 1)
         rng = random.Random(97)
         sizes = [1] * 10 + [2] * 60 + [3] * 130 + [4] * 150 + [5] * 40 + [6] * 10
-        fell = 0
         for n in sizes:
             d = random_diagram(rng, n)
             h, verts = hrep(d), vertices(d)
-            claims = claim_families(verts, rng)
-            for claim in claims if n < 6 else claims[:3] + claims[4:]:
-                new, old = certify_vertices(h, claim), certify_vertices_by_walk(h, claim)
-                assert (new.ok, new.method, new.points, new.failures) == \
-                    (old.ok, old.method, old.points, old.failures), (d, claim)
-                assert new.lp_calls <= old.lp_calls, (d, claim)
-                fell += new.lp_calls < old.lp_calls
-        assert fell > 0
+            for claim in claim_families(verts, rng):
+                assert certify_vertices(h, claim) == certify_vertices_by_walk(h, claim), (d, claim)
+
+    def test_certification_runs_no_simplex(self, monkeypatch):
+        # every claim family, through both certifications, with every entry
+        # to the simplex raising
+        def forbidden(*args):
+            raise AssertionError("certification ran the simplex")
+
+        for module, name in ((lp, "solve_nonnegative"), (lp, "convex_combination"),
+                             (oracles, "convex_combination"), (oracles, "solve_nonnegative_by_fractions")):
+            monkeypatch.setattr(module, name, forbidden)
+        rng = random.Random(101)
+        failed = 0
+        for n in (1, 2, 3, 4, 5, 6) * 8:
+            d = random_diagram(rng, n)
+            h, verts = hrep(d), vertices(d)
+            for claim in claim_families(verts, rng):
+                cert = certify_vertices(h, claim)
+                assert cert == certify_vertices_by_walk(h, claim), (d, claim)
+                failed += not cert.ok
+        assert failed > 0
 
     def test_oracle_keeps_its_own_cap(self):
         with pytest.raises(ValueError, match="cap"):
