@@ -21,27 +21,27 @@ import json
 import os
 import random
 import time
+from collections.abc import Callable, Generator, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator
 
 from . import diagrams, fillings, lp, oracles, perms, polyoracle, polytope
-from .diagrams import Diagram
+from .diagrams import Diagram, Value
 
 # one None per instance compared; the return value is the counterexample
 Steps = Generator[None, None, "str | None"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value, compare=("name", "instances", "counterexample")):
     """One check's answer, compared on its name, instance count and
     counterexample; the effective scope and the wall seconds it ran are
     reported beside them but take no part in equality."""
-    name: str
-    instances: int
-    counterexample: str | None = None
-    scope: int = field(default=0, compare=False)
-    seconds: float = field(default=0.0, compare=False)
+
+    _fields = ("name", "instances", "counterexample", "scope", "seconds")
+
+    def __init__(self, name: str, instances: int, counterexample: str | None = None,
+                 scope: int = 0, seconds: float = 0.0):
+        self.__dict__.update(name=name, instances=instances, counterexample=counterexample,
+                             scope=scope, seconds=seconds)
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,9 @@ verb's output.  The library owns every input rule: a handler passes each
 flag's values to the library through `_parse`, which prefixes the
 library's message with the flag.  Exit codes: 0 on success, 1 when
 `verify` finds a failing check, 2 on usage or input errors (each with a
-one-line diagnostic naming the bad field or flag).
+one-line diagnostic naming the bad field or flag).  Only `verify` imports
+the check suite, with its oracles and process pool, so the other verbs
+start without them.
 """
 from __future__ import annotations
 
@@ -13,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from . import checks, diagrams, fillings, perms, polyoracle, polytope
+from . import diagrams, fillings, perms, polyoracle, polytope
 
 
 def _compact(doc) -> str:
@@ -145,12 +148,13 @@ def _schubert(args) -> str:
     return _polynomial_doc(polyoracle.schubert_polynomial(w), args.format)
 
 
-class Verb(NamedTuple):
-    help: str
-    diagram: bool                 # takes exactly one of --diagram, --rothe, --skyline
-    flags: tuple[str, ...]        # required flags, each "FLAG METAVAR[ help text]"
-    formats: tuple[str, ...]      # --format choices, the default first
-    handler: Callable[[argparse.Namespace], str]
+Verb = namedtuple("Verb", [
+    "help",
+    "diagram",                    # takes exactly one of --diagram, --rothe, --skyline
+    "flags",                      # required flags, each "FLAG METAVAR[ help text]"
+    "formats",                    # --format choices, the default first
+    "handler",                    # the verb's output from the parsed arguments
+])
 
 
 VERBS = {
@@ -173,6 +177,8 @@ VERBS = {
 
 
 def _verify(args) -> tuple[int, str]:
+    from . import checks  # the suite and its process pool load for `verify` only
+
     top = checks.largest_scope()
     if not 1 <= args.n <= top:
         raise ValueError(f"--n: must be in 1..{top} (the largest check scope), got {args.n}")

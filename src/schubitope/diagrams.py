@@ -17,12 +17,17 @@ bit 0 of each slot, and `split_columns` reads the slots back.  Each `Diagram` co
 use, and keeps them.  The boxes are checked once, when the diagram is
 built, so the code reading the masks needs no further checks.  The cached
 encodings are not fields, so equality and hashing see only n and the boxes.
+
+`Value` is the immutable-value base of `Diagram` and of the library's other
+value classes (`HRep`, `Certification`, `Polynomial`, `CheckResult`): each
+names its fields in `_fields`, checks and stores them in its own
+`__init__`, and gets field-wise equality, hashing and repr from the base.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 
 from . import perms
 
@@ -60,23 +65,55 @@ def split_columns(packed: int, n: int) -> list[int]:
     return [packed >> k & (1 << width) - 1 for k in range(0, width * n, width)]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Value:
+    """An immutable value named by its `_fields`: equal to another instance of
+    the same class with equal compared fields, hashed on them, and shown as
+    ``Name(field=value, ...)``; a subclass passes ``compare=`` to compare on
+    fewer fields.  Each subclass checks its fields in its own `__init__` and
+    stores them into ``self.__dict__``, since assignment raises.  Values
+    computed on first use (`functools.cached_property`) are kept there too,
+    beside the fields, and a pickle copies that dict."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*(compare or cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Diagram(Value):
     """An immutable set of boxes (row, col) inside an n x n grid."""
 
-    n: int
-    boxes: frozenset[Box]
+    _fields = ("n", "boxes")
 
-    def __post_init__(self):
-        if not is_int(self.n) or self.n < 0:
-            raise ValueError(f"grid size must be a non-negative integer, got {self.n!r}")
-        boxes = frozenset(self.boxes)
-        object.__setattr__(self, "boxes", boxes)
+    def __init__(self, n: int, boxes: Iterable[Box]):
+        if not is_int(n) or n < 0:
+            raise ValueError(f"grid size must be a non-negative integer, got {n!r}")
+        boxes = frozenset(boxes)
         for r, c in boxes:
             if not (is_int(r) and is_int(c)):
                 raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
-            if not (1 <= r <= self.n and 1 <= c <= self.n):
-                raise ValueError(f"box ({r},{c}) lies outside the {self.n}x{self.n} grid")
+            if not (1 <= r <= n and 1 <= c <= n):
+                raise ValueError(f"box ({r},{c}) lies outside the {n}x{n} grid")
+        self.__dict__.update(n=n, boxes=boxes)
 
     @property
     def size(self) -> int:

@@ -28,8 +28,8 @@ enumeration and by exhaustive search, are `oracles.rank_brute` and
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import permutations, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagrams import Box, Diagram, check_subset, column_slots, split_columns
 from .perms import check_permutation

@@ -17,8 +17,8 @@ tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 
 def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:

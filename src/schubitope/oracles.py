@@ -24,8 +24,8 @@ keep their own caps.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from . import fillings, polyoracle
 from .diagrams import Diagram, check_subset

@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 from bisect import insort
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 Composition = tuple[int, ...]

@@ -1,18 +1,18 @@
 """Schubert and key polynomials via divided differences, as Newton-polytope oracles.
 
-Polynomials are sparse and immutable: a read-only mapping from exponent
-vectors to non-zero integer coefficients.  The divided difference of a
-single monomial has a closed form (a geometric sum between the two
-exponents), so the division by x_i - x_{i+1} is carried out termwise and
-is exact by construction.
+Polynomials are sparse, immutable, hashable and picklable values: a
+read-only mapping from exponent vectors to non-zero integer coefficients.
+The divided difference of a single monomial has a closed form (a geometric
+sum between the two exponents), so the division by x_i - x_{i+1} is
+carried out termwise and is exact by construction.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
+from .diagrams import Value
 from .perms import check_composition, check_permutation, swap_adjacent
 
 SCHUBERT_CAP = 7
@@ -20,27 +20,32 @@ KEY_CAP_N = 6
 KEY_CAP_PART = 4
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Sparse integer-coefficient polynomial in n variables; ``terms`` is
-    read-only, so memoized results can be shared."""
+    read-only, so memoized results can be shared.  Hashed on n and the set
+    of its terms; pickled as n and a plain dict of its terms."""
 
-    n: int
-    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
+    _fields = ("n", "terms")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] = MappingProxyType({})):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"variable count must be a non-negative integer, got {n!r}")
         clean: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
+        for e, c in terms.items():
             e = tuple(e)
-            if len(e) != self.n or any(type(x) is not int or x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e!r} for {self.n} variables")
+            if len(e) != n or any(type(x) is not int or x < 0 for x in e):
+                raise ValueError(f"bad exponent vector {e!r} for {n} variables")
             if type(c) is not int:
                 raise ValueError(f"coefficient of {e!r} must be an integer, got {c!r}")
             if c:
                 clean[e] = c
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self.__dict__.update(n=n, terms=MappingProxyType(clean))
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        return Polynomial, (self.n, dict(self.terms))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.n != other.n:

@@ -39,11 +39,10 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .diagrams import Diagram, check_subset, column_slots, is_int, split_columns
+from .diagrams import Diagram, Value, check_subset, column_slots, is_int, split_columns
 from .perms import check_permutation
 
 STAR = "★"
@@ -179,8 +178,7 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
     return _theta_counts(d, subset) % ((2 << d.n) - 1)
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Value):
     """Equality sum(x) == total plus sum_{i in S} x_i <= table[mask] for every
     proper nonempty subset S of [n], where bit i-1 of mask is set iff i is
     in S.  table[0] = 0 and table[-1] = total, so the table is the whole
@@ -190,20 +188,18 @@ class HRep:
     (`max_bound`) are computed once, on first use, and kept; they are not
     fields, so equality and hashing see only n, the total and the table."""
 
-    n: int
-    total: int
-    table: tuple[int, ...]
+    _fields = ("n", "total", "table")
 
-    def __post_init__(self):
-        table = self._checked_shape(self.n, self.total, self.table)
+    def __init__(self, n: int, total: int, table: Sequence[int]):
+        table = self._checked_shape(n, total, table)
         if not ({*map(type, table)} <= {int} and min(table) >= 0):  # else find the first bad bound
             for mask in range(1, len(table) - 1):
                 b = table[mask]
                 if not is_int(b) or b < 0:
                     raise ValueError(
-                        f"bound for {_mask_subset(mask, self.n)} must be a non-negative integer, got {b!r}"
+                        f"bound for {_mask_subset(mask, n)} must be a non-negative integer, got {b!r}"
                     )
-        object.__setattr__(self, "table", table)
+        self.__dict__.update(n=n, total=total, table=table)
 
     @staticmethod
     def _checked_shape(n, total, table) -> tuple:
@@ -224,10 +220,7 @@ class HRep:
         Its unpacked entries are unsigned shorts, so only the shape is
         checked; the packed table is kept as `packed`."""
         h = cls.__new__(cls)
-        table = cls._checked_shape(n, total, _unpack(packed, n))
-        for name, value in (("n", n), ("total", total), ("table", table)):
-            object.__setattr__(h, name, value)
-        h.__dict__["packed"] = packed
+        h.__dict__.update(n=n, total=total, table=cls._checked_shape(n, total, _unpack(packed, n)), packed=packed)
         return h
 
     @functools.cached_property
@@ -442,8 +435,7 @@ def vertices(d: Diagram) -> set[tuple[int, ...]]:
     return set(_vertex_set(hrep(d)))
 
 
-@dataclass(frozen=True)
-class Certification:
+class Certification(Value):
     """Outcome of the exact vertex certification.
 
     ``failures`` holds one human-readable witness per defect: one per
@@ -454,10 +446,10 @@ class Certification:
     ``"greedy"`` and is kept so that recorded outcomes stay comparable.
     """
 
-    ok: bool
-    method: str
-    points: int
-    failures: tuple[str, ...]
+    _fields = ("ok", "method", "points", "failures")
+
+    def __init__(self, ok: bool, method: str, points: int, failures: tuple[str, ...]):
+        self.__dict__.update(ok=ok, method=method, points=points, failures=failures)
 
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:

@@ -1,7 +1,8 @@
 """Shared reference data for the test suite; `assert_check`, which runs a
 registered `verify` check in place of a hand-copied sweep;
-`column_diagrams`, whose columns run through every row mask; and the
-`fake_pool` fixture, which runs `checks.run_all`'s pool in process.
+`column_diagrams`, whose columns run through every row mask;
+`assert_frozen`, which pins a value's immutability by its behaviour; and
+the `fake_pool` fixture, which runs `checks.run_all`'s pool in process.
 
 D9 is the 9-box example diagram whose column words for S = {1, 3} read
 ★()), (★, ((), ()★), ()(.  FIG18 is the 18-box diagram filled by the
@@ -20,6 +21,20 @@ def assert_check(name, n, instances):
     result = run_check(name, n, seed=0)
     assert result.ok, result.counterexample
     assert result.instances == instances, f"{name} swept {result.instances} instances"
+
+
+def assert_frozen(value, shown, **changes):
+    """``value`` shows as exactly ``shown``, which names its fields only, and
+    assigning each field of ``changes`` its new value, or deleting it, raises
+    an AttributeError naming the field and leaves the value as it was."""
+    assert repr(value) == shown
+    before = dict(vars(value))
+    for field, new in changes.items():
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, new)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+    assert vars(value) == before and repr(value) == shown
 
 
 def column_diagrams(n):

@@ -1,6 +1,5 @@
 """The `verify` runner: registration, instance counting, the worker clamp,
 and checks that catch a deliberately broken library function."""
-import dataclasses
 import importlib.util
 import pathlib
 import random
@@ -9,6 +8,7 @@ import re
 import pytest
 
 import schubitope
+from conftest import assert_frozen
 from schubitope import checks, fillings, oracles, polytope
 from schubitope.checks import CheckResult, run_check
 from schubitope.cli import main
@@ -81,8 +81,9 @@ def test_traced_names_exist():
 
 def test_result_is_frozen():
     result = run_check("rothe-box-count", 2, seed=0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        result.instances = 0
+    shown = (f"CheckResult(name='rothe-box-count', instances={result.instances}, counterexample=None, "
+             f"scope=2, seconds={result.seconds!r})")
+    assert_frozen(result, shown, name="other", instances=0, counterexample="forged", scope=5, seconds=1.0)
 
 
 def test_run_all_calls_run_check_once_per_check(monkeypatch):

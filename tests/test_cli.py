@@ -380,21 +380,45 @@ def test_parser_pins_every_verb_and_flag():
     assert got == PARSER_TABLE
 
 
+def _modules_after(code):
+    """The modules loaded once ``code`` ran in a fresh interpreter without the
+    site packages (-S), which is how the benchmark starts one, and what it
+    printed before its last line, which holds the loaded names as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(schubitope.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    *printed, last = proc.stdout.splitlines()
+    return "\n".join(printed), set(json.loads(last))
+
+
+# standard-library modules each cold start used to pay for, none of them used
+# once the classes are built: dataclasses (through inspect) and typing
+STARTUP_WEIGHT = {"dataclasses", "inspect", "typing", "concurrent.futures"}
+
+
 def test_package_import_loads_no_reference_code():
     # oracles, checks and the CLI load only on use: importing `oracles` with
     # the package made a cold `import schubitope` measurably slower
-    code = "import json, schubitope, sys; print(json.dumps([*sys.modules]))"
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(schubitope.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    loaded = set(json.loads(proc.stdout))
+    _, loaded = _modules_after("import json, schubitope, sys; print(json.dumps([*sys.modules]))")
     assert "schubitope.polytope" in loaded
     assert not loaded & {"schubitope.oracles", "schubitope.checks", "schubitope.cli"}
+    assert not loaded & STARTUP_WEIGHT
     # the package still exports the reference ranks, resolved from `oracles` on use
     from schubitope import oracles
 
     for name in ("rank_brute", "rank_max_filling"):
         assert getattr(schubitope, name) is getattr(oracles, name)
         assert name in schubitope.__all__
+
+
+def test_verb_loads_no_verify_suite():
+    # only `verify` imports the suite, its oracles and its process pool
+    out, loaded = _modules_after(
+        "import json, sys; from schubitope import cli; cli.main(['vertices', '--rothe', '2143']); "
+        "print(json.dumps([*sys.modules]))"
+    )
+    assert out == '{"vertices":[[1,0,1,0],[1,1,0,0],[2,0,0,0]]}'
+    assert "schubitope.cli" in loaded
+    assert not loaded & {"schubitope.checks", "schubitope.oracles", *STARTUP_WEIGHT}
 
 
 def test_module_entry_point():

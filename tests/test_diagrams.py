@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import D9, assert_check
-from schubitope import Diagram
-from schubitope.checks import random_diagram
+from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check, assert_frozen
+from schubitope import Diagram, certify_vertices, hrep, key_polynomial, member
+from schubitope.checks import CheckResult, random_diagram
 from schubitope.diagrams import (
     column_slots,
     filling_text,
@@ -48,6 +48,23 @@ class TestDiagram:
     def test_grid_may_exceed_occupied_cells(self):
         d = Diagram(6, frozenset({(1, 1)}))
         assert d.n == 6 and d.size == 1
+
+    def test_is_frozen(self):
+        d = Diagram(3, frozenset({(1, 1), (3, 2)}))
+        d.column_masks, d.packed_columns  # cached beside the fields, never shown
+        assert_frozen(d, "Diagram(n=3, boxes=frozenset({(1, 1), (3, 2)}))", n=4, boxes=frozenset())
+
+
+def test_values_survive_pickle():
+    # verify --jobs > 1 sends values to worker processes and back by pickling
+    h = hrep(TRAPEZOID)
+    member(h, (3, 1, 0))  # fills the cached packed table and largest bound
+    values = [TRAPEZOID, h, certify_vertices(h, TRAPEZOID_VERTICES), key_polynomial((1, 0, 2)),
+              CheckResult("rothe-box-count", 6, None, 2, 0.5), CheckResult("skyline-box-count", 3, "boom")]
+    for value in values:
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+        assert repr(copy) == repr(value)
 
 
 def _sample_diagrams():
