@@ -10,17 +10,23 @@ of the diagram's packed columns (`Diagram.packed_columns`, n + 1 bits per
 column), so theta is one remainder of the packed counts.  For the whole
 table, each column enters as its row bitmask, which the diagram computes
 once (`Diagram.column_masks`).
-`hrep` builds that table in packed integers: each distinct column's part
-of it is one integer with a 16-bit slot per subset, built by scanning the
-column's rows once, each row doubling the packed scan states with a few
-big-integer operations; the parts, each times the number of columns
-sharing it, sum to the table, which is unpacked once; `hrep` keeps the
-last diagram's `HRep`, and the `HRep` keeps its packed table.  Membership
-and a point's tight rows come from its subset sums, all 2^n of them in
-one packed integer built by the same doubling, one coordinate at a time,
-and compared with the packed table in a few big-integer operations
-(`_slack`); the point's denominators are cleared once, so the sums stay
-integers, and the slots are as wide as the bounds and coordinates need.
+`hrep` builds that table in packed integers, from the column's part of it
+as a rank in its Schubert matroid: |S| minus the Hall deficiency of S
+against the column's box rows.  Each distinct column's deficiency is one
+integer with a slot per subset, built by reading the column's rows once,
+each row doubling the packed deficiencies with a few big-integer
+operations (`_deficits`); |S| and the slot ones are shared by every column
+(`_ladder`).  The table is |S| times the number of nonempty columns, minus
+each column's deficiency times the number of columns sharing it.  Every
+bound is at most the box count, so the slots are 8 bits wide below 256
+boxes, and the result is widened once, through its bytes, to the 16-bit
+slots the `HRep` keeps; `hrep` keeps the last diagram's `HRep`.
+Membership and a point's tight rows come from its subset sums, all 2^n of
+them in one packed integer built by the same doubling, one coordinate at
+a time, and compared with the packed table in a few big-integer
+operations (`_slack`); the point's denominators are cleared once, so the
+sums stay integers, and the slots are as wide as the bounds and
+coordinates need.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
@@ -88,37 +94,45 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     return "".join(out)
 
 
-def _column_table(col: int, n: int) -> int:
-    """The column's theta for every mask of [n], packed into one integer
-    with _SLOT bits per mask, mask 0 in the lowest slot.
+@functools.cache
+def _ladder(n: int, w: int) -> tuple[tuple[int, ...], int]:
+    """The tables every column's kernel shares, w bits per slot, mask 0 in
+    the lowest: ones[i], for i < n, has a one in each of the 2^i slots of
+    the masks of rows 1..i, and biased holds |S| + 2^(w-1) - 1 in slot S of
+    every mask of [n].  There are at most two widths per n <= HREP_CAP."""
+    ones = [1]
+    pop = 0
+    for i in range(n):
+        shift = w << i
+        pop |= (pop + ones[i]) << shift
+        ones.append(ones[i] | ones[i] << shift)
+    return tuple(ones[:n]), pop + ((1 << (w - 1)) - 1) * ones[n]
 
-    The column-word scan (`oracles._column_theta` runs it for one mask)
-    keeps an open-'(' depth and a count.  Over
-    rows 1..b, b the column's last box, both are kept packed for every
-    subset of the rows seen so far; each row doubles them, and the subsets
-    that hold the new row are the upper half, which keeps mask order.  An
-    empty row opens a '(' inside the subset (depth + 1).  A box row is a
-    star (count + 1) inside the subset and closes a '(' where one is open
-    outside it (depth - 1, count + 1); `open_` has a one in each slot whose
-    depth is positive, read off the slot's top bit after adding
-    2^(_SLOT-1) - 1.  Rows below b change no count, so the counts repeat
-    once per subset of those rows.  Depths and counts stay at most n, so no
-    slot borrows from or carries into the next."""
-    depth = count = 0
-    ones = 1                       # a one in each slot
-    top = _SLOT - 1
-    b = col.bit_length()
-    for i in range(b):
-        shift = _SLOT << i
+
+def _deficits(col: int, ones: Sequence[int], w: int) -> int:
+    """The column's Hall deficiency q(S), biased by 2^(w-1) - 1, for every
+    mask S of [n], packed w bits per mask, mask 0 in the lowest slot; n is
+    len(ones) (`_ladder`).
+
+    A value v of S may sit in any box row r >= v of the column C, and these
+    neighbourhoods are nested, so by Hall's theorem the column's theta, the
+    rank of S in its Schubert matroid, is |S| - q(S) with
+    q(S) = max(0, max_t |S & [t, n]| - |C & [t, n]|).  Read top to bottom,
+    q <- max(0, q + [row in S] - [row in C]) ends at q(S).  Over rows
+    1..i, q is kept packed for every subset of those rows; each row doubles
+    the masks, and the subsets holding the new row are the upper half,
+    which keeps mask order.  A box row takes q - [q > 0] outside S and keeps
+    q inside it; an empty row keeps q outside S and takes q + 1 inside it.
+    The bias puts q > 0 in a slot's top bit.  q stays at most n, so no slot
+    borrows from or carries into the next."""
+    top = w - 1
+    q = (1 << top) - 1
+    for i, one in enumerate(ones):
         if col >> i & 1:
-            open_ = (depth + ones * ((1 << top) - 1)) >> top & ones
-            depth, count = (depth - open_) | depth << shift, (count + open_) | (count + ones) << shift
+            q = (q - (q >> top & one)) | q << (w << i)
         else:
-            depth, count = depth | (depth + ones) << shift, count | count << shift
-        ones |= ones << shift
-    for i in range(b, n):
-        count |= count << (_SLOT << i)
-    return count
+            q |= (q + one) << (w << i)
+    return q
 
 
 def _unpack(packed: int, n: int) -> list[int]:
@@ -185,8 +199,9 @@ class HRep(Value):
     set function.  Bounds are stored exactly as given.
 
     The table packed 16 bits per subset (`packed`) and its largest bound
-    (`max_bound`) are computed once, on first use, and kept; they are not
-    fields, so equality and hashing see only n, the total and the table."""
+    (`max_bound`) are computed once, on first use, and kept (`hrep` sets
+    both); they are not fields, so equality and hashing see only n, the
+    total and the table."""
 
     _fields = ("n", "total", "table")
 
@@ -215,12 +230,15 @@ class HRep(Value):
         return table
 
     @classmethod
-    def _from_packed(cls, n: int, total: int, packed: int) -> HRep:
-        """The HRep of a table packed 16 bits per subset, as `hrep` builds it.
-        Its unpacked entries are unsigned shorts, so only the shape is
-        checked; the packed table is kept as `packed`."""
+    def _from_packed(cls, n: int, total: int, packed: int, narrow: bytes | None = None) -> HRep:
+        """The HRep of a monotone table packed 16 bits per subset, as `hrep`
+        builds it, kept as `packed`.  The table is read from ``narrow``, the
+        same table one byte per subset, when given, else unpacked.  Its
+        entries are unsigned, so only the shape is checked, and it is
+        monotone, so its largest bound is the total."""
         h = cls.__new__(cls)
-        h.__dict__.update(n=n, total=total, table=cls._checked_shape(n, total, _unpack(packed, n)), packed=packed)
+        table = cls._checked_shape(n, total, _unpack(packed, n) if narrow is None else narrow)
+        h.__dict__.update(n=n, total=total, table=table, packed=packed, max_bound=total)
         return h
 
     @functools.cached_property
@@ -240,10 +258,20 @@ def hrep(d: Diagram) -> HRep:
     """The full halfspace description of the diagram's polytope, memoized for
     the last diagram only: `vertices(d)` followed by
     `certify_vertices(hrep(d), ...)` builds the table once."""
-    if d.n > HREP_CAP:
-        raise ValueError(f"halfspace description needs 2^{d.n}-2 rows; cap is n <= {HREP_CAP}")
-    packed = sum(k * _column_table(col, d.n) for col, k in Counter(d.column_masks).items() if col)
-    return HRep._from_packed(d.n, d.size, packed)
+    n = d.n
+    if n > HREP_CAP:
+        raise ValueError(f"halfspace description needs 2^{n}-2 rows; cap is n <= {HREP_CAP}")
+    w = 8 if d.size < 256 else _SLOT     # every bound is at most the box count
+    cols = Counter(d.column_masks)
+    del cols[0]
+    ones, biased = _ladder(n, w)
+    packed = sum(cols.values()) * biased - sum(k * _deficits(col, ones, w) for col, k in cols.items())
+    if w == _SLOT:
+        return HRep._from_packed(n, d.size, packed)
+    narrow = packed.to_bytes(1 << n, "little")
+    wide = bytearray(2 << n)
+    wide[::2] = narrow
+    return HRep._from_packed(n, d.size, int.from_bytes(wide, "little"), narrow)
 
 
 def _check_point(h: HRep, point: Sequence) -> None:
@@ -274,9 +302,9 @@ def _slack(h: HRep, xs: Sequence[int], scale: int) -> tuple[int, int, int]:
     2^(w-2), so every slot lies strictly between 2^(w-2) and 3 * 2^(w-2):
     a slot's top bit is clear exactly when its bound is violated, and no
     step below borrows from or carries into the next slot.  The biased
-    subset sums double mask by mask as `_column_table`'s states do row by
-    row: the masks holding element k+1 are the upper half, each its lower
-    twin minus xs_k."""
+    subset sums double mask by mask as `_deficits` doubles a column's
+    deficiencies row by row: the masks holding element k+1 are the upper
+    half, each its lower twin minus xs_k."""
     w = _SLOT
     span = scale * h.max_bound + sum(map(abs, xs))
     while span >> (w - 2):

@@ -25,10 +25,11 @@ from schubitope.oracles import (
 from schubitope.polytope import (
     HREP_CAP,
     HRep,
-    _column_table,
+    _deficits,
     _first_order,
     _greedy_vectors,
     _is_submodular,
+    _ladder,
     _mask_subset,
     _pack,
     _scaled,
@@ -226,11 +227,15 @@ class TestHRep:
             hrep_from_json_dict({"n": 2, "total": 1, "bounds": [{"S": [True], "b": 1}, {"S": [2], "b": 0}]})
 
     def test_column_table_matches_per_subset_scan(self):
-        # every row set against every subset, n <= 6
-        for n in range(7):
-            for col in range(2 ** n):
-                table = _unpack(_column_table(col, n), n)
-                assert table == [_column_theta(col, mask) for mask in range(2 ** n)], (n, col)
+        # every row set against every subset, n <= 6, at both slot widths:
+        # |S| minus the Hall deficiency is the column word's theta
+        for w in (8, 16):
+            for n in range(7):
+                ones, biased = _ladder(n, w)
+                for col in range(2 ** n):
+                    packed = biased - _deficits(col, ones, w)
+                    table = [packed >> w * mask & (1 << w) - 1 for mask in range(2 ** n)]
+                    assert table == [_column_theta(col, mask) for mask in range(2 ** n)], (w, n, col)
 
     def test_doubled_table_matches_per_subset_scan(self):
         def per_subset(d):
@@ -261,6 +266,19 @@ class TestHRep:
             cols = d.column_masks
             for mask in [0, 2 ** n - 1] + rng.sample(range(2 ** n), 2000):
                 assert table[mask] == sum(_column_theta(col, mask) for col in cols), (d, mask)
+
+    def test_both_slot_widths_agree_with_theta(self):
+        # 255 boxes is the widest table in 8-bit slots, 256 the narrowest in
+        # 16-bit ones; the n = 18 diagram is a random one at the cap
+        rng = random.Random(53)
+        cells = list(itertools.product(range(1, 17), repeat=2))
+        corpus = [Diagram(16, frozenset(rng.sample(cells, size))) for size in (255, 256)]
+        corpus.append(random_diagram_with_density(rng, HREP_CAP, 0.5))
+        for d in corpus:
+            h = hrep(d)
+            assert h.packed == _pack(h.table, 16) and h.max_bound == max(h.table)
+            for mask in [0, 2 ** d.n - 1] + rng.sample(range(2 ** d.n), 2000):
+                assert h.table[mask] == theta(d, _mask_subset(mask, d.n)), (d.size, mask)
 
     def test_slots_have_headroom_at_the_cap(self):
         n = HREP_CAP
