@@ -30,7 +30,13 @@ coordinates need.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so one
 enumeration over the masks in increasing order, each holding the partial
-vectors its prefix orders reach, lists them without the n! orders; a
+vectors its prefix orders reach, lists them without the n! orders.  Each
+mask's free elements come from a table cached per n (`_moves`).  A partial
+vector is one int with a slot of 1, 2, 4 or 8 whole bytes per coordinate,
+the fewest whose top bit exceeds the table's span, holding its increment
+plus that top bit; XOR with the top bits turns each slot into the
+two's-complement bytes of its coordinate, so the vertices decode in bulk,
+a chunk at a time, by one signed `memoryview` cast (`_decoded`).  A
 one-entry memo keyed by the `HRep` lets `vertices` and `certify_vertices`
 share one enumeration.  `certify_vertices` refuses a table that is not
 submodular, proves a claimed point a vertex by finding it among them, and
@@ -45,7 +51,7 @@ import itertools
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .diagrams import Diagram, Value, check_subset, column_slots, is_int, split_columns
@@ -58,6 +64,7 @@ SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
 CERTIFY_CAP = 10     # exact certification
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
+_CHUNK = 1024        # greedy vectors decoded per bulk cast, so no list holds every coordinate
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -379,6 +386,44 @@ def edmonds_vertex(table: Sequence[int], w: Sequence[int]) -> tuple:
     return tuple(x)
 
 
+@functools.cache
+def _moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each mask below 2^n - 1, the pairs (mask | 1 << k, slot) of its
+    free elements k + 1, k increasing.  The slot is k on a little-endian
+    machine and n - 1 - k on a big-endian one, so that a packed vector's
+    bytes in native order list its coordinates in order.  At n = 10 this is
+    5,120 pairs."""
+    slots = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
+    return tuple(tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1)
+                 for mask in range(2 ** n - 1))
+
+
+@functools.cache
+def _flip(n: int, k: int) -> int:
+    """2^(8k - 1) in each of n slots of k bytes."""
+    return ((1 << 8 * k * n) - 1) // ((1 << 8 * k) - 1) << (8 * k - 1)
+
+
+def _decoded(vectors: Iterable[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The coordinates of packed vectors, n slots of k bytes each holding a
+    coordinate plus 2^(8k - 1), decoded _CHUNK vectors at a time.  XOR with
+    `_flip` leaves each slot the two's-complement bytes of its coordinate,
+    so the chunk's bytes, joined, cast to signed integers in one step, which
+    are cut into tuples of n.  Slots wider than 8 bytes have no cast; only
+    they are read one coordinate at a time."""
+    flip = _flip(n, k)
+    size = k * n
+    order = sys.byteorder
+    vectors = list(vectors)
+    for start in range(0, len(vectors), _CHUNK):
+        data = b"".join([(v ^ flip).to_bytes(size, order) for v in vectors[start:start + _CHUNK]])
+        if k > 8:
+            flat = [int.from_bytes(data[i:i + k], order, signed=True) for i in range(0, len(data), k)]
+        else:
+            flat = memoryview(data).cast("bhiq"[k.bit_length() - 1]).tolist()
+        yield from zip(*[iter(flat)] * n)
+
+
 def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     """Every greedy vector of the integer table over the full symmetric
     group, without running the n! orders.
@@ -386,32 +431,37 @@ def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     A greedy vector depends only on the chain of prefix masks, so the masks
     are visited in increasing order, each holding the set of partial
     vectors its prefix orders reach; every mask minus one bit is smaller,
-    so that set is complete before the mask is expanded.  A partial vector
-    is one int with w bits per coordinate, each coordinate offset by
-    lo = min(table) - max(table), a lower bound on every increment, so an
-    unset coordinate reads 0 and no slot carries into the next.  Expanding
-    mask to mask | 1 << k adds the same shifted constant
-    table[mask | 1 << k] - table[mask] - lo to every vector of the set."""
-    lo = min(table) - max(table)
-    w = (-2 * lo).bit_length()            # the offset increments lie in 0..-2*lo
-    full = 2 ** n - 1
-    steps = [(1 << k, w * k) for k in range(n)]  # element k+1: its bit, its slot
-    reach: list = [None] * (full + 1)
+    so that set is complete before the mask is expanded.  Expanding mask to
+    each mask | 1 << k (`_moves`) adds the same shifted constant to every
+    vector of the set.  A partial vector is one int with a slot of k whole
+    bytes per coordinate.  Every increment lies in [-span, span], where
+    span = max(table) - min(table), and k is the smallest of 1, 2, 4 and 8
+    bytes with span < 2^(8k - 1), or the fewest bytes past 8; a slot holds
+    its increment plus off = 2^(8k - 1), between 1 and 2^(8k) - 1.  Each
+    coordinate is written once into a slot that reads 0, so no slot carries
+    into or borrows from the next, and the final vectors decode in bulk
+    (`_decoded`).  With one order or none there is one greedy vector, read
+    off directly."""
+    if n <= 1:
+        return frozenset({(table[1] - table[0],) if n else ()})
+    k = (max(table) - min(table)).bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
+    if k <= 8:
+        k = 1 << (k - 1).bit_length()
+    bits = 8 * k
+    off = 1 << (bits - 1)
+    reach: list = [None] * 2 ** n
     reach[0] = {0}
-    for mask in range(full):
+    for mask, free in enumerate(_moves(n)):
         cur, reach[mask] = reach[mask], None
-        base = table[mask] + lo
-        for bit, shift in steps:
-            if mask & bit:
-                continue
-            add = (table[mask | bit] - base) << shift
-            nxt = reach[mask | bit]
-            if nxt is None:
-                reach[mask | bit] = set(map(add.__add__, cur))
+        base = table[mask] - off
+        for nxt, slot in free:
+            add = (table[nxt] - base) << bits * slot
+            got = reach[nxt]
+            if got is None:
+                reach[nxt] = set(map(add.__add__, cur))
             else:
-                nxt.update(map(add.__add__, cur))
-    low = (1 << w) - 1
-    return frozenset([tuple([(v >> shift & low) + lo for _, shift in steps]) for v in reach[full]])
+                got.update(map(add.__add__, cur))
+    return frozenset(_decoded(reach[-1], n, k))
 
 
 @functools.lru_cache(maxsize=1)

@@ -852,6 +852,48 @@ class TestGreedyVectors:
                     assert _greedy_vectors(table, n) == greedy_vectors_by_sweep(table, n), (n, table)
 
     @staticmethod
+    def spanning_tables(rng, n, lo, span):
+        """Random tables over [lo, lo + span] that hold lo and lo + span, the
+        second also as a step of +span (mask 0 to {1}) and a step of -span
+        (mask {2} to {1, 2}), the widest increments a table of that span has."""
+        for _ in range(3):
+            table = [rng.randint(lo, lo + span) for _ in range(2 ** n)]
+            table[0] = lo
+            table[-1] = lo + span
+            if n >= 2:
+                table[1], table[2], table[3] = lo + span, lo + span, lo
+            yield table
+
+    def test_every_slot_width(self):
+        # a slot of k bytes holds spans below 2^(8k - 1): each span just below
+        # and at 2^7, 2^15, 2^31 and 2^63 runs 1, 2, 4 and 8 bytes and the
+        # per-coordinate path past 8 bytes, and the +span step overflows a
+        # slot one width too narrow
+        rng = random.Random(44)
+        for n in range(7):
+            for bits in (7, 15, 31, 63):
+                for span in (2 ** bits - 1, 2 ** bits):
+                    for lo in (0, -span):
+                        for table in self.spanning_tables(rng, n, lo, span):
+                            assert _greedy_vectors(table, n) == greedy_vectors_by_sweep(table, n), (n, table)
+
+    def test_bounds_of_two_to_the_seventy(self):
+        rng = random.Random(45)
+        for n in range(7):
+            for table in self.spanning_tables(rng, n, -2 ** 70, 2 ** 71):
+                vectors = _greedy_vectors(table, n)
+                assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
+                assert n < 2 or {-2 ** 71, 2 ** 71} <= {c for v in vectors for c in v}
+
+    def test_more_vectors_than_a_decode_chunk(self):
+        # a random table at n = 7 has a greedy vector per order, 5,040 in all
+        rng = random.Random(46)
+        table = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(2 ** 7)]
+        vectors = _greedy_vectors(table, 7)
+        assert len(vectors) > polytope._CHUNK
+        assert vectors == greedy_vectors_by_sweep(table, 7)
+
+    @staticmethod
     def submodular_tables(rng, n):
         """Two theta tables, and two sums of concave functions of |S & A|
         over random masks A plus a signed modular term."""
