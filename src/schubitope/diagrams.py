@@ -65,6 +65,10 @@ def split_columns(packed: int, n: int) -> list[int]:
     return [packed >> k & (1 << width) - 1 for k in range(0, width * n, width)]
 
 
+def _not_a_box(box) -> ValueError:
+    return ValueError(f"box {box!r} is not a (row, col) pair")
+
+
 class Value:
     """An immutable value named by its `_fields`: equal to another instance of
     the same class with equal compared fields, hashed on them, and shown as
@@ -107,8 +111,20 @@ class Diagram(Value):
     def __init__(self, n: int, boxes: Iterable[Box]):
         if not is_int(n) or n < 0:
             raise ValueError(f"grid size must be a non-negative integer, got {n!r}")
-        boxes = frozenset(boxes)
-        for r, c in boxes:
+        try:
+            boxes = frozenset(boxes)
+        except TypeError:  # an unhashable box, such as a list: name the first
+            for box in boxes:
+                try:
+                    hash(box)
+                except TypeError:
+                    raise _not_a_box(box) from None
+            raise  # boxes is no iterable, or an iterator already spent
+        for box in boxes:
+            try:
+                r, c = box
+            except (TypeError, ValueError):
+                raise _not_a_box(box) from None
             if not (is_int(r) and is_int(c)):
                 raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
             if not (1 <= r <= n and 1 <= c <= n):

@@ -17,7 +17,7 @@ tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 
@@ -103,12 +103,13 @@ def _check_points(points: Sequence[tuple], dim: int) -> None:
             raise ValueError(f"point {p} has coordinate {bad!r}, expected an integer or a Fraction")
 
 
-def convex_combination(target: Sequence, points: Sequence[Sequence]) -> list[Fraction] | None:
+def convex_combination(target: Sequence, points: Iterable[Sequence]) -> list[Fraction] | None:
     """Coefficients expressing target as a convex combination of points, or
     None.  Every point must have the target's dimension, and every
     coordinate must be an int or a Fraction."""
     target = tuple(target)
-    _check_points([target, *map(tuple, points)], len(target))
+    points = [tuple(p) for p in points]
+    _check_points([target, *points], len(target))
     if not points:
         return None
     rows = [[q[i] for q in points] for i in range(len(target))]

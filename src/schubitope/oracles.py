@@ -5,9 +5,10 @@ order, breadth-first swap closure for the composition order, chain
 recursions re-run with different choices, one column and one value at
 a time for the greedy filling (`_fill`) and one column and one row at a
 time for its column-word bound (`_column_theta`), which the packed fill
-step and theta scans are tested against, one greedy filling per
-permutation for the vertex set, one `edmonds_vertex` run per permutation
-for the prefix-mask enumeration of a table's greedy vectors, one
+step and theta scans are tested against (those scans keep the Hall
+deficiency instead, so `_column_theta` is the one column-word rule on
+bitmasks), one greedy filling per permutation for the vertex set, one
+`edmonds_vertex` run per permutation for the prefix-mask enumeration of a table's greedy vectors, one
 `Fraction` sum per subset for the integer subset-sum walk, every pair of
 masks for the local submodularity test, one subset-sum walk and rank test
 of the tight rows (`tight_rank`) per claimed point for the vertex lookup
@@ -18,8 +19,8 @@ in the Gale order for a column's Schubert matroid bases, and for the
 greedy filling's rank in that matroid, the largest intersection with a
 basis (`rank_brute`) and an exhaustive search over flagged fillings
 (`rank_max_filling`).  Slow, obvious, and independent of the code they
-vouch for.  The n! sweeps, the walk certification and the enumerations
-keep their own caps.
+vouch for.  The n! sweeps and the walk certification share one cap of
+their own, and the enumerations keep another.
 """
 from __future__ import annotations
 
@@ -52,8 +53,7 @@ from .polytope import (
     edmonds_vertex,
 )
 
-SWEEP_CAP = 8    # the n! sweeps below; independent of the fast enumerator's cap
-CERTIFY_CAP = 8  # the walk certification below; independent of the chain one's cap
+SWEEP_CAP = 8    # the n! sweeps and the walk certification below; independent of the fast enumerator's cap
 # cap for the basis and filling enumerations: C(n, k) bases stay small at desk scale
 ENUMERATION_CAP = 12
 
@@ -206,7 +206,8 @@ def _column_theta(col: int, mask: int) -> int:
     straight from the column's row bitmask and the subset bitmask, one row
     at a time.  Rows below the column's last box can only add an unmatched
     '('.  The reference for the packed scans behind `polytope.theta` (all
-    columns, one subset) and `polytope.hrep` (one column, every subset)."""
+    columns, one subset) and `polytope.hrep` (one column, every subset),
+    which both keep the Hall deficiency instead of the word's depth."""
     depth = count = 0
     bit = 1
     while bit <= col:
@@ -328,8 +329,8 @@ def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certificati
     tight rows have rank n (`_rank`).  Tables that are not submodular are
     refused as there (`_certifiable`); the failure strings and the missing
     vertices are the shared `_non_vertex` and `_missing_vertices`."""
-    if h.n > CERTIFY_CAP:
-        raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
+    if h.n > SWEEP_CAP:
+        raise ValueError(f"certification capped at n <= {SWEEP_CAP}")
     pts = sorted(_certifiable(h, points))
     failures = []
     for p in pts:

@@ -4,23 +4,27 @@ The polytope of a diagram D in the n x n grid lives in the hyperplane
 sum(x) = #D and is cut out by one inequality sum_{i in S} x_i <= theta(D, S)
 per proper nonempty subset S, read off column by column from a parenthesis
 word into one table indexed by subset bitmask (bit i-1 set iff i in S).
+A column's part of it is a rank in the column's Schubert matroid: |S|
+minus the Hall deficiency of S against the column's box rows, which one
+read of the rows top to bottom computes.  Both packed scans run that
+rule; only `column_word` and its reference `oracles._column_theta` read
+the parenthesis word.
 For one subset, `theta` and `theta_columns` scan the rows once on every
-column at once, each column's open-'(' depth and count packed in its slot
-of the diagram's packed columns (`Diagram.packed_columns`, n + 1 bits per
-column), so theta is one remainder of the packed counts.  For the whole
+column at once, each column's deficiency packed in its slot of the
+diagram's packed columns (`Diagram.packed_columns`, n + 1 bits per
+column), so theta is one remainder of the packed ranks.  For the whole
 table, each column enters as its row bitmask, which the diagram computes
 once (`Diagram.column_masks`).
-`hrep` builds that table in packed integers, from the column's part of it
-as a rank in its Schubert matroid: |S| minus the Hall deficiency of S
-against the column's box rows.  Each distinct column's deficiency is one
-integer with a slot per subset, built by reading the column's rows once,
-each row doubling the packed deficiencies with a few big-integer
-operations (`_deficits`); |S| and the slot ones are shared by every column
-(`_ladder`).  The table is |S| times the number of nonempty columns, minus
-each column's deficiency times the number of columns sharing it.  Every
-bound is at most the box count, so the slots are 8 bits wide below 256
-boxes, and the result is widened once, through its bytes, to the 16-bit
-slots the `HRep` keeps; `hrep` keeps the last diagram's `HRep`.
+`hrep` builds that table in packed integers.  Each distinct column's
+deficiency is one integer with a slot per subset, built by reading the
+column's rows once, each row doubling the packed deficiencies with a few
+big-integer operations (`_deficits`); |S| and the slot ones are shared by
+every column (`_ladder`).  The table is |S| times the number of nonempty
+columns, minus each column's deficiency times the number of columns
+sharing it.  Every bound is at most the box count, so the slots are 8
+bits wide below 256 boxes, and the result is widened once, through its
+bytes, to the 16-bit slots the `HRep` keeps; `hrep` keeps the last
+diagram's `HRep`.
 Membership and a point's tight rows come from its subset sums, all 2^n of
 them in one packed integer built by the same doubling, one coordinate at
 a time, and compared with the packed table in a few big-integer
@@ -60,8 +64,7 @@ from .perms import check_permutation
 STAR = "★"
 
 HREP_CAP = 18        # 2^n - 2 stored inequalities
-SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks
-CERTIFY_CAP = 10     # exact certification
+SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks, behind `vertices` and `certify_vertices`
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
 _CHUNK = 1024        # greedy vectors decoded per bulk cast, so no list holds every coordinate
@@ -161,30 +164,24 @@ def _theta_counts(d: Diagram, subset: Iterable[int]) -> int:
     diagram's packed columns (`Diagram.packed_columns`), by one scan of the
     rows top to bottom on all columns at once.
 
-    Per slot, depth counts the open '(' and count the stars and matched
-    pairs, as in the column-word rule (`oracles._column_theta` runs it one
-    column at a time).  A subset row holds a star where its box is
-    (count + 1) and opens a '(' where it is empty (depth + 1).  Any other
-    row's box closes a '(' where one is open (depth - 1, count + 1).  depth
-    is kept biased by 2^n - 1, so bit n of a slot is set exactly when its
-    depth is positive.  depth and count stay at most n, so no slot carries
-    into the next."""
+    Each slot keeps only the column's Hall deficiency q(S), by the rule
+    `_deficits` runs for every subset of one column, and the column's theta
+    is |S| - q(S).  A subset row adds one to q where it is empty; any other
+    row's box takes one from q where q is positive.  q is kept biased by
+    2^n - 1, so bit n of a slot is set exactly when q is positive.  q stays
+    at most n, so no slot carries into the next."""
     n = d.n
     s = check_subset(subset, n)
     _, low = column_slots(n)
     cols = d.packed_columns
-    depth = low * ((1 << n) - 1)
-    count = 0
+    q = bias = low * ((1 << n) - 1)
     for i in range(n):
         box = cols >> i & low
         if i + 1 in s:
-            count += box
-            depth += low ^ box
+            q += low ^ box
         else:
-            close = box & depth >> n
-            depth -= close
-            count += close
-    return count
+            q -= box & q >> n
+    return len(s) * low + bias - q
 
 
 def theta_columns(d: Diagram, subset: Iterable[int]) -> list[int]:
@@ -237,14 +234,13 @@ class HRep(Value):
         return table
 
     @classmethod
-    def _from_packed(cls, n: int, total: int, packed: int, narrow: bytes | None = None) -> HRep:
-        """The HRep of a monotone table packed 16 bits per subset, as `hrep`
-        builds it, kept as `packed`.  The table is read from ``narrow``, the
-        same table one byte per subset, when given, else unpacked.  Its
-        entries are unsigned, so only the shape is checked, and it is
-        monotone, so its largest bound is the total."""
+    def _from_packed(cls, n: int, total: int, packed: int, table: Sequence[int]) -> HRep:
+        """The HRep of a monotone table, as `hrep` builds it, with the same
+        table packed 16 bits per subset kept as `packed`.  Its entries are
+        unsigned, so only the shape is checked, and it is monotone, so its
+        largest bound is the total."""
         h = cls.__new__(cls)
-        table = cls._checked_shape(n, total, _unpack(packed, n) if narrow is None else narrow)
+        table = cls._checked_shape(n, total, table)
         h.__dict__.update(n=n, total=total, table=table, packed=packed, max_bound=total)
         return h
 
@@ -274,7 +270,7 @@ def hrep(d: Diagram) -> HRep:
     ones, biased = _ladder(n, w)
     packed = sum(cols.values()) * biased - sum(k * _deficits(col, ones, w) for col, k in cols.items())
     if w == _SLOT:
-        return HRep._from_packed(n, d.size, packed)
+        return HRep._from_packed(n, d.size, packed, _unpack(packed, n))
     narrow = packed.to_bytes(1 << n, "little")
     wide = bytearray(2 << n)
     wide[::2] = narrow
@@ -591,8 +587,8 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     order, or lies in the polytope without being a vertex.  Then each vertex
     missing from the claim fails (`_missing_vertices`).
     """
-    if h.n > CERTIFY_CAP:
-        raise ValueError(f"certification capped at n <= {CERTIFY_CAP}")
+    if h.n > SWEEP_CAP:
+        raise ValueError(f"certification capped at n <= {SWEEP_CAP}")
     claimed = _certifiable(h, points)
     failures = [_non_vertex(p, _walk(h, p)[0], h.n) for p in sorted(claimed - _vertex_set(h))]
     failures += _missing_vertices(h, claimed)
@@ -666,5 +662,7 @@ def vertex_set_from_json_dict(data) -> set[tuple[int, ...]]:
     for p in raw:
         if not isinstance(p, list) or not all(map(is_int, p)):
             raise ValueError(f"field 'vertices': bad entry {p!r}")
+        if len(p) != len(raw[0]):
+            raise ValueError(f"field 'vertices': entry {p!r} has dimension {len(p)}, expected {len(raw[0])}")
         out.add(tuple(p))
     return out

@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -37,6 +38,12 @@ class TestDiagram:
             Diagram(3, {(1.9, 1)})
         with pytest.raises(ValueError, match=r"box \('3', 2\) has a non-integer coordinate"):
             Diagram(3, {("3", 2)})
+
+    @pytest.mark.parametrize("box", [(1, 1, 1), (1,), None, [1, 1]], ids=["triple", "single", "none", "list"])
+    def test_names_a_box_that_is_not_a_pair(self, box):
+        # a list is unhashable, so it is named before any box is unpacked
+        with pytest.raises(ValueError, match=rf"^box {re.escape(repr(box))} is not a \(row, col\) pair$"):
+            Diagram(3, [(2, 2), box])
 
     def test_rejects_bools(self):
         # True == 1 passes isinstance(x, int), but is not a coordinate or a size

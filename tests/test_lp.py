@@ -117,6 +117,13 @@ class TestConvexCombination:
     def test_equal_point(self):
         assert convex_combination((2, 2), [(2, 2)]) is not None
 
+    def test_takes_any_iterable_of_points(self):
+        points = [(0, 0), (2, 0), (0, 2)]
+        want = convex_combination((1, 1), points)
+        assert want is not None
+        assert convex_combination((1, 1), (p for p in points)) == want
+        assert convex_combination((1, 1), map(list, points)) == want
+
     def test_rejects_points_of_another_dimension(self):
         # an extra coordinate was once ignored: (1,) came out as 1 * (1, 5)
         with pytest.raises(ValueError, match=r"^point \(1, 5\) has dimension 2, expected 1$"):

@@ -24,6 +24,7 @@ from schubitope.oracles import (
 )
 from schubitope.polytope import (
     HREP_CAP,
+    SWEEP_CAP,
     HRep,
     _deficits,
     _first_order,
@@ -615,7 +616,19 @@ class TestVertices:
 
     def test_sweep_cap(self):
         with pytest.raises(ValueError, match="budget"):
-            vertices(Diagram(11, frozenset()))
+            vertices(Diagram(SWEEP_CAP + 1, frozenset()))
+
+    def test_vertices_and_certification_share_the_cap(self):
+        # certification runs the enumeration behind `vertices`, so one cap
+        # bounds both: the empty diagram's table is all zeros, fast at any n
+        n = SWEEP_CAP
+        assert vertices(Diagram(n, frozenset())) == {(0,) * n}
+        assert certify_vertices(HRep(n, 0, (0,) * 2 ** n), {(0,) * n}).ok
+        n += 1
+        with pytest.raises(ValueError, match=rf"^vertex enumeration at n = {n} exceeds the enumeration budget"):
+            vertices(Diagram(n, frozenset()))
+        with pytest.raises(ValueError, match=rf"^certification capped at n <= {SWEEP_CAP}$"):
+            certify_vertices(HRep(n, 0, (0,) * 2 ** n), {(0,) * n})
 
     def test_returns_a_fresh_set_each_call(self):
         # the enumeration is memoized for the last table; a caller's edits
@@ -628,9 +641,9 @@ class TestVertices:
 
     def test_oracle_sweeps_keep_their_own_cap(self):
         with pytest.raises(ValueError, match="budget"):
-            vertices_by_filling(Diagram(9, frozenset()))
+            vertices_by_filling(Diagram(oracles.SWEEP_CAP + 1, frozenset()))
         with pytest.raises(ValueError, match="budget"):
-            greedy_vectors_by_sweep((0,) * 2 ** 9, 9)
+            greedy_vectors_by_sweep((0,) * 2 ** (oracles.SWEEP_CAP + 1), oracles.SWEEP_CAP + 1)
 
     def test_nested_simplices_past_the_oracle_cap(self):
         # D(2,1,4,3,...,10,9) is the boxes (1, 1), (3, 3), ..., (9, 9), so its
@@ -699,7 +712,7 @@ class TestCertify:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            certify_vertices(HRep(11, 0, (0,) * 2 ** 11), set())
+            certify_vertices(HRep(SWEEP_CAP + 1, 0, (0,) * 2 ** (SWEEP_CAP + 1)), set())
 
     def test_claim_order_does_not_change_the_outcome(self):
         # only the claimed points that are no vertex are sorted; the outcome
@@ -1054,7 +1067,7 @@ class TestChainCertificates:
 
     def test_oracle_keeps_its_own_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            certify_vertices_by_walk(HRep(9, 0, (0,) * 2 ** 9), set())
+            certify_vertices_by_walk(HRep(oracles.SWEEP_CAP + 1, 0, (0,) * 2 ** (oracles.SWEEP_CAP + 1)), set())
 
     def test_submodularity_matches_pairs_oracle(self):
         rng = random.Random(99)
@@ -1119,3 +1132,8 @@ class TestSerialization:
         doc = vertex_set_to_json_dict(TRAPEZOID_VERTICES)
         assert doc == {"vertices": [[1, 0, 3], [1, 3, 0], [3, 0, 1], [3, 1, 0]]}
         assert vertex_set_from_json_dict(doc) == TRAPEZOID_VERTICES
+
+    def test_vertex_set_json_refuses_unequal_dimensions(self):
+        with pytest.raises(ValueError, match=r"^field 'vertices': entry \[1, 2\] has dimension 2, expected 1$"):
+            vertex_set_from_json_dict({"vertices": [[1], [1, 2], [3]]})
+        assert vertex_set_from_json_dict({"vertices": [[1, 2], [2, 1]]}) == {(1, 2), (2, 1)}
