@@ -1,10 +1,11 @@
 """Exact combinatorics of Schubitopes.
 
 Halfspace descriptions come from parenthesis-word bounds; vertices are
-Edmonds' greedy vectors of those bounds (one per permutation), checked
-against the per-column greedy fillings; Schubert and key polynomials act
-as independent Newton-polytope oracles; and everything is cross-checked by
-brute force at desk scale with exact rational arithmetic.
+Edmonds' greedy vectors of those bounds, enumerated by prefix mask without
+the n! orders and checked against the per-column greedy fillings; Schubert
+and key polynomials act as independent Newton-polytope oracles; and
+everything is cross-checked by brute force at desk scale with exact
+rational arithmetic.
 """
 
 from .diagrams import Diagram, rothe, skyline

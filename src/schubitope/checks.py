@@ -625,21 +625,17 @@ def run_check(name: str, n: int, seed: int) -> CheckResult:
     return CheckResult(name, instances, counterexample, m, time.perf_counter() - start)
 
 
-def _run_check_args(args: tuple[str, int, int]) -> CheckResult:
-    return run_check(*args)
-
-
 def run_all(n: int, seed: int = 0, jobs: int = 1, only: Iterable[str] | None = None) -> list[CheckResult]:
     """Run every check, or the checks named in ``only`` (`check_names`),
     scoped to n.  Deterministic for a fixed seed; with jobs > 1 the work
     fans out to a process pool of at most one worker per check and per
     CPU, and results are still assembled in registry order."""
-    work = [(name, n, seed) for name in check_names(only)]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    names = check_names(only)
+    workers = min(jobs, len(names), os.cpu_count() or 1)
     if workers <= 1:
-        return [run_check(*item) for item in work]
+        return [run_check(name, n, seed) for name in names]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_check_args, work))
+        return list(pool.map(run_check, names, itertools.repeat(n), itertools.repeat(seed)))
 
 
 def format_report(results: Iterable[CheckResult], n: int, seed: int) -> str:

@@ -69,6 +69,14 @@ def _not_a_box(box) -> ValueError:
     return ValueError(f"box {box!r} is not a (row, col) pair")
 
 
+def _unhashable(box) -> bool:
+    try:
+        hash(box)
+    except TypeError:
+        return True
+    return False
+
+
 class Value:
     """An immutable value named by its `_fields`: equal to another instance of
     the same class with equal compared fields, hashed on them, and shown as
@@ -111,15 +119,15 @@ class Diagram(Value):
     def __init__(self, n: int, boxes: Iterable[Box]):
         if not is_int(n) or n < 0:
             raise ValueError(f"grid size must be a non-negative integer, got {n!r}")
+        if not isinstance(boxes, (set, frozenset)):  # read an iterator once; a set's boxes are hashable
+            try:
+                boxes = list(boxes)
+            except TypeError:
+                raise ValueError(f"boxes must be an iterable of (row, col) pairs, got {boxes!r}") from None
         try:
             boxes = frozenset(boxes)
         except TypeError:  # an unhashable box, such as a list: name the first
-            for box in boxes:
-                try:
-                    hash(box)
-                except TypeError:
-                    raise _not_a_box(box) from None
-            raise  # boxes is no iterable, or an iterator already spent
+            raise _not_a_box(next(filter(_unhashable, boxes))) from None
         for box in boxes:
             try:
                 r, c = box
@@ -213,7 +221,10 @@ def from_json_dict(data) -> Diagram:
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):
             raise ValueError(f"field 'boxes': bad entry {entry!r}, expected [row, col]")
-        boxes.add((entry[0], entry[1]))
+        box = (entry[0], entry[1])
+        if box in boxes:
+            raise ValueError(f"field 'boxes': duplicate box {entry}")
+        boxes.add(box)
     return Diagram(n, frozenset(boxes))
 
 

@@ -1,26 +1,29 @@
 """Independent reference implementations used to cross-check the fast paths.
 
-Everything here is deliberately naive: subword enumeration for the Bruhat
-order, breadth-first swap closure for the composition order, chain
-recursions re-run with different choices, one column and one value at
-a time for the greedy filling (`_fill`) and one column and one row at a
-time for its column-word bound (`_column_theta`), which the packed fill
-step and theta scans are tested against (those scans keep the Hall
-deficiency instead, so `_column_theta` is the one column-word rule on
-bitmasks), one greedy filling per permutation for the vertex set, one
-`edmonds_vertex` run per permutation for the prefix-mask enumeration of a table's greedy vectors, one
-`Fraction` sum per subset for the integer subset-sum walk, every pair of
-masks for the local submodularity test, one subset-sum walk and rank test
-of the tight rows (`tight_rank`) per claimed point for the vertex lookup
-of certification (the missing vertices are shared; neither runs the
-simplex), a phase-1 simplex on `Fraction` entries for the integer-tableau
-one, one simplex per point for the certified hull, every k-subset compared
-in the Gale order for a column's Schubert matroid bases, and for the
-greedy filling's rank in that matroid, the largest intersection with a
-basis (`rank_brute`) and an exhaustive search over flagged fillings
-(`rank_max_filling`).  Slow, obvious, and independent of the code they
-vouch for.  The n! sweeps and the walk certification share one cap of
-their own, and the enumerations keep another.
+Everything here is deliberately naive:
+
+- subword enumeration for the Bruhat order;
+- breadth-first swap closure for the composition order;
+- chain recursions re-run with different choices;
+- one column and one value at a time for the packed fill step (`_fill`);
+- one column and one row at a time for the packed theta scans, which keep
+  the Hall deficiency (`_column_theta`, the one column-word rule on bitmasks);
+- one greedy filling per permutation for the vertex set;
+- one `edmonds_vertex` run per permutation for the prefix-mask enumeration
+  of greedy vectors, and for the missing vertices certification names;
+- one `Fraction` sum per subset for the integer subset-sum walk;
+- every pair of masks for the local submodularity test;
+- the rank of a claimed point's tight rows (`tight_rank`) for the vertex
+  lookup of certification;
+- a phase-1 simplex on `Fraction` entries for the integer-tableau one;
+- one simplex per point for the certified hull;
+- every k-subset compared in the Gale order for a column's Schubert
+  matroid bases, and for the greedy filling's rank in that matroid, the
+  largest intersection with a basis (`rank_brute`) and an exhaustive
+  search over flagged fillings (`rank_max_filling`).
+
+Slow, obvious, and independent of the code they vouch for.  The n! sweeps
+share one cap of their own, and the enumerations keep another.
 """
 from __future__ import annotations
 
@@ -43,17 +46,9 @@ from .perms import (
     reduced_word,
     swap_adjacent,
 )
-from .polytope import (
-    Certification,
-    HRep,
-    _certifiable,
-    _missing_vertices,
-    _non_vertex,
-    _walk,
-    edmonds_vertex,
-)
+from .polytope import HRep, _walk, edmonds_vertex
 
-SWEEP_CAP = 8    # the n! sweeps and the walk certification below; independent of the fast enumerator's cap
+SWEEP_CAP = 8    # the n! sweeps below; independent of the fast enumerator's cap
 # cap for the basis and filling enumerations: C(n, k) bases stay small at desk scale
 ENUMERATION_CAP = 12
 
@@ -321,24 +316,6 @@ def tight_rank(h: HRep, point: Sequence) -> int:
     if bad is not None:
         raise ValueError(f"point {tuple(point)} is outside the polytope: {bad}")
     return _rank(h.n, tight)
-
-
-def certify_vertices_by_walk(h: HRep, points: Iterable[Sequence]) -> Certification:
-    """`polytope.certify_vertices` without the vertex lookup: every claimed
-    point is walked over its subset sums, and a member is a vertex when its
-    tight rows have rank n (`_rank`).  Tables that are not submodular are
-    refused as there (`_certifiable`); the failure strings and the missing
-    vertices are the shared `_non_vertex` and `_missing_vertices`."""
-    if h.n > SWEEP_CAP:
-        raise ValueError(f"certification capped at n <= {SWEEP_CAP}")
-    pts = sorted(_certifiable(h, points))
-    failures = []
-    for p in pts:
-        bad, tight = _walk(h, p)
-        if bad is not None or _rank(h.n, tight) < h.n:
-            failures.append(_non_vertex(p, bad, h.n))
-    failures += _missing_vertices(h, set(pts))
-    return Certification(ok=not failures, method="greedy", points=len(pts), failures=tuple(failures))
 
 
 def schubert_by_last_ascent(w: Sequence[int]) -> polyoracle.Polynomial:

@@ -72,8 +72,8 @@ class Polynomial(Value):
         return Polynomial(self.n, out)
 
 
-def monomial(n: int, exponent: Sequence[int], coeff: int = 1) -> Polynomial:
-    return Polynomial(n, {tuple(exponent): coeff})
+def monomial(n: int, exponent: Sequence[int]) -> Polynomial:
+    return Polynomial(n, {tuple(exponent): 1})
 
 
 def swap_variables(f: Polynomial, i: int) -> Polynomial:

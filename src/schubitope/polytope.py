@@ -545,53 +545,39 @@ def _is_submodular(table: Sequence[int], n: int) -> bool:
     return True
 
 
-def _non_vertex(p: tuple, violation: str | None, n: int) -> str:
-    """The failure of a claimed point that is no vertex: the first bound it
-    violates (`_walk`), or, for a member, that its tight rows fall short."""
-    if violation is not None:
-        return f"claimed vertex {p} violates the description: {violation}"
-    return f"claimed vertex {p} is not a vertex: it lies in the polytope, but its tight rows have rank below {n}"
-
-
-def _missing_vertices(h: HRep, claimed: set[tuple]) -> list[str]:
-    """A failure per greedy vector (`_vertex_set`) not claimed, named with
-    the first order reaching it, in the order a lexicographic S_n sweep
-    meets it."""
-    missing = sorted((_first_order(h.table, v, h.n), v) for v in _vertex_set(h) if v not in claimed)
-    return [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
-
-
-def _certifiable(h: HRep, points: Iterable[Sequence]) -> set[tuple]:
-    """The distinct claimed points, once each passes `_check_point` (first,
-    so a malformed coordinate cannot break a later sort); then a table that
-    is not submodular is refused, since every step of certification rests
-    on Edmonds' theorem."""
-    pts = [tuple(p) for p in points]
-    for p in pts:
-        _check_point(h, p)
-    pts = set(pts)
-    if not _is_submodular(h.table, h.n):
-        raise ValueError("bounds are not submodular; certification covers submodular tables only")
-    return pts
-
-
 def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     """Certify that ``points`` is exactly the vertex set of the polytope of a
-    submodular table; any other table raises `ValueError` (`_certifiable`).
+    submodular table.
 
-    By Edmonds the vertices of that polytope are exactly the greedy vectors
+    Each claimed point is checked first (`_check_point`), so a malformed
+    coordinate cannot break the sort below; then a table that is not
+    submodular raises `ValueError`, since every step rests on Edmonds'
+    theorem: the vertices of that polytope are exactly the greedy vectors
     of the table (`_vertex_set`), so each claimed point is decided on its
     own, by lookup.  A claimed point among them passes with no walk.  Every
     other point fails once, in sorted order: walked over its subset sums
     (`_walk`), it either violates a bound, named as the first in mask
-    order, or lies in the polytope without being a vertex.  Then each vertex
-    missing from the claim fails (`_missing_vertices`).
+    order, or lies in the polytope without being a vertex.  Then each
+    vertex missing from the claim fails, named with the first order
+    reaching it (`_first_order`), in the order a lexicographic S_n sweep
+    meets it.
     """
     if h.n > SWEEP_CAP:
         raise ValueError(f"certification capped at n <= {SWEEP_CAP}")
-    claimed = _certifiable(h, points)
-    failures = [_non_vertex(p, _walk(h, p)[0], h.n) for p in sorted(claimed - _vertex_set(h))]
-    failures += _missing_vertices(h, claimed)
+    pts = [tuple(p) for p in points]
+    for p in pts:
+        _check_point(h, p)
+    claimed = set(pts)
+    if not _is_submodular(h.table, h.n):
+        raise ValueError("bounds are not submodular; certification covers submodular tables only")
+    greedy = _vertex_set(h)
+    failures = []
+    for p in sorted(claimed - greedy):
+        violation = _walk(h, p)[0]
+        failures.append(f"claimed vertex {p} violates the description: {violation}" if violation is not None else
+                        f"claimed vertex {p} is not a vertex: it lies in the polytope, but its tight rows have rank below {h.n}")
+    missing = sorted((_first_order(h.table, v, h.n), v) for v in greedy - claimed)
+    failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
     return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
 
 
@@ -664,5 +650,7 @@ def vertex_set_from_json_dict(data) -> set[tuple[int, ...]]:
             raise ValueError(f"field 'vertices': bad entry {p!r}")
         if len(p) != len(raw[0]):
             raise ValueError(f"field 'vertices': entry {p!r} has dimension {len(p)}, expected {len(raw[0])}")
+        if tuple(p) in out:
+            raise ValueError(f"field 'vertices': duplicate vertex {p}")
         out.add(tuple(p))
     return out

@@ -63,8 +63,8 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(checks, "run_check", lambda name, n, seed: CheckResult(name, n))

@@ -149,6 +149,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "theta", "--diagram", str(path), "--set", "1")
         assert code == 2 and "--diagram" in err
 
+    def test_unreadable_diagram_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: --diagram: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+
     def test_diagram_missing_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2}))
@@ -197,6 +203,9 @@ class TestErrors:
         (("skyline", "--alpha", "9,0"), "--alpha: part 9 in row 1 exceeds the grid size 2"),
         (("fill", "--skyline", "1,0,3", "--perm", "2134"),
          "--perm: permutation degree 4 does not match grid size 3"),
+        (("theta", "--skyline", "1,0,3", "--set", "1,x"), "--set: expected comma-separated integers, got '1,x'"),
+        (("member", "--skyline", "1,0,3", "--point", "1,1/0,3"), "--point: bad coordinate '1/0' (use integers or p/q)"),
+        (("skyline", "--alpha", "1,a"), "--alpha: bad composition '1,a': parts must be integers"),
     ])
     def test_library_errors_name_their_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -45,6 +45,18 @@ class TestDiagram:
         with pytest.raises(ValueError, match=rf"^box {re.escape(repr(box))} is not a \(row, col\) pair$"):
             Diagram(3, [(2, 2), box])
 
+    def test_boxes_must_be_an_iterable(self):
+        with pytest.raises(ValueError) as refused:
+            Diagram(3, 5)
+        assert str(refused.value) == "boxes must be an iterable of (row, col) pairs, got 5"
+
+    def test_an_iterator_of_boxes_is_read_once(self):
+        # the unhashable box is named from the boxes read, not from the spent iterator
+        with pytest.raises(ValueError) as refused:
+            Diagram(3, iter([(2, 2), [1, 1]]))
+        assert str(refused.value) == "box [1, 1] is not a (row, col) pair"
+        assert Diagram(3, iter([(2, 2), (1, 1)])) == Diagram(3, {(1, 1), (2, 2)})
+
     def test_rejects_bools(self):
         # True == 1 passes isinstance(x, int), but is not a coordinate or a size
         with pytest.raises(ValueError, match=r"box \(True, 1\) has a non-integer coordinate"):
@@ -60,6 +72,11 @@ class TestDiagram:
         d = Diagram(3, frozenset({(1, 1), (3, 2)}))
         d.column_masks, d.packed_columns  # cached beside the fields, never shown
         assert_frozen(d, "Diagram(n=3, boxes=frozenset({(1, 1), (3, 2)}))", n=4, boxes=frozenset())
+
+    def test_equality_with_another_class_is_left_to_it(self):
+        d = Diagram(1, frozenset())
+        assert d.__eq__((1, frozenset())) is NotImplemented
+        assert d != (1, frozenset()) and d != hrep(d)
 
 
 def test_values_survive_pickle():
@@ -167,6 +184,8 @@ class TestSerialization:
         ({"n": 2, "boxes": [[1]]}, "boxes"),
         ({"n": 2, "boxes": [[1, "a"]]}, "boxes"),
         ([1, 2], "object"),
+        ({"n": 2, "boxes": {}}, r"^field 'boxes' must be a list of \[row, col\] pairs$"),
+        ({"n": 2, "boxes": [[1, 1], [2, 1], [1, 1]]}, r"^field 'boxes': duplicate box \[1, 1\]$"),
     ])
     def test_json_errors_name_the_field(self, bad, message):
         with pytest.raises(ValueError, match=message):

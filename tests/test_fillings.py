@@ -47,6 +47,12 @@ class TestFillColumn:
         with pytest.raises(ValueError, match="distinct"):
             fill_column({1, 2}, (1, 1))
 
+    @pytest.mark.parametrize("values, bad", [((2, 0), 0), ((-1,), -1)])
+    def test_rejects_values_below_one(self, values, bad):
+        with pytest.raises(ValueError) as refused:
+            fill_column({1, 2}, values)
+        assert str(refused.value) == f"filling values must be positive integers, got {bad}"
+
     def test_rejects_bools_and_non_integers(self):
         # True == 1, so only a type test tells a bool from a row or value
         with pytest.raises(ValueError, match="filling values must be positive integers, got True"):

@@ -122,6 +122,12 @@ class TestReducedWords:
             assert perms.perm_from_word(word, n) == w
             assert len(word) == length(w)
 
+    @pytest.mark.parametrize("letter", [0, 3])
+    def test_word_letters_lie_in_range(self, letter):
+        with pytest.raises(ValueError) as refused:
+            perms.perm_from_word([1, letter], 3)
+        assert str(refused.value) == f"word letter {letter} out of range 1..2"
+
 
 class TestLambda:
     def test_worked_example(self):
@@ -291,5 +297,9 @@ class TestSerialization:
 
     def test_composition_round_trip(self):
         assert perms.parse_composition("1,0,3") == (1, 0, 3)
+        assert perms.parse_composition(" ") == ()
         with pytest.raises(ValueError):
             perms.parse_composition("1,-2")
+        with pytest.raises(ValueError) as refused:
+            perms.parse_composition("1,a")
+        assert str(refused.value) == "bad composition '1,a': parts must be integers"

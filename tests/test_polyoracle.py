@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -53,6 +54,12 @@ class TestPolynomial:
         assert (x1 + x2) - x2 == x1
         assert (x1 - x2) * (x1 + x2) == x1 * x1 - x2 * x2
 
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul])
+    def test_arithmetic_refuses_different_variable_counts(self, op):
+        with pytest.raises(ValueError) as refused:
+            op(monomial(2, (1, 0)), monomial(3, (0, 0, 1)))
+        assert str(refused.value) == "variable counts differ: 2 vs 3"
 
     def test_is_frozen(self):
         f = Polynomial(2, {(1, 0): 1})
@@ -112,6 +119,15 @@ class TestDemazure:
 
     def test_first_variable(self):
         assert demazure(monomial(2, (1, 0)), 1) == Polynomial(2, {(1, 0): 1, (0, 1): 1})
+
+    @pytest.mark.parametrize("op, message", [
+        (swap_variables, "variable index 2 out of range 1..1"),
+        (demazure, "operator index 2 out of range 1..1"),
+    ])
+    def test_index_range(self, op, message):
+        with pytest.raises(ValueError) as refused:
+            op(monomial(2, (1, 0)), 2)
+        assert str(refused.value) == message
 
     def test_second_variable_killed(self):
         # expand (x1 x2 - x2 x1) / (x1 - x2)
@@ -227,6 +243,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             poly_from_json_dict({"n": 1, "terms": [{"e": [1], "c": 1}, {"e": [1], "c": 2}]})
 
+    @pytest.mark.parametrize("bad, message", [
+        ([], "polynomial document must be a JSON object"),
+        ({"n": 1, "terms": {}}, "field 'terms' must be a list of objects"),
+        ({"n": 1, "terms": [{"e": [1]}]}, "field 'terms': bad entry {'e': [1]}, expected {'e': [...], 'c': int}"),
+        ({"n": 1, "terms": [{"e": [1], "c": 1}, {"e": [1], "c": 2}]}, "field 'terms': duplicate exponent [1]"),
+    ])
+    def test_json_errors_name_the_field(self, bad, message):
+        with pytest.raises(ValueError) as refused:
+            poly_from_json_dict(bad)
+        assert str(refused.value) == message
+
     def test_json_rejects_bools(self):
         with pytest.raises(ValueError, match=r"exponent \[True, 0\] must be a list of integers"):
             poly_from_json_dict(json.loads('{"n": 2, "terms": [{"e": [true, 0], "c": true}]}'))
@@ -242,3 +269,5 @@ class TestSerialization:
         )
         assert poly_to_text(Polynomial(2, {})) == "0"
         assert poly_to_text(Polynomial(2, {(0, 0): -3, (1, 1): 2})) == "2*x1*x2 - 3"
+        assert poly_to_text(Polynomial(2, {(1, 0): -1, (0, 1): 1})) == "-x1 + x2"
+        assert poly_to_text(Polynomial(2, {(1, 0): 1, (0, 1): -1})) == "x1 - x2"

@@ -14,7 +14,6 @@ from schubitope.fillings import rank_diagram, vertex_vector
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
     _column_theta,
-    certify_vertices_by_walk,
     greedy_vectors_by_sweep,
     is_submodular_by_pairs,
     schubert_matroid_bases,
@@ -25,6 +24,7 @@ from schubitope.oracles import (
 from schubitope.polytope import (
     HREP_CAP,
     SWEEP_CAP,
+    Certification,
     HRep,
     _deficits,
     _first_order,
@@ -436,6 +436,12 @@ class TestWalk:
                     outcomes.add(got[0].split()[0] if got[0] else "inside")
         assert outcomes == {"inside", "sum", "coordinate"}
 
+    @pytest.mark.parametrize("walk", [_walk, walk_by_fractions])
+    def test_refuses_a_point_of_the_wrong_dimension(self, walk):
+        with pytest.raises(ValueError) as refused:
+            walk(hrep(TRAPEZOID), (1, 3))
+        assert str(refused.value) == "point has dimension 2, expected 3"
+
     def test_matches_fraction_oracle_on_rothe_diagrams(self):
         rng = random.Random(59)
         for w in itertools.permutations(range(1, 5)):
@@ -544,6 +550,13 @@ class TestSchubertMatroidBases:
 
     def test_empty_set(self):
         assert schubert_matroid_bases(set(), 3) == {frozenset()}
+
+    def test_cap(self):
+        n = oracles.ENUMERATION_CAP
+        assert len(schubert_matroid_bases({n}, n)) == n
+        with pytest.raises(ValueError) as refused:
+            schubert_matroid_bases({1}, n + 1)
+        assert str(refused.value) == f"basis enumeration capped at n <= {n}"
 
     def test_counts_against_gale_definition(self):
         for s in subsets(5):
@@ -716,46 +729,52 @@ class TestCertify:
 
     def test_claim_order_does_not_change_the_outcome(self):
         # only the claimed points that are no vertex are sorted; the outcome
-        # is the walk oracle's, which sorts them all
+        # is that of the sorted claim
         rng = random.Random(29)
         verts = sorted(TRAPEZOID_VERTICES)
         h = hrep(TRAPEZOID)
         for extra in ([], [(2, 1, 1)], [(4, 0, 0), (2, 1, 1)], [(0, 0, 4)]):
             claim = verts[1:] + extra
-            expected = certify_vertices_by_walk(h, claim)
+            expected = certify_vertices(h, sorted(claim))
             for _ in range(6):
                 rng.shuffle(claim)
                 assert certify_vertices(h, claim) == expected, claim
 
-    @pytest.mark.parametrize("certify", [certify_vertices, certify_vertices_by_walk])
+    def test_repeated_points_count_once(self):
+        # a point claimed twice, or once more with equal Fraction coordinates,
+        # is one point
+        verts = sorted(TRAPEZOID_VERTICES)
+        claim = verts + [verts[0], tuple(map(Fraction, verts[1])), (2, 1, 1), (2, 1, 1)]
+        cert = certify_vertices(hrep(TRAPEZOID), claim)
+        assert (cert.points, len(cert.failures)) == (5, 1)
+
     @pytest.mark.parametrize("claim, message", [
         ([(1, 0, 3), ("1", 0, 3)], "point coordinate 1 is '1', expected an integer or a Fraction"),
         ([(1, 0, 3), (1, [0], 3)], "point coordinate 2 is [0], expected an integer or a Fraction"),
     ])
-    def test_malformed_claims_get_the_one_line_error(self, certify, claim, message):
+    def test_malformed_claims_get_the_one_line_error(self, claim, message):
         # each point is checked before the claim is sorted and de-duplicated,
         # which would raise TypeError on a string or a list coordinate
         with pytest.raises(ValueError) as refused:
-            certify(hrep(TRAPEZOID), claim)
+            certify_vertices(hrep(TRAPEZOID), claim)
         assert str(refused.value) == message
 
     def test_non_submodular_bounds_are_refused_after_the_point_check(self, monkeypatch):
-        # both certifications refuse the table before any walk or LP: a
-        # claim holding a point off the hyperplane raises instead of failing (a)
+        # certification refuses the table before any walk or LP: a claim
+        # holding a point off the hyperplane raises instead of failing (a)
         def forbidden(*args):
             raise AssertionError("walk or LP before the refusal")
 
-        for module, name in ((polytope, "_walk"), (oracles, "_walk"), (lp, "convex_combination")):
+        for module, name in ((polytope, "_walk"), (lp, "convex_combination")):
             monkeypatch.setattr(module, name, forbidden)
         h = raised_theta_table(random.Random(7), 6)
         refusal = "bounds are not submodular; certification covers submodular tables only"
-        for certify in (certify_vertices, certify_vertices_by_walk):
-            for claim in (set(), {(h.total, 0, 0, 0, 0, 0)}, {(h.total + 1, 0, 0, 0, 0, 0)}):
-                with pytest.raises(ValueError) as refused:
-                    certify(h, claim)
-                assert str(refused.value) == refusal, (certify, claim)
-            with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
-                certify(h, {(0, 0)})
+        for claim in (set(), {(h.total, 0, 0, 0, 0, 0)}, {(h.total + 1, 0, 0, 0, 0, 0)}):
+            with pytest.raises(ValueError) as refused:
+                certify_vertices(h, claim)
+            assert str(refused.value) == refusal, claim
+        with pytest.raises(ValueError, match="dimension 2, expected 6"):  # malformed points first
+            certify_vertices(h, {(0, 0)})
 
     def test_one_failure_per_non_vertex_point(self):
         # an interior point fails as a member that is no vertex, a point
@@ -1031,10 +1050,37 @@ def claim_families(verts, rng):
             verts | {tuple(Fraction(x + y, 2) for x, y in zip(a, b))}]
 
 
+def certification_by_references(h, claim):
+    """The outcome certification must give on a submodular table, from the
+    references it was assembled from, none of which reads the greedy-vector
+    enumeration: each distinct claimed point, sorted, that violates a bound
+    fails on the first one (`_walk`), and each other point whose tight rows
+    have rank below n (`oracles.tight_rank`) fails as no vertex; then each
+    vector of the S_n sweep of `edmonds_vertex` that is not claimed fails,
+    named by the first order reaching it, in the order the sweep meets it."""
+    n = h.n
+    claimed = {tuple(p) for p in claim}
+    failures = []
+    for p in sorted(claimed):
+        violation = _walk(h, p)[0]
+        if violation is not None:
+            failures.append(f"claimed vertex {p} violates the description: {violation}")
+        elif tight_rank(h, p) < n:
+            failures.append(f"claimed vertex {p} is not a vertex: it lies in the polytope, "
+                            f"but its tight rows have rank below {n}")
+    swept = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        swept.setdefault(edmonds_vertex(h.table, w), w)
+    failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set"
+                 for v, w in swept.items() if v not in claimed]
+    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
+
+
 class TestChainCertificates:
-    """Certification by lookup among the greedy vectors against the walk and
-    tight-row rank test of every claimed point (`oracles.certify_vertices_by_walk`),
-    and the submodularity test their soundness rests on against its definition."""
+    """Certification by lookup among the greedy vectors against the walk,
+    the tight-row rank test of every claimed point and the permutation sweep
+    (`certification_by_references`), and the submodularity test their
+    soundness rests on against its definition."""
 
     def test_matches_walk_oracle_on_random_claims(self):
         rng = random.Random(97)
@@ -1043,31 +1089,23 @@ class TestChainCertificates:
             d = random_diagram(rng, n)
             h, verts = hrep(d), vertices(d)
             for claim in claim_families(verts, rng):
-                assert certify_vertices(h, claim) == certify_vertices_by_walk(h, claim), (d, claim)
+                assert certify_vertices(h, claim) == certification_by_references(h, claim), (d, claim)
 
     def test_certification_runs_no_simplex(self, monkeypatch):
-        # every claim family, through both certifications, with every entry
-        # to the simplex raising
+        # every claim family, with every entry to the simplex raising
         def forbidden(*args):
             raise AssertionError("certification ran the simplex")
 
-        for module, name in ((lp, "solve_nonnegative"), (lp, "convex_combination"),
-                             (oracles, "convex_combination"), (oracles, "solve_nonnegative_by_fractions")):
-            monkeypatch.setattr(module, name, forbidden)
+        for name in ("solve_nonnegative", "convex_combination"):
+            monkeypatch.setattr(lp, name, forbidden)
         rng = random.Random(101)
         failed = 0
         for n in (1, 2, 3, 4, 5, 6) * 8:
             d = random_diagram(rng, n)
             h, verts = hrep(d), vertices(d)
             for claim in claim_families(verts, rng):
-                cert = certify_vertices(h, claim)
-                assert cert == certify_vertices_by_walk(h, claim), (d, claim)
-                failed += not cert.ok
+                failed += not certify_vertices(h, claim).ok
         assert failed > 0
-
-    def test_oracle_keeps_its_own_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            certify_vertices_by_walk(HRep(oracles.SWEEP_CAP + 1, 0, (0,) * 2 ** (oracles.SWEEP_CAP + 1)), set())
 
     def test_submodularity_matches_pairs_oracle(self):
         rng = random.Random(99)
@@ -1124,6 +1162,20 @@ class TestSerialization:
             hrep_from_json_dict({"n": 2, "total": 1, "bounds": [
                 {"S": [], "b": 5}, {"S": [1, 2], "b": 0}]})
 
+    @pytest.mark.parametrize("bad, message", [
+        ([], "h-representation document must be a JSON object"),
+        ({"n": 1, "total": 0, "bounds": {}}, "field 'bounds' must be a list of objects"),
+        ({"n": -1, "total": 0, "bounds": []}, "dimension must be a non-negative integer, got -1"),
+        ({"n": 2, "total": 1, "bounds": [{"S": [1]}]},
+         "field 'bounds': bad entry {'S': [1]}, expected {'S': [...], 'b': int}"),
+        ({"n": 2, "total": 1, "bounds": [{"S": [1], "b": 1}, {"S": [1], "b": 2}]},
+         "field 'bounds': duplicate subset [1]"),
+    ])
+    def test_hrep_json_errors_name_the_field(self, bad, message):
+        with pytest.raises(ValueError) as refused:
+            hrep_from_json_dict(bad)
+        assert str(refused.value) == message
+
     def test_hform_golden(self):
         text = hrep_to_hform(hrep(skyline((1, 0, 3))))
         assert text == "3 4\n1 3\n2 3\n3 4\n4 3\n5 4\n6 3"
@@ -1137,3 +1189,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^field 'vertices': entry \[1, 2\] has dimension 2, expected 1$"):
             vertex_set_from_json_dict({"vertices": [[1], [1, 2], [3]]})
         assert vertex_set_from_json_dict({"vertices": [[1, 2], [2, 1]]}) == {(1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1, 2]], "vertex-set document must be a JSON object with field 'vertices'"),
+        ({"points": [[1, 2]]}, "vertex-set document must be a JSON object with field 'vertices'"),
+        ({"vertices": {}}, "field 'vertices' must be a list of integer vectors"),
+        ({"vertices": [[1, 2], (2, 1)]}, "field 'vertices': bad entry (2, 1)"),
+        ({"vertices": [[1, "2"]]}, "field 'vertices': bad entry [1, '2']"),
+        ({"vertices": [[1, 2], [2, 1], [1, 2]]}, "field 'vertices': duplicate vertex [1, 2]"),
+    ])
+    def test_vertex_set_json_errors_name_the_field(self, bad, message):
+        with pytest.raises(ValueError) as refused:
+            vertex_set_from_json_dict(bad)
+        assert str(refused.value) == message
