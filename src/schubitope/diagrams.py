@@ -69,6 +69,21 @@ def _not_a_box(box) -> ValueError:
     return ValueError(f"box {box!r} is not a (row, col) pair")
 
 
+def _non_integer(r, c) -> ValueError:
+    return ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
+
+
+def _refuse_unhashable(box) -> ValueError:
+    """The error for an unhashable box: a pair with a non-integer coordinate,
+    such as (2, [2]), is named for that coordinate, as a hashable box is;
+    anything else, such as the list [1, 1], is not a pair."""
+    try:
+        r, c = box
+    except (TypeError, ValueError):
+        return _not_a_box(box)
+    return _not_a_box(box) if is_int(r) and is_int(c) else _non_integer(r, c)
+
+
 def _unhashable(box) -> bool:
     try:
         hash(box)
@@ -127,14 +142,14 @@ class Diagram(Value):
         try:
             boxes = frozenset(boxes)
         except TypeError:  # an unhashable box, such as a list: name the first
-            raise _not_a_box(next(filter(_unhashable, boxes))) from None
+            raise _refuse_unhashable(next(filter(_unhashable, boxes))) from None
         for box in boxes:
             try:
                 r, c = box
             except (TypeError, ValueError):
                 raise _not_a_box(box) from None
             if not (is_int(r) and is_int(c)):
-                raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
+                raise _non_integer(r, c)
             if not (1 <= r <= n and 1 <= c <= n):
                 raise ValueError(f"box ({r},{c}) lies outside the {n}x{n} grid")
         self.__dict__.update(n=n, boxes=boxes)

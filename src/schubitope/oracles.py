@@ -397,25 +397,9 @@ def solve_nonnegative_by_fractions(rows: Sequence[Sequence], rhs: Sequence) -> l
     return x
 
 
-def hull_vertices_by_lp(points, candidates=None) -> set[tuple]:
+def hull_vertices_by_lp(points) -> set[tuple]:
     """The exact vertex set of the convex hull of a finite point set, one
-    phase-1 simplex per point: a point is kept iff it is not a convex
-    combination of the remaining points.
-
-    ``candidates`` may supply a set of points expected to contain every
-    vertex.  Points outside it that lie in the (much smaller)
-    candidates' hull are dropped first, and the rest are tested only
-    against each other.  That never changes the answer: substituting each
-    dropped point's combination of candidates turns a combination of all
-    other points into one of the kept others.
-    """
+    phase-1 simplex per distinct point: a point is kept iff it is not a
+    convex combination of the remaining points."""
     pts = sorted({tuple(p) for p in points})
-    if candidates is not None:
-        cand = {tuple(p) for p in candidates} & set(pts)
-        inside = sorted(cand)
-        pts = [p for p in pts if p in cand or convex_combination(p, inside) is None]
-    out = set()
-    for i, p in enumerate(pts):
-        if convex_combination(p, pts[:i] + pts[i + 1:]) is None:
-            out.add(p)
-    return out
+    return {p for i, p in enumerate(pts) if convex_combination(p, pts[:i] + pts[i + 1:]) is None}

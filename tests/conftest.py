@@ -1,7 +1,8 @@
 """Shared reference data for the test suite; `assert_check`, which runs a
 registered `verify` check in place of a hand-copied sweep;
 `column_diagrams`, whose columns run through every row mask;
-`assert_frozen`, which pins a value's immutability by its behaviour; and
+`coverage_table` and `uniform_ranks_table`, polymatroids theta never
+gives; `assert_frozen`, which pins a value's immutability by its behaviour; and
 the `fake_pool` fixture, which runs `checks.run_all`'s pool in process.
 
 D9 is the 9-box example diagram whose column words for S = {1, 3} read
@@ -44,6 +45,28 @@ def column_diagrams(n):
         chunk = range(2 ** n)[start:start + n]
         yield Diagram(n, frozenset((r, j) for j, col in enumerate(chunk, 1)
                                    for r in range(1, n + 1) if col >> (r - 1) & 1))
+
+
+def coverage_table(rng, n):
+    """The bound table of a random coverage function on [n]: each i covers
+    a random part of 1-8 elements weighing 1-300 each, and a set's bound is
+    the weight of the elements its members cover.  Bounds reach far above
+    theta's n^2."""
+    weights = [rng.randint(1, 300) for _ in range(rng.randint(1, 8))]
+    covers = [rng.getrandbits(len(weights)) for _ in range(n)]
+    union = [0] * 2 ** n
+    for mask in range(1, 2 ** n):
+        low = mask & -mask
+        union[mask] = union[mask ^ low] | covers[low.bit_length() - 1]
+    return [sum(w for e, w in enumerate(weights) if u >> e & 1) for u in union]
+
+
+def uniform_ranks_table(rng, n):
+    """The bound table of a sum of 1-4 weighted uniform-matroid ranks on
+    [n]: the term (A, r, c) gives a set S the bound c * min(|S & A|, r), with
+    c up to 60.  Equal steps within a term make many ties."""
+    terms = [(rng.getrandbits(n), rng.randint(1, n), rng.randint(1, 60)) for _ in range(rng.randint(1, 4))]
+    return [sum(c * min(bin(mask & a).count("1"), r) for a, r, c in terms) for mask in range(2 ** n)]
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 
 import schubitope
 from conftest import assert_frozen
-from schubitope import checks, fillings, oracles, polytope
+from schubitope import Diagram, checks, diagrams, fillings, lp, oracles, perms, polyoracle, polytope
 from schubitope.checks import CheckResult, run_check
 from schubitope.cli import main
 
@@ -190,6 +190,61 @@ def test_vertex_vectors_fault_caught(monkeypatch, name, counterexample):
     monkeypatch.setattr(fillings, "vertex_vectors", faulty)
     instances = 7 if name == "greedy-equals-filling" else 4
     assert run_check(name, 4, seed=0) == CheckResult(name, instances, counterexample)
+
+
+# Each fault reaches a counterexample of a polytope or Newton check that no
+# passing run returns, pinned at `verify --n 2 --seed 0`, where they are
+# short.  A fault is a function of the library function it replaces.
+def no_member(member):
+    return lambda h, p: False
+
+
+def extra_vertex(vertices):
+    return lambda d: vertices(d) | {(9,) * d.n}
+
+
+def one_vertex_short(certify):
+    return lambda h, pts: certify(h, set(pts) - {min(pts)})
+
+
+NEWTON_FAULTS = [
+    ("minkowski-sum-membership", polytope, "member", no_member,
+     1, 'D={"n":2,"boxes":[[1,1],[2,2]]} point=(1, 1)'),
+    ("column-polytope-bases", polytope, "vertices", extra_vertex, 1, "C=[]: [(0, 0), (9, 9)] != [(0, 0)]"),
+    ("column-polytope-bases", polytope, "certify_vertices", one_vertex_short,
+     1, "C=[]: vertex (0, 0) (greedy order (1, 2)) is missing from the claimed set"),
+    ("skyline-vertices-lower-interval", polytope, "vertices", extra_vertex, 1, "alpha=(0,): [(0,), (9,)] != [(0,)]"),
+    ("schubert-newton-polytope", polytope, "member", no_member, 1, "w=(1, 2): exponent (0, 0) outside the polytope"),
+    ("schubert-newton-polytope", polytope, "vertices", extra_vertex, 1, "w=(1, 2): vertex missing from the support"),
+    ("schubert-newton-polytope", polytope, "certify_vertices", one_vertex_short,
+     1, "w=(1, 2): vertex (0, 0) (greedy order (1, 2)) is missing from the claimed set"),
+    ("schubert-newton-polytope", lp, "hull_vertices",
+     lambda hull: lambda pts, candidates=None: hull(pts, candidates) - {min(pts)},
+     1, "w=(1, 2): support hull differs from the sweep"),
+    ("key-newton-lower-interval", polytope, "member", no_member, 1, "alpha=(0,): exponent (0,) outside the polytope"),
+    ("bruhat-interval-polytope", perms, "vertex_compositions", lambda below: lambda a: below(a) + [(9,) * len(a)],
+     1, "alpha=(1, 2): predicted vertex missing from the support"),
+    ("bruhat-interval-polytope", perms, "bruhat_leq", lambda leq: lambda u, v: u == v,
+     1, "w=(1, 2): [(1, 2), (2, 1)] != [(1, 2)]"),
+    ("schur-permutohedron", polytope, "certify_vertices", one_vertex_short,
+     1, "alpha=(0, 0): vertex (0, 0) (greedy order (1, 2)) is missing from the claimed set"),
+    ("schur-permutohedron", perms, "lambda_of", lambda lam: lambda a: (*lam(a)[:-1], lam(a)[-1] + 1),
+     1, "alpha=(0, 0)"),
+    ("json-round-trip", diagrams, "from_json_dict", lambda parse: lambda doc: Diagram(doc["n"], ()),
+     1, 'diagram {"n":2,"boxes":[[2,1],[2,2]]}'),
+    ("json-round-trip", polytope, "hrep_from_json_dict",
+     lambda parse: lambda doc: polytope.hrep(Diagram(doc["n"], ())),
+     2, 'hrep {"n":2,"total":2,"bounds":[{"S":[1],"b":2},{"S":[2],"b":2}]}'),
+    ("json-round-trip", polyoracle, "poly_from_json_dict", lambda parse: lambda doc: parse(doc) + parse(doc),
+     34, 'polynomial {"n":2,"terms":[{"e":[0,0],"c":1}]}'),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, fault, instances, counterexample", NEWTON_FAULTS,
+                         ids=[f"{case[0]}-{case[2]}" for case in NEWTON_FAULTS])
+def test_polytope_and_newton_faults_caught(monkeypatch, name, module, attr, fault, instances, counterexample):
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    assert run_check(name, 2, seed=0) == CheckResult(name, instances, counterexample)
 
 
 @pytest.mark.parametrize("name", ["vertex-swap-symmetry", "vertex-swap-stability"])

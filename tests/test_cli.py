@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -256,6 +258,19 @@ class TestVerify:
         assert code == 1
         assert out == '{"status":"fail","checks":[{"name":"rothe-box-count","instances":7,' \
                       '"counterexample":"diagram of (2, 1)"}]}\n'
+
+    def test_digest_tool_on_its_first_case(self, capsys):
+        # tools/verify_digests.py prints `n seed exit sha256` for 25 cases;
+        # the line of n = 1, seed 0 hashes exactly what the verb prints
+        path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "verify_digests.py"
+        spec = importlib.util.spec_from_file_location("verify_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.CASES == [(n, seed) for n in range(1, 6) for seed in range(5)]
+        line = tool.digest(1, 0)
+        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--seed", "0", "--jobs", "1", "--format", "json")
+        assert line == f"1 0 {code} {hashlib.sha256(out.encode()).hexdigest()}"
+        assert line == "1 0 0 f8c360a5dbe7f10540b46f775a1977dc3da1d0645a22d242755d3db9393f6a88"
 
     @pytest.mark.parametrize("n", ["-1", "0", "6"])
     def test_scope_out_of_range(self, capsys, n):

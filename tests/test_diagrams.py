@@ -38,8 +38,15 @@ class TestDiagram:
             Diagram(3, {(1.9, 1)})
         with pytest.raises(ValueError, match=r"box \('3', 2\) has a non-integer coordinate"):
             Diagram(3, {("3", 2)})
+        # an unhashable coordinate is named the same, hashable box or not
+        for boxes, shown in (({(1, (2,))}, "(1, (2,))"), ([(2, [2])], "(2, [2])"),
+                             ([(2, 2), [(1,), 2]], "((1,), 2)")):
+            with pytest.raises(ValueError) as refused:
+                Diagram(3, boxes)
+            assert str(refused.value) == f"box {shown} has a non-integer coordinate"
 
-    @pytest.mark.parametrize("box", [(1, 1, 1), (1,), None, [1, 1]], ids=["triple", "single", "none", "list"])
+    @pytest.mark.parametrize("box", [(1, 1, 1), (1,), None, [1, 1], [1, 1, 1]],
+                             ids=["triple", "single", "none", "list", "list-triple"])
     def test_names_a_box_that_is_not_a_pair(self, box):
         # a list is unhashable, so it is named before any box is unpacked
         with pytest.raises(ValueError, match=rf"^box {re.escape(repr(box))} is not a \(row, col\) pair$"):

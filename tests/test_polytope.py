@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pickle
@@ -6,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check, assert_frozen, column_diagrams
+from conftest import (
+    D9,
+    TRAPEZOID,
+    TRAPEZOID_VERTICES,
+    assert_check,
+    assert_frozen,
+    column_diagrams,
+    coverage_table,
+    uniform_ranks_table,
+)
 from schubitope import Diagram, lp, oracles, polytope
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
@@ -947,9 +957,7 @@ class TestGreedyVectors:
         for n in range(7):
             for table in self.submodular_tables(rng, n):
                 assert _is_submodular(table, n), (n, table)
-                first = {}
-                for w in itertools.permutations(range(1, n + 1)):
-                    first.setdefault(edmonds_vertex(table, w), w)
+                first = first_orders(tuple(table), n)
                 verts = sorted(first)
                 points = list(verts)
                 pairs = list(itertools.combinations(verts, 2))
@@ -1068,12 +1076,20 @@ def certification_by_references(h, claim):
         elif tight_rank(h, p) < n:
             failures.append(f"claimed vertex {p} is not a vertex: it lies in the polytope, "
                             f"but its tight rows have rank below {n}")
+    failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set"
+                 for v, w in first_orders(h.table, n).items() if v not in claimed]
+    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
+
+
+@functools.lru_cache(maxsize=1)
+def first_orders(table, n):
+    """Each vector of the S_n sweep of `edmonds_vertex` with the first order
+    reaching it, in the order the sweep meets them; kept for the last table,
+    which every claim family of a sweep shares."""
     swept = {}
     for w in itertools.permutations(range(1, n + 1)):
-        swept.setdefault(edmonds_vertex(h.table, w), w)
-    failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set"
-                 for v, w in swept.items() if v not in claimed]
-    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
+        swept.setdefault(edmonds_vertex(table, w), w)
+    return swept
 
 
 class TestChainCertificates:
@@ -1122,6 +1138,38 @@ class TestChainCertificates:
                     assert _is_submodular(table, n) == verdict, (n, table)
                     verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestPolymatroidTables:
+    """The table kernels against their oracles on polymatroids theta never
+    gives: coverage functions, with bounds up to a few thousand, and sums of
+    weighted uniform-matroid ranks, with many ties.  Totals of 128 and more
+    run the greedy enumeration in 2-byte slots, and a point whose scaled
+    bounds and coordinates reach 2^14 is walked in 32-bit slots."""
+
+    def test_kernels_match_their_oracles(self):
+        rng = random.Random(71)
+        totals, widths, verdicts = set(), set(), set()
+        for k in range(150):
+            n = (1, 2, 3, 3, 4, 4, 4, 5, 5, 6)[k % 10]
+            table = (coverage_table, uniform_ranks_table)[k % 2](rng, n)
+            h = HRep(n, table[-1], table)
+            totals.add(h.total >= 128)
+            verts = _greedy_vectors(table, n)
+            assert verts == greedy_vectors_by_sweep(table, n), (n, table)
+            for p in rng.sample(walk_fuzz_points(h, rng), 12):
+                assert_walks_agree(h, p)
+                widths.add(slot_width(h, p))
+            for claim in claim_families(verts, rng):
+                assert certify_vertices(h, claim) == certification_by_references(h, claim), (h, claim)
+            raised = list(table)
+            if n > 1:
+                raised[rng.randrange(1, 2 ** n - 1)] += 1
+            for t in (table, raised):
+                verdict = is_submodular_by_pairs(t, n)
+                assert _is_submodular(t, n) == verdict, (n, t)
+                verdicts.add(verdict)
+        assert totals == verdicts == {True, False} and widths == {16, 32}
 
 
 class TestThetaRankIdentity:
