@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import random
 import time
@@ -77,8 +78,13 @@ def random_diagram(rng: random.Random, n: int) -> Diagram:
     return Diagram(n, frozenset(boxes))
 
 
+def _compact(doc) -> str:
+    """A JSON document written with no spaces, as counterexamples show it."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def _diagram_str(d: Diagram) -> str:
-    return json.dumps(diagrams.to_json_dict(d), separators=(",", ":"))
+    return _compact(diagrams.to_json_dict(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,15 +333,17 @@ def check_greedy_prefix_tight(m: int, rng: random.Random) -> Steps:
                     return f"D={_diagram_str(d)} w={w} prefix={sorted(prefix)}"
 
 
+def _basis_vectors(rows: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """The vertices of the polytope of a column with boxes in ``rows`` of an
+    n x n grid: the 0/1 vectors of its Schubert matroid's bases, by the oracle."""
+    return [tuple(int(i in b) for i in range(1, n + 1)) for b in oracles.schubert_matroid_bases(rows, n)]
+
+
 @check("minkowski-sum-membership", scope=4)
 def check_minkowski_membership(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(6)]:
         h = polytope.hrep(d)
-        per_column = [
-            [tuple(int(i in b) for i in range(1, m + 1))
-             for b in oracles.schubert_matroid_bases(polytope._mask_subset(col, m), m)]
-            for col in d.column_masks
-        ]
+        per_column = [_basis_vectors(polytope._mask_subset(col, m), m) for col in d.column_masks]
         sums = set()
         for combo in itertools.product(*per_column):
             point = tuple(map(sum, zip(*combo))) if combo else (0,) * m
@@ -354,10 +362,7 @@ def check_column_polytope_bases(m: int, rng: random.Random) -> Steps:
     for rows in _subsets(m):
         yield
         d = Diagram(m, frozenset((r, 1) for r in rows))
-        expect = {
-            tuple(int(i in b) for i in range(1, m + 1))
-            for b in oracles.schubert_matroid_bases(rows, m)
-        }
+        expect = set(_basis_vectors(rows, m))
         got = polytope.vertices(d)
         if got != expect:
             return f"C={sorted(rows)}: {sorted(got)} != {sorted(expect)}"
@@ -377,34 +382,33 @@ def check_skyline_lower_interval(m: int, rng: random.Random) -> Steps:
                 return f"alpha={alpha}: {sorted(swept)} != {sorted(predicted)}"
 
 
+def _swap_cases(m: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The cases (alpha, r, w) of the vertex-swap checks, alpha outermost: parts
+    at most min(m, 3), alpha_r < alpha_{r+1}, and r before r + 1 in the order w."""
+    for alpha in compositions(m, min(m, 3)):
+        for r in oracles.descent_violations(alpha):
+            for w in all_perms(m):
+                if w.index(r) < w.index(r + 1):
+                    yield alpha, r, w
+
+
 @check("vertex-swap-symmetry", scope=4)
 def check_vertex_swap_symmetry(m: int, rng: random.Random) -> Steps:
-    for alpha in compositions(m, min(m, 3)):
-        if not (descents := oracles.descent_violations(alpha)):
-            continue
+    for alpha, cases in itertools.groupby(_swap_cases(m), operator.itemgetter(0)):
         vecs = dict(fillings.vertex_vectors(diagrams.skyline(alpha)))
-        for r in descents:
-            for w in all_perms(m):
-                if w.index(r) > w.index(r + 1):
-                    continue
-                yield
-                lhs = vecs[w]
-                rhs = perms.swap_adjacent(vecs[perms.swap_values(w, r)], r)
-                if lhs != rhs:
-                    return f"alpha={alpha} r={r} w={w}"
+        for _, r, w in cases:
+            yield
+            if vecs[w] != perms.swap_adjacent(vecs[perms.swap_values(w, r)], r):
+                return f"alpha={alpha} r={r} w={w}"
 
 
 @check("vertex-swap-stability", scope=4)
 def check_vertex_swap_stability(m: int, rng: random.Random) -> Steps:
-    for alpha in compositions(m, min(m, 3)):
-        if not (descents := oracles.descent_violations(alpha)):
-            continue
+    for alpha, by_alpha in itertools.groupby(_swap_cases(m), operator.itemgetter(0)):
         vecs = dict(fillings.vertex_vectors(diagrams.skyline(alpha)))
-        for r in descents:
+        for r, cases in itertools.groupby(by_alpha, operator.itemgetter(1)):
             sorted_vecs = dict(fillings.vertex_vectors(diagrams.skyline(perms.swap_adjacent(alpha, r))))
-            for w in all_perms(m):
-                if w.index(r) > w.index(r + 1):
-                    continue
+            for _, _, w in cases:
                 yield
                 if vecs[w] != sorted_vecs[w]:
                     return f"alpha={alpha} r={r} w={w}"
@@ -465,44 +469,37 @@ def check_recursion_chains(m: int, rng: random.Random) -> Steps:
                 return f"alpha={alpha}"
 
 
+def _newton_failure(label: str, d: Diagram, support: set, claimed: set, claim: str) -> str | None:
+    """None when the exponents ``support`` lie in the polytope of ``d`` (`member`) and
+    hold ``claimed``, which `certify_vertices` takes as its vertex set: then conv(support)
+    is that polytope.  Else the first failure, after ``label``; ``claim`` names a point."""
+    h = polytope.hrep(d)
+    for e in support:
+        if not polytope.member(h, e):
+            return f"{label}: exponent {e} outside the polytope"
+    if not claimed <= support:
+        return f"{label}: {claim} missing from the support"
+    cert = polytope.certify_vertices(h, claimed)
+    return None if cert.ok else f"{label}: {cert.failures[0]}"
+
+
+def _key_newton_failure(alpha: tuple[int, ...], predicted: set) -> str | None:
+    """`_newton_failure` of the key polynomial of alpha on its skyline, claiming ``predicted``."""
+    support = polyoracle.newton_exponents(polyoracle.key_polynomial(alpha))
+    return _newton_failure(f"alpha={alpha}", diagrams.skyline(alpha), support, predicted, "predicted vertex")
+
+
 @check("schubert-newton-polytope", scope=4)
 def check_schubert_newton(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
         yield
         d = diagrams.rothe(w)
-        h = polytope.hrep(d)
         support = polyoracle.newton_exponents(polyoracle.schubert_polynomial(w))
-        for e in support:
-            if not polytope.member(h, e):
-                return f"w={w}: exponent {e} outside the polytope"
         verts = polytope.vertices(d)
-        if not verts <= support:
-            return f"w={w}: vertex missing from the support"
-        cert = polytope.certify_vertices(h, verts)
-        if not cert.ok:
-            return f"w={w}: {cert.failures[0]}"
+        if bad := _newton_failure(f"w={w}", d, support, verts, "vertex"):
+            return bad
         if lp.hull_vertices(support, candidates=verts) != verts:
             return f"w={w}: support hull differs from the sweep"
-
-
-def _certified_key_vertices(alpha: tuple[int, ...]) -> tuple[set | None, str]:
-    """Certify the Newton polytope of the key polynomial of alpha against the
-    skyline polytope and the predicted lower interval; returns (vertex set,
-    failure message)."""
-    h = polytope.hrep(diagrams.skyline(alpha))
-    support = polyoracle.newton_exponents(polyoracle.key_polynomial(alpha))
-    predicted = set(perms.vertex_compositions(alpha))
-    for e in support:
-        if not polytope.member(h, e):
-            return None, f"alpha={alpha}: exponent {e} outside the polytope"
-    if not predicted <= support:
-        return None, f"alpha={alpha}: predicted vertex missing from the support"
-    cert = polytope.certify_vertices(h, predicted)
-    if not cert.ok:
-        return None, f"alpha={alpha}: {cert.failures[0]}"
-    # support inside the polytope + predicted = vertex set of the polytope
-    # forces conv(support) = polytope with vertex set `predicted`
-    return predicted, ""
 
 
 @check("key-newton-lower-interval", scope=4)
@@ -510,18 +507,17 @@ def check_key_newton_interval(m: int, rng: random.Random) -> Steps:
     for nn in range(1, m + 1):
         for alpha in compositions(nn, min(nn, 3)):
             yield
-            got, msg = _certified_key_vertices(alpha)
-            if got is None:
-                return msg
+            if bad := _key_newton_failure(alpha, set(perms.vertex_compositions(alpha))):
+                return bad
 
 
 @check("bruhat-interval-polytope", scope=4)
 def check_bruhat_interval_polytope(m: int, rng: random.Random) -> Steps:
     for w in all_perms(m):
         yield
-        got, msg = _certified_key_vertices(w)
-        if got is None:
-            return msg
+        got = set(perms.vertex_compositions(w))
+        if bad := _key_newton_failure(w, got):
+            return bad
         upper = {v for v in all_perms(m) if perms.bruhat_leq(w, v)}
         if got != upper:
             return f"w={w}: {sorted(got)} != {sorted(upper)}"
@@ -533,9 +529,9 @@ def check_schur_permutohedron(m: int, rng: random.Random) -> Steps:
         if list(alpha) != sorted(alpha):
             continue
         yield
-        got, msg = _certified_key_vertices(alpha)
-        if got is None:
-            return msg
+        got = set(perms.vertex_compositions(alpha))
+        if bad := _key_newton_failure(alpha, got):
+            return bad
         if got != set(itertools.permutations(perms.lambda_of(alpha))):
             return f"alpha={alpha}"
 
@@ -555,34 +551,32 @@ def check_coefficient_positivity(m: int, rng: random.Random) -> Steps:
 
 # -------------------------------------------------------- serialization
 
+def _round_trip_failure(kind: str, value, write: Callable, read: Callable) -> str | None:
+    """``kind`` and the compact document of ``value`` when writing, reading
+    and writing again changes the document, else None."""
+    doc = _compact(write(value))
+    return None if _compact(write(read(json.loads(doc)))) == doc else f"{kind} {doc}"
+
+
 @check("json-round-trip", scope=4)
 def check_json_round_trip(m: int, rng: random.Random) -> Steps:
-    def compact(doc) -> str:
-        return json.dumps(doc, separators=(",", ":"))
-
     for d in [random_diagram(rng, m) for _ in range(10)] + [diagrams.skyline((1, 0, 3))]:
         yield
-        doc = compact(diagrams.to_json_dict(d))
-        again = compact(diagrams.to_json_dict(diagrams.from_json_dict(json.loads(doc))))
-        if doc != again:
-            return f"diagram {doc}"
+        if bad := _round_trip_failure("diagram", d, diagrams.to_json_dict, diagrams.from_json_dict):
+            return bad
         yield
-        doc = compact(polytope.hrep_to_json_dict(polytope.hrep(d)))
-        again = compact(polytope.hrep_to_json_dict(polytope.hrep_from_json_dict(json.loads(doc))))
-        if doc != again:
-            return f"hrep {doc}"
+        if bad := _round_trip_failure("hrep", polytope.hrep(d), polytope.hrep_to_json_dict,
+                                      polytope.hrep_from_json_dict):
+            return bad
         yield
-        doc = compact(polytope.vertex_set_to_json_dict(polytope.vertices(d)))
-        again = compact(polytope.vertex_set_to_json_dict(
-            polytope.vertex_set_from_json_dict(json.loads(doc))))
-        if doc != again:
-            return f"vertex set {doc}"
+        if bad := _round_trip_failure("vertex set", polytope.vertices(d), polytope.vertex_set_to_json_dict,
+                                      polytope.vertex_set_from_json_dict):
+            return bad
     for w in all_perms(min(m, 3)):
         yield
-        doc = compact(polyoracle.poly_to_json_dict(polyoracle.schubert_polynomial(w)))
-        again = compact(polyoracle.poly_to_json_dict(polyoracle.poly_from_json_dict(json.loads(doc))))
-        if doc != again:
-            return f"polynomial {doc}"
+        if bad := _round_trip_failure("polynomial", polyoracle.schubert_polynomial(w),
+                                      polyoracle.poly_to_json_dict, polyoracle.poly_from_json_dict):
+            return bad
 
 
 # --------------------------------------------------------------- runner

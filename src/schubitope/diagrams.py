@@ -35,9 +35,9 @@ Box = tuple[int, int]
 
 
 def is_int(x) -> bool:
-    """Whether x is an integer other than a bool: True and False pass
-    isinstance(x, int), but are never a size, a coordinate or a bound."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Whether x is exactly an int: a subclass of int, such as bool or an
+    IntEnum, is never a size, a coordinate or a bound."""
+    return type(x) is int
 
 
 def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:

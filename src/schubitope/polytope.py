@@ -515,15 +515,20 @@ class Certification(Value):
     ``failures`` holds one human-readable witness per defect: one per
     claimed point that is no vertex, in sorted order, then one per vertex
     missing from the claim; empty means the claimed points are exactly the
-    vertex set.  ``points`` counts the distinct claimed points.  ``method``
-    names how the polytope's own vertices were enumerated; it is always
-    ``"greedy"`` and is kept so that recorded outcomes stay comparable.
+    vertex set, and ``ok`` says so.  ``points`` counts the distinct claimed
+    points.  The class constant ``method`` names how the polytope's own
+    vertices are enumerated; it is kept so recorded outcomes stay comparable.
     """
 
-    _fields = ("ok", "method", "points", "failures")
+    _fields = ("points", "failures")
+    method = "greedy"
 
-    def __init__(self, ok: bool, method: str, points: int, failures: tuple[str, ...]):
-        self.__dict__.update(ok=ok, method=method, points=points, failures=failures)
+    def __init__(self, points: int, failures: tuple[str, ...]):
+        self.__dict__.update(points=points, failures=failures)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def _is_submodular(table: Sequence[int], n: int) -> bool:
@@ -578,7 +583,7 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
                         f"claimed vertex {p} is not a vertex: it lies in the polytope, but its tight rows have rank below {h.n}")
     missing = sorted((_first_order(h.table, v, h.n), v) for v in greedy - claimed)
     failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set" for w, v in missing]
-    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
+    return Certification(points=len(claimed), failures=tuple(failures))
 
 
 def hrep_to_json_dict(h: HRep) -> dict:

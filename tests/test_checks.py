@@ -67,6 +67,18 @@ def test_raising_check_fails_alone(monkeypatch):
     assert [r.ok for r in checks.run_all(2, jobs=1)].count(False) == 1
 
 
+def test_every_mutant_applies_once():
+    # tools/mutants.py runs the slow half: each mutant's target fails
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.stale() == []
+    assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS)
+    root = pathlib.Path(tool.ROOT)
+    assert all((root / target).is_file() for m in tool.MUTANTS for target in m.target.split())
+
+
 def test_traced_names_exist():
     # perfbench/tracing.py wraps these by name; a missing one breaks traced benchmark runs
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -192,6 +204,21 @@ def test_vertex_vectors_fault_caught(monkeypatch, name, counterexample):
     assert run_check(name, 4, seed=0) == CheckResult(name, instances, counterexample)
 
 
+def test_stability_compares_with_the_sorted_skyline(monkeypatch):
+    # one wrong vector on the skyline of (0, 0, 1, 0) alone: the check meets
+    # it only by sorting position 3 of (0, 0, 0, 1), and walks it again as an
+    # alpha of its own, where both sides of the comparison are wrong alike
+    walk, target = fillings.vertex_vectors, diagrams.skyline((0, 0, 1, 0))
+
+    def faulty(d):
+        for w, x in walk(d):
+            yield w, ((x[0] + 1, *x[1:]) if d == target and w == (1, 2, 3, 4) else x)
+
+    monkeypatch.setattr(fillings, "vertex_vectors", faulty)
+    assert run_check("vertex-swap-stability", 4, seed=0) == CheckResult(
+        "vertex-swap-stability", 1, "alpha=(0, 0, 0, 1) r=3 w=(1, 2, 3, 4)")
+
+
 # Each fault reaches a counterexample of a polytope or Newton check that no
 # passing run returns, pinned at `verify --n 2 --seed 0`, where they are
 # short.  A fault is a function of the library function it replaces.
@@ -243,6 +270,91 @@ NEWTON_FAULTS = [
 @pytest.mark.parametrize("name, module, attr, fault, instances, counterexample", NEWTON_FAULTS,
                          ids=[f"{case[0]}-{case[2]}" for case in NEWTON_FAULTS])
 def test_polytope_and_newton_faults_caught(monkeypatch, name, module, attr, fault, instances, counterexample):
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    assert run_check(name, 2, seed=0) == CheckResult(name, instances, counterexample)
+
+
+def negated(f):
+    return lambda *args: -f(*args)
+
+
+class Standardized(dict):
+    """A filling as the faulty `standardize` below returns it."""
+
+
+def empties_own_output(standardize):
+    # right on every filling but one it has already standardized, which it empties
+    return lambda rows, f: {} if isinstance(f, Standardized) else Standardized(standardize(rows, f))
+
+
+def mixes_indices(dd):
+    # right on every polynomial but one that an operator of another index
+    # made, where it adds the constant i; the braid relation alone mixes indices
+    made = []
+
+    def faulty(g, i):
+        out = dd(g, i)
+        if any(g is old and j != i for old, j in made):
+            out = out + polyoracle.Polynomial(g.n, {(0,) * g.n: i})
+        made.append((out, i))
+        return out
+    return faulty
+
+
+# Each fault reaches one counterexample line of the rank, order, filling,
+# operator and coefficient checks, pinned at `verify --n 2 --seed 0`.
+CHECK_FAULTS = [
+    ("search", "w-of-shortest-sort", oracles, "shortest_sorting_perms", lambda search: lambda a: [],
+     1, "alpha=(0,) w_of=(1,) search=[]"),
+    ("action", "w-of-shortest-sort", perms, "lambda_of", lambda lam: lambda a: lam(a)[::-1],
+     6, "alpha=(0, 1): action mismatch"),
+    ("leq", "bruhat-subword-oracle", perms, "bruhat_leq", lambda leq: lambda u, w: not leq(u, w),
+     1, "u=(1,) w=(1,)"),
+    ("leq", "composition-order-swap-oracle", perms, "composition_leq", lambda leq: lambda b, a: not leq(b, a),
+     1, "beta=(0,) alpha=(0,)"),
+    ("swap", "lower-interval-recursion", perms, "vertex_compositions", lambda below: lambda a: [tuple(a)],
+     1, "alpha=(0, 1) r=1"),
+    ("interval", "lower-interval-chain-independence", oracles, "vertex_compositions_recursive",
+     lambda rec: lambda a, pick=min: rec(a, pick) | {(9,) * len(a)}, 1, "alpha=(0,)"),
+    ("sort", "lower-interval-chain-independence", oracles, "w_of_recursive",
+     lambda rec: lambda a: (rec(a)[0], rec(a)[1] + (1,)), 1, "alpha=(0,): recursive sort mismatch"),
+    ("length", "rothe-box-count", perms, "length", lambda length: lambda w: length(w) + 1, 1, "w=(1,)"),
+    ("order", "fill-order-independence", fillings, "fill_column",
+     lambda fill: lambda rows, values: fill(rows, values) if list(values) == sorted(values) else {},
+     10, "C=[1] order=(2, 1)"),
+    ("flag", "fill-flag-strict", fillings, "fill_diagram", lambda fill: lambda d, w: {**fill(d, w), (1, 1): 2},
+     1, 'D={"n":2,"boxes":[[1,1],[1,2]]} w=(1, 2): value 2 in row 1'),
+    ("strict", "fill-flag-strict", fillings, "fill_diagram", lambda fill: lambda d, w: {(1, 1): 1, (2, 1): 1},
+     1, 'D={"n":2,"boxes":[[1,1],[1,2]]} w=(1, 2): column 1 repeats a value'),
+    ("lost", "sort-standardize", fillings, "standardize", lambda std: lambda rows, f: {},
+     14, "standardize({1: 1}) lost entries: {}"),
+    ("idempotent", "sort-standardize", fillings, "standardize", empties_own_output,
+     14, "standardize not idempotent on {1: 1}"),
+    ("step", "rank-monotone-step", fillings, "rank_filling", lambda rank: lambda rows, s: 2 * rank(rows, s),
+     5, "C=[1] S=[1] drop 1: step 2"),
+    ("prefix", "greedy-prefix-tight", fillings, "vertex_vector",
+     lambda vv: lambda d, w: (vv(d, w)[0] + 1, *vv(d, w)[1:]),
+     1, 'D={"n":2,"boxes":[[2,1],[2,2]]} w=(1, 2) prefix=[1]'),
+    ("square", "operator-relations", polyoracle, "divided_difference", lambda dd: lambda f, i: f,
+     1, "dd^2 != 0 on {(2, 0, 3): 1}"),
+    ("demazure", "operator-relations", polyoracle, "demazure", lambda pi: lambda f, i: pi(f, i) + pi(f, i),
+     1, "demazure not idempotent on {(2, 0, 3): 1}"),
+    ("division", "operator-relations", polyoracle, "swap_variables", lambda swap: lambda f, i: f,
+     1, "division identity fails on {(2, 0, 3): 1}"),
+    ("braid", "operator-relations", polyoracle, "divided_difference", mixes_indices,
+     3, "braid fails on {(2, 0, 3): 1}"),
+    # the recursion reaches S_(1,2) from S_(2,1) through the negated
+    # oracle, so the sign cancels there and S_(2,1) fails first
+    ("schubert", "recursion-chain-independence", oracles, "schubert_by_last_ascent", negated, 2, "w=(2, 1)"),
+    ("key", "recursion-chain-independence", oracles, "key_by_last_ascent", negated, 3, "alpha=(0,)"),
+    ("schubert", "coefficient-positivity", polyoracle, "schubert_polynomial", negated, 1, "w=(1, 2)"),
+    ("key", "coefficient-positivity", polyoracle, "key_polynomial", negated, 3, "alpha=(0,)"),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, fault, instances, counterexample",
+                         [case[1:] for case in CHECK_FAULTS], ids=[f"{case[1]}-{case[0]}" for case in CHECK_FAULTS])
+def test_check_faults_caught(monkeypatch, name, module, attr, fault, instances, counterexample):
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     assert run_check(name, 2, seed=0) == CheckResult(name, instances, counterexample)
 

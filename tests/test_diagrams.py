@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import pickle
@@ -38,6 +39,9 @@ class TestDiagram:
             Diagram(3, {(1.9, 1)})
         with pytest.raises(ValueError, match=r"box \('3', 2\) has a non-integer coordinate"):
             Diagram(3, {("3", 2)})
+        # exactly int, as subsets and points are checked: no subclass of it
+        with pytest.raises(ValueError, match=r"^box \(<One\.A: 1>, 1\) has a non-integer coordinate$"):
+            Diagram(3, {(enum.IntEnum("One", "A").A, 1)})
         # an unhashable coordinate is named the same, hashable box or not
         for boxes, shown in (({(1, (2,))}, "(1, (2,))"), ([(2, [2])], "(2, [2])"),
                              ([(2, 2), [(1,), 2]], "((1,), 2)")):

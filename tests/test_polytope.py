@@ -1,3 +1,4 @@
+import enum
 import functools
 import itertools
 import json
@@ -236,6 +237,12 @@ class TestHRep:
             HRep(2, 1, (False, 0, 0, 1))
         with pytest.raises(ValueError, match=r"subset \[True\] must be a list of integers"):
             hrep_from_json_dict({"n": 2, "total": 1, "bounds": [{"S": [True], "b": 1}, {"S": [2], "b": 0}]})
+        # nor any other subclass of int
+        one = enum.IntEnum("One", "A").A
+        with pytest.raises(ValueError, match=r"^bound for \[1\] must be a non-negative integer, got <One\.A: 1>$"):
+            HRep(2, 1, (0, one, 0, 1))
+        with pytest.raises(ValueError, match=r"^total must be an integer, got <One\.A: 1>$"):
+            HRep(1, one, (0, 1))
 
     def test_column_table_matches_per_subset_scan(self):
         # every row set against every subset, n <= 6, at both slot widths:
@@ -707,8 +714,10 @@ class TestCertify:
 
     def test_is_frozen(self):
         cert = certify_vertices(hrep(TRAPEZOID), TRAPEZOID_VERTICES)
-        assert_frozen(cert, "Certification(ok=True, method='greedy', points=4, failures=())",
+        assert_frozen(cert, "Certification(points=4, failures=())",
                       ok=False, method="walk", points=0, failures=("forged",))
+        # ok is decided by the failures alone, and method is the class's
+        assert not Certification(4, ("x",)).ok and Certification.method == cert.method == "greedy"
 
     def test_segment_passes(self):
         h = hrep(Diagram(2, frozenset({(2, 1)})))
@@ -1078,7 +1087,7 @@ def certification_by_references(h, claim):
                             f"but its tight rows have rank below {n}")
     failures += [f"vertex {v} (greedy order {w}) is missing from the claimed set"
                  for v, w in first_orders(h.table, n).items() if v not in claimed]
-    return Certification(ok=not failures, method="greedy", points=len(claimed), failures=tuple(failures))
+    return Certification(points=len(claimed), failures=tuple(failures))
 
 
 @functools.lru_cache(maxsize=1)

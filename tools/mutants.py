@@ -1,0 +1,173 @@
+"""Mutation runs: each fast path's tests must catch a deliberate bug in it.
+
+    python3 tools/mutants.py
+
+Each entry of MUTANTS names a module of `src/schubitope`, a text that must
+occur in it exactly once, the text that replaces it, and the pytest target
+that should then fail.  The script copies the repository (without `.git`
+and caches) to a temporary directory, then applies one mutant at a time
+there, runs `python -m pytest -x -q TARGET` with that copy's `src` on the
+import path, restores the file, and prints
+
+    KILLED    seconds  name
+    SURVIVED  seconds  name
+
+A target that runs past TIMEOUT seconds counts as killed, since it did not
+pass.  The exit status is 1 when a mutant survives or when an old text does
+not occur exactly once in its module, which is checked for every mutant
+before any runs, so that the list cannot go stale unseen; else 0.  It uses
+the standard library only, takes no arguments and changes nothing in
+the repository.  A
+mutant that survives is a gap in a test: close it with a stronger test.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name in src/schubitope
+    old: str
+    new: str
+    target: str  # pytest arguments, space-separated
+
+
+MUTANTS = [
+    # the fast paths that have an oracle
+    Mutant("_placements keeps the boxes it fills free", "fillings.py",
+           "        cols ^= p\n        placed.append(p)\n", "        placed.append(p)\n",
+           "tests/test_fillings.py"),
+    Mutant("vertex_vectors keeps no fill state", "fillings.py",
+           "            states[k + 1] = cols\n", "",
+           "tests/test_fillings.py"),
+    Mutant("_theta_counts adds every subset row", "polytope.py",
+           "q += low ^ box", "q += low",
+           "tests/test_polytope.py"),
+    Mutant("_deficits adds no subset row", "polytope.py",
+           "q |= (q + one) << (w << i)", "q |= q << (w << i)",
+           "tests/test_polytope.py"),
+    Mutant("_slack adds the coordinates", "polytope.py",
+           "sums |= (sums - x * ones) << shift", "sums |= (sums + x * ones) << shift",
+           "tests/test_polytope.py"),
+    Mutant("_slack's slots one bit narrower", "polytope.py",
+           "while span >> (w - 2):", "while span >> (w - 1):",
+           "tests/test_polytope.py"),
+    Mutant("_greedy_vectors' 8-bit slots hold a span of 128", "polytope.py",
+           "k = (max(table) - min(table)).bit_length() // 8 + 1",
+           "k = (max(table) - min(table) - 1).bit_length() // 8 + 1",
+           "tests/test_polytope.py"),
+    Mutant("_decoded without the XOR", "polytope.py",
+           "(v ^ flip).to_bytes(size, order)", "v.to_bytes(size, order)",
+           "tests/test_polytope.py"),
+    Mutant("_first_order takes the largest tight step", "polytope.py",
+           "        for k in range(n):\n            bit = 1 << k\n",
+           "        for k in reversed(range(n)):\n            bit = 1 << k\n",
+           "tests/test_polytope.py"),
+    Mutant("composition_leq with its arguments swapped", "perms.py",
+           "return sb == sa and _bruhat_leq(a, b)", "return sb == sa and _bruhat_leq(b, a)",
+           "tests/test_perms.py"),
+    Mutant("solve_nonnegative never infeasible", "lp.py",
+           "if cost[-1] != 0:", "if cost[-1] > 0:",
+           "tests/test_lp.py"),
+    Mutant("is_int takes a subclass of int", "diagrams.py",
+           "return type(x) is int", "return isinstance(x, int)",
+           "tests/test_diagrams.py tests/test_polytope.py"),
+    Mutant("Certification always ok", "polytope.py",
+           "        return not self.failures\n", "        return True\n",
+           "tests/test_polytope.py"),
+    # the shared routines of the verify checks
+    Mutant("_newton_failure without the subset test", "checks.py",
+           "    if not claimed <= support:\n        return f\"{label}: {claim} missing from the support\"\n", "",
+           "tests/test_checks.py"),
+    Mutant("_newton_failure without the member test", "checks.py",
+           "        if not polytope.member(h, e):\n", "        if False:\n",
+           "tests/test_checks.py"),
+    Mutant("_newton_failure ignores the certificate", "checks.py",
+           "return None if cert.ok else", "return None if True else",
+           "tests/test_checks.py"),
+    Mutant("_key_newton_failure names no predicted vertex", "checks.py",
+           'predicted, "predicted vertex")', 'predicted, "vertex")',
+           "tests/test_checks.py"),
+    Mutant("_swap_cases without its r-before-r+1 filter", "checks.py",
+           "                if w.index(r) < w.index(r + 1):\n                    yield alpha, r, w\n",
+           "                yield alpha, r, w\n",
+           "tests/test_checks.py"),
+    Mutant("vertex-swap-stability walks alpha itself", "checks.py",
+           "diagrams.skyline(perms.swap_adjacent(alpha, r))", "diagrams.skyline(alpha)",
+           "tests/test_checks.py"),
+    Mutant("_round_trip_failure skips the read", "checks.py",
+           "_compact(write(read(json.loads(doc))))", "_compact(write(value))",
+           "tests/test_checks.py"),
+    Mutant("_basis_vectors drops the last coordinate", "checks.py",
+           "for i in range(1, n + 1)) for b in", "for i in range(1, n)) for b in",
+           "tests/test_checks.py"),
+    Mutant("_compact writes spaces", "checks.py",
+           'json.dumps(doc, separators=(",", ":"))', "json.dumps(doc)",
+           "tests/test_checks.py"),
+]
+
+
+def source(module: str, root: str = ROOT) -> str:
+    with open(os.path.join(root, "src", "schubitope", module), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def stale() -> list[str]:
+    """One line per mutant whose old text does not occur exactly once in its module."""
+    bad = []
+    for m in MUTANTS:
+        count = source(m.module).count(m.old)
+        if count != 1:
+            bad.append(f"{m.name}: old text occurs {count} times in {m.module}")
+    return bad
+
+
+def run(m: Mutant, tree: str) -> tuple[bool, float]:
+    """Whether the target failed under the mutant, and the seconds it took."""
+    path = os.path.join(tree, "src", "schubitope", m.module)
+    original = source(m.module, tree)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(original.replace(m.old, m.new))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *m.target.split()], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+        killed = done.returncode != 0
+    except subprocess.TimeoutExpired:
+        killed = True
+    finally:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(original)
+    return killed, time.perf_counter() - start
+
+
+def main() -> int:
+    if bad := stale():
+        print("\n".join(bad))
+        return 1
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree")
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+        for m in MUTANTS:
+            killed, seconds = run(m, tree)
+            survived += not killed
+            print(f"{'KILLED' if killed else 'SURVIVED':9} {seconds:6.1f} s  {m.name}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return int(survived > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
