@@ -32,10 +32,15 @@ operations (`_slack`); the point's denominators are cleared once, so the
 sums stay integers, and the slots are as wide as the bounds and
 coordinates need.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
-table.  A greedy vector depends only on its chain of prefix masks, so one
-enumeration over the masks in increasing order, each holding the partial
-vectors its prefix orders reach, lists them without the n! orders.  Each
-mask's free elements come from a table cached per n (`_moves`).  A partial
+table.  A greedy vector depends only on its chain of prefix masks, so an
+enumeration over the masks in increasing popcount, each holding the
+partial vectors its prefix orders reach, lists them without the n! orders
+(`_reach`).  From n = 6 on it stops at the middle layer and meets a second
+one, run from the full set down on the dual table: every order passes
+through one prefix S of n // 2 elements, and its greedy vector is that of
+the restriction to S beside that of the contraction by S, read off the
+dual.  Each mask's free elements come from a table cached per n, masks
+grouped by popcount (`_moves`).  A partial
 vector is one int with a slot of 1, 2, 4 or 8 whole bytes per coordinate,
 the fewest whose top bit exceeds the table's span, holding its increment
 plus that top bit; XOR with the top bits turns each slot into the
@@ -64,7 +69,7 @@ from .perms import check_permutation
 STAR = "★"
 
 HREP_CAP = 18        # 2^n - 2 stored inequalities
-SWEEP_CAP = 10       # greedy-vector enumeration over all prefix masks, behind `vertices` and `certify_vertices`
+SWEEP_CAP = 10       # greedy-vector enumeration by prefix mask, behind `vertices` and `certify_vertices`
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
 _CHUNK = 1024        # greedy vectors decoded per bulk cast, so no list holds every coordinate
@@ -383,15 +388,23 @@ def edmonds_vertex(table: Sequence[int], w: Sequence[int]) -> tuple:
 
 
 @functools.cache
-def _moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each mask below 2^n - 1, the pairs (mask | 1 << k, slot) of its
-    free elements k + 1, k increasing.  The slot is k on a little-endian
-    machine and n - 1 - k on a big-endian one, so that a packed vector's
-    bytes in native order list its coordinates in order.  At n = 10 this is
-    5,120 pairs."""
+def _moves(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Each mask below 2^n - 1 with the pairs (mask | 1 << k, slot) of its
+    free elements k + 1, k increasing, the masks in increasing popcount and
+    increasing within one popcount, so the masks of fewer than j elements
+    are the first `_below(n, j)` entries and those of exactly j the slice
+    after them.  The slot is k on a little-endian machine and n - 1 - k on a
+    big-endian one, so that a packed vector's bytes in native order list
+    its coordinates in order.  At n = 10 this is 1,023 masks and 5,120
+    pairs."""
     slots = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
-    return tuple(tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1)
-                 for mask in range(2 ** n - 1))
+    return tuple((mask, tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1))
+                 for mask in sorted(range(2 ** n - 1), key=int.bit_count))
+
+
+def _below(n: int, j: int) -> int:
+    """The number of masks of [n] with fewer than j elements."""
+    return sum(math.comb(n, i) for i in range(j))
 
 
 @functools.cache
@@ -420,34 +433,21 @@ def _decoded(vectors: Iterable[int], n: int, k: int) -> Iterator[tuple[int, ...]
         yield from zip(*[iter(flat)] * n)
 
 
-def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
-    """Every greedy vector of the integer table over the full symmetric
-    group, without running the n! orders.
+def _reach(table: Sequence[int], n: int, depth: int, bits: int) -> list:
+    """For each mask of `depth` elements, the set of partial vectors its
+    prefix orders reach on the table, as packed ints of `bits`-bit slots,
+    each slot written holding its increment plus 2^(bits - 1); other
+    entries are None.
 
-    A greedy vector depends only on the chain of prefix masks, so the masks
-    are visited in increasing order, each holding the set of partial
-    vectors its prefix orders reach; every mask minus one bit is smaller,
-    so that set is complete before the mask is expanded.  Expanding mask to
-    each mask | 1 << k (`_moves`) adds the same shifted constant to every
-    vector of the set.  A partial vector is one int with a slot of k whole
-    bytes per coordinate.  Every increment lies in [-span, span], where
-    span = max(table) - min(table), and k is the smallest of 1, 2, 4 and 8
-    bytes with span < 2^(8k - 1), or the fewest bytes past 8; a slot holds
-    its increment plus off = 2^(8k - 1), between 1 and 2^(8k) - 1.  Each
-    coordinate is written once into a slot that reads 0, so no slot carries
-    into or borrows from the next, and the final vectors decode in bulk
-    (`_decoded`).  With one order or none there is one greedy vector, read
-    off directly."""
-    if n <= 1:
-        return frozenset({(table[1] - table[0],) if n else ()})
-    k = (max(table) - min(table)).bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
-    if k <= 8:
-        k = 1 << (k - 1).bit_length()
-    bits = 8 * k
+    The masks are expanded in increasing popcount (`_moves`); every mask
+    minus one bit comes earlier, so a mask's set is complete before it is
+    expanded, and it is dropped then.  Expanding mask to mask | 1 << k adds
+    the same shifted constant to every vector of the set."""
     off = 1 << (bits - 1)
     reach: list = [None] * 2 ** n
     reach[0] = {0}
-    for mask, free in enumerate(_moves(n)):
+    moves = _moves(n)   # a full pass takes no cut: at n <= 5 the tables are many and cheap
+    for mask, free in moves if depth == n else moves[:_below(n, depth)]:
         cur, reach[mask] = reach[mask], None
         base = table[mask] - off
         for nxt, slot in free:
@@ -457,7 +457,60 @@ def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
                 reach[nxt] = set(map(add.__add__, cur))
             else:
                 got.update(map(add.__add__, cur))
-    return frozenset(_decoded(reach[-1], n, k))
+    return reach
+
+
+def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
+    """Every greedy vector of the integer table over the full symmetric
+    group, without running the n! orders.
+
+    A greedy vector depends only on the chain of prefix masks, so the
+    vectors are enumerated by prefix mask (`_reach`).  Below n = 6 one pass
+    runs from the empty set to the full set N.  From n = 6 on it stops at
+    the middle layer h = n // 2 and meets a pass run from the other end.
+    Every order passes through exactly one prefix S with |S| = h.  Its
+    first h coordinates are the greedy vector of the restriction f|S along
+    its first h elements, and the others that of the contraction f/S,
+    T -> f(S + T) - f(S), along the rest; and each order of S followed by
+    one of N - S is an order of N.  So the greedy vectors are the sums
+    a + b, over the sets S with |S| = h, of a greedy vector a of f|S and a
+    greedy vector b of f/S.  Every coordinate on either side is a
+    difference of f on two nested prefixes of one order, and no step
+    compares two values of f, so this holds for any table, submodular or
+    not.  The contraction's greedy vector along an order of N - S is the
+    greedy vector of the dual table g(C) = f(N) - f(N - C) along the
+    reverse order, since g(C + k) - g(C) = f(N - C) - f(N - C - k); so the
+    pass on g up to layer n - h reaches at N - S exactly the vectors b.  A
+    vector reached through several middle sets is kept once.  Below n = 6
+    the dual, its pass and the join cost more than the shorter passes save
+    (measured on theta tables at n = 4 and 5).
+
+    A partial vector is one int with a slot of k whole bytes per
+    coordinate.  Every increment of f, and so of g, lies in [-span, span],
+    where span = max(table) - min(table), and k is the smallest of 1, 2, 4
+    and 8 bytes with span < 2^(8k - 1), or the fewest bytes past 8; a slot
+    holds its increment plus off = 2^(8k - 1), between 1 and 2^(8k) - 1.
+    Each coordinate is written once, by one pass or the other, into a slot
+    that reads 0, so no slot carries into or borrows from the next, the
+    join is plain addition, and the final vectors decode in bulk
+    (`_decoded`).  With one order or none there is one greedy vector, read
+    off directly."""
+    if n <= 1:
+        return frozenset({(table[1] - table[0],) if n else ()})
+    k = (max(table) - min(table)).bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
+    if k <= 8:
+        k = 1 << (k - 1).bit_length()
+    bits = 8 * k
+    if n < 6:
+        vectors = _reach(table, n, n, bits)[-1]
+    else:
+        h = n // 2
+        up = _reach(table, n, h, bits)
+        down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits)
+        full = 2 ** n - 1
+        vectors = {a + b for mask, _ in _moves(n)[_below(n, h):_below(n, h + 1)]
+                   for a in up[mask] for b in down[full ^ mask]}
+    return frozenset(_decoded(vectors, n, k))
 
 
 @functools.lru_cache(maxsize=1)
@@ -498,8 +551,9 @@ def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, .
 
 def vertices(d: Diagram) -> set[tuple[int, ...]]:
     """All distinct greedy vectors of the diagram's bound table over the full
-    symmetric group, enumerated by prefix mask (`_greedy_vectors`) through
-    the one-entry memo `_vertex_set`; each call returns a fresh set.
+    symmetric group, enumerated by prefix mask from both ends and joined at
+    the middle layer (`_greedy_vectors`), through the one-entry memo
+    `_vertex_set`; each call returns a fresh set.
 
     >>> sorted(vertices(Diagram(3, {(1, 1), (3, 1), (3, 2), (3, 3)})))
     [(1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]

@@ -2,6 +2,7 @@ import enum
 import functools
 import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from conftest import (
 from schubitope import Diagram, lp, oracles, polytope
 from schubitope.checks import random_diagram
 from schubitope.diagrams import rothe, skyline
-from schubitope.fillings import rank_diagram, vertex_vector
+from schubitope.fillings import rank_diagram, vertex_vector, vertex_vectors
 from schubitope.lp import convex_combination
 from schubitope.oracles import (
     _column_theta,
@@ -683,6 +684,15 @@ class TestVertices:
         d = rothe((2, 1, 4, 3, 6, 5, 8, 7, 10, 9))
         assert len(vertices(d)) == 81
 
+    def test_matches_the_filling_walk_past_the_oracle_cap(self):
+        # the one oracle run above the n! sweeps' cap: the paper's greedy
+        # fillings along all 9! orders, against the enumeration joined at the
+        # middle layer
+        d = random_diagram(random.Random(9), 9)
+        verts = vertices(d)
+        assert len(verts) == 12488
+        assert verts == {x for _, x in vertex_vectors(d)}
+
     def test_vertices_past_the_oracle_cap_are_tight_members(self):
         d = random_diagram_with_density(random.Random(95), 9, 0.2)
         h, verts = hrep(d), vertices(d)
@@ -906,8 +916,10 @@ class TestGreedyVectors:
     def spanning_tables(rng, n, lo, span):
         """Random tables over [lo, lo + span] that hold lo and lo + span, the
         second also as a step of +span (mask 0 to {1}) and a step of -span
-        (mask {2} to {1, 2}), the widest increments a table of that span has."""
-        for _ in range(3):
+        (mask {2} to {1, 2}), the widest increments a table of that span has:
+        three below n = 7, where the sweep is cheap, and one at n = 7, whose
+        vectors are joined from both ends."""
+        for _ in range(3 if n < 7 else 1):
             table = [rng.randint(lo, lo + span) for _ in range(2 ** n)]
             table[0] = lo
             table[-1] = lo + span
@@ -921,7 +933,7 @@ class TestGreedyVectors:
         # per-coordinate path past 8 bytes, and the +span step overflows a
         # slot one width too narrow
         rng = random.Random(44)
-        for n in range(7):
+        for n in range(8):
             for bits in (7, 15, 31, 63):
                 for span in (2 ** bits - 1, 2 ** bits):
                     for lo in (0, -span):
@@ -930,11 +942,28 @@ class TestGreedyVectors:
 
     def test_bounds_of_two_to_the_seventy(self):
         rng = random.Random(45)
-        for n in range(7):
+        for n in range(8):
             for table in self.spanning_tables(rng, n, -2 ** 70, 2 ** 71):
                 vectors = _greedy_vectors(table, n)
                 assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
                 assert n < 2 or {-2 ** 71, 2 ** 71} <= {c for v in vectors for c in v}
+
+    def test_joins_that_repeat_vectors(self):
+        # from n = 6 on, every vector is a sum of a vector reached at a middle
+        # set S and one reached from the other end at its complement: a
+        # modular table's one vector is reached through every S, and a direct
+        # sum's vectors, each a pair of its blocks' vectors, through many
+        rng = random.Random(47)
+        for n in (6, 7):
+            c = [rng.randint(-9, 9) for _ in range(n)]
+            modular = [sum(x for i, x in enumerate(c) if mask >> i & 1) for mask in range(2 ** n)]
+            assert _greedy_vectors(modular, n) == {tuple(c)} == greedy_vectors_by_sweep(modular, n)
+            block = sum(1 << i for i in range(0, n, 2))     # elements 1, 3, 5, ...; the rest is the other block
+            f, g = ([rng.randint(-50, 50) for _ in range(2 ** n)] for _ in range(2))
+            table = [f[mask & block] + g[mask & ~block] for mask in range(2 ** n)]
+            vectors = _greedy_vectors(table, n)
+            assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
+            assert len(vectors) < math.factorial(n) // 10, (n, len(vectors))
 
     def test_more_vectors_than_a_decode_chunk(self):
         # a random table at n = 7 has a greedy vector per order, 5,040 in all

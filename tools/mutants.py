@@ -66,6 +66,15 @@ MUTANTS = [
            "k = (max(table) - min(table)).bit_length() // 8 + 1",
            "k = (max(table) - min(table) - 1).bit_length() // 8 + 1",
            "tests/test_polytope.py"),
+    Mutant("_greedy_vectors' dual table not reversed", "polytope.py",
+           "[table[-1] - x for x in reversed(table)]", "[table[-1] - x for x in table]",
+           "tests/test_polytope.py"),
+    Mutant("_greedy_vectors joins each middle set with itself", "polytope.py",
+           "for b in down[full ^ mask]", "for b in down[mask]",
+           "tests/test_polytope.py"),
+    Mutant("_moves in mask order, not by popcount", "polytope.py",
+           "for mask in sorted(range(2 ** n - 1), key=int.bit_count))", "for mask in range(2 ** n - 1))",
+           "tests/test_polytope.py"),
     Mutant("_decoded without the XOR", "polytope.py",
            "(v ^ flip).to_bytes(size, order)", "v.to_bytes(size, order)",
            "tests/test_polytope.py"),
