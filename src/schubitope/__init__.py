@@ -9,17 +9,6 @@ rational arithmetic.
 """
 
 from .diagrams import Diagram, rothe, skyline
-from .fillings import (
-    fill_column,
-    fill_diagram,
-    rank_columns,
-    rank_diagram,
-    rank_filling,
-    sort_filling,
-    standardize,
-    vertex_vector,
-    vertex_vectors,
-)
 from .lp import convex_combination, hull_vertices
 from .perms import (
     act,
@@ -97,12 +86,26 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # the reference ranks and the Gale-order basis enumeration live in
-    # `oracles`, loaded on first use: compiling `oracles` in every cold
-    # `import schubitope` made that import 5-12% slower
-    if name in ("rank_brute", "rank_max_filling", "schubert_matroid_bases"):
-        from . import oracles
+# exported names whose module loads on first use, and that module.  The
+# reference ranks and the Gale-order basis enumeration live in `oracles`:
+# compiling it in every cold `import schubitope` made that import 5-12%
+# slower.  No library path calls the greedy fillings, and `fillings` took
+# about 3 ms of a cold import to compile.
+_LAZY = {
+    **dict.fromkeys(("rank_brute", "rank_max_filling", "schubert_matroid_bases"), "oracles"),
+    **dict.fromkeys(("fill_column", "fill_diagram", "rank_columns", "rank_diagram", "rank_filling",
+                     "sort_filling", "standardize", "vertex_vector", "vertex_vectors"), "fillings"),
+}
 
-        return getattr(oracles, name)
+
+def __getattr__(name: str):
+    # `schubitope.fillings` and the names of `_LAZY`, each read from its
+    # module on every use, so a name rebound there is seen here; the import
+    # system, not `from . import`, loads the module, since `from . import`
+    # asks this function for the module and would recurse
+    if name == "fillings" or name in _LAZY:
+        import importlib
+
+        module = importlib.import_module(f"{__name__}.{_LAZY.get(name, name)}")
+        return module if name == "fillings" else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,11 +7,15 @@ with ``@check(name, scope=k)``: ``scope`` is the largest size it sweeps.
 ``random.Random(f"{seed}:{name}")``.  The check yields once per instance,
 just before comparing it, and on the first mismatch returns a
 reproducible counterexample string; `run_check` counts the yields, times
-the run and builds the `CheckResult`, also when the check raises.  `verify --n`
+the run and builds the `CheckResult`, also when the check raises.  A check
+that sweeps size ``least`` even when m is smaller, as a fixed 3 x 3
+example does, registers it with ``least=``, and its result reports the
+scope it ran, ``max(m, least)``.  `verify --n`
 accepts 1..`largest_scope()`, the largest registered scope, since a
 larger n would sweep nothing more.
 Checks only read shared immutable values, so they can run in a process
-pool; results are always assembled in registry order.
+pool; results are always assembled in registry order.  The pool's module,
+slow to import, loads only when more than one worker runs.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ import os
 import random
 import time
 from collections.abc import Callable, Generator, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 from . import diagrams, fillings, lp, oracles, perms, polyoracle, polytope
 from .diagrams import Diagram, Value
@@ -50,12 +53,15 @@ class CheckResult(Value, compare=("name", "instances", "counterexample")):
 
 
 _REGISTRY: dict[str, tuple[int, Callable[[int, random.Random], Steps]]] = {}
+_LEAST: dict[str, int] = {}
 
 
-def check(name: str, scope: int):
-    """Register a check body under ``name``; it sweeps sizes up to ``scope``."""
+def check(name: str, scope: int, least: int = 1):
+    """Register a check body under ``name``; it sweeps sizes up to ``scope``,
+    and size ``least`` at every n."""
     def register(body: Callable[[int, random.Random], Steps]):
         _REGISTRY[name] = (scope, body)
+        _LEAST[name] = least
         return body
     return register
 
@@ -431,9 +437,9 @@ def _random_polynomial(rng: random.Random, nvars: int) -> polyoracle.Polynomial:
     return polyoracle.Polynomial(nvars, terms)
 
 
-@check("operator-relations", scope=4)
+@check("operator-relations", scope=4, least=3)
 def check_operator_relations(m: int, rng: random.Random) -> Steps:
-    m = max(m, 3)
+    m = max(m, 3)  # three variables at least, so the braid relation has an instance
     zero = polyoracle.Polynomial(m, {})
     di = polyoracle.divided_difference
     for _ in range(25):
@@ -558,7 +564,7 @@ def _round_trip_failure(kind: str, value, write: Callable, read: Callable) -> st
     return None if _compact(write(read(json.loads(doc)))) == doc else f"{kind} {doc}"
 
 
-@check("json-round-trip", scope=4)
+@check("json-round-trip", scope=4, least=3)  # the 3 x 3 skyline of (1, 0, 3) at every n
 def check_json_round_trip(m: int, rng: random.Random) -> Steps:
     for d in [random_diagram(rng, m) for _ in range(10)] + [diagrams.skyline((1, 0, 3))]:
         yield
@@ -598,7 +604,8 @@ def largest_scope() -> int:
 
 
 def run_check(name: str, n: int, seed: int) -> CheckResult:
-    """Run one check at scope ``min(n, its scope)``, counting its instances.
+    """Run one check at scope ``min(n, its scope)``, counting its instances;
+    the result reports the scope it swept, at least the check's ``least``.
     An exception raised by the check fails that check alone, with the
     exception as its counterexample."""
     scope, body = _REGISTRY[name]
@@ -616,7 +623,7 @@ def run_check(name: str, n: int, seed: int) -> CheckResult:
             counterexample = f"raised {type(exc).__name__}: {exc}"
             break
         instances += 1
-    return CheckResult(name, instances, counterexample, m, time.perf_counter() - start)
+    return CheckResult(name, instances, counterexample, max(m, _LEAST.get(name, 1)), time.perf_counter() - start)
 
 
 def run_all(n: int, seed: int = 0, jobs: int = 1, only: Iterable[str] | None = None) -> list[CheckResult]:
@@ -628,6 +635,8 @@ def run_all(n: int, seed: int = 0, jobs: int = 1, only: Iterable[str] | None = N
     workers = min(jobs, len(names), os.cpu_count() or 1)
     if workers <= 1:
         return [run_check(name, n, seed) for name in names]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_check, names, itertools.repeat(n), itertools.repeat(seed)))
 

@@ -6,8 +6,10 @@ flag's values to the library through `_parse`, which prefixes the
 library's message with the flag.  Exit codes: 0 on success, 1 when
 `verify` finds a failing check, 2 on usage or input errors (each with a
 one-line diagnostic naming the bad field or flag).  Only `verify` imports
-the check suite, with its oracles and process pool, so the other verbs
-start without them.
+the check suite and its oracles, and it opens a process pool only for more
+than one worker, so the other verbs start without them.  A verb loads
+`fractions` or `fillings` only if it reads them: `member` parses its point
+with `Fraction`, and `fill` and `rank` call the greedy fillings.
 """
 from __future__ import annotations
 
@@ -17,9 +19,8 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 
-from . import diagrams, fillings, perms, polyoracle, polytope
+from . import diagrams, perms, polyoracle, polytope
 
 
 def _compact(doc) -> str:
@@ -43,6 +44,8 @@ def _subset(text: str) -> frozenset[int]:
 
 
 def _point(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     out = []
     for piece in text.strip().split(","):
         try:
@@ -81,6 +84,8 @@ def _skyline(args) -> str:
 
 
 def _fill(args) -> str:
+    from . import fillings
+
     d = _load_diagram(args)
     w = _parse("--perm", perms.parse_perm, args.perm)
     return diagrams.filling_text(d, _parse("--perm", fillings.fill_diagram, d, w))
@@ -114,6 +119,8 @@ def _theta(args) -> str:
 
 
 def _rank(args) -> str:
+    from . import fillings
+
     return _columns_doc(args, "rank", fillings.rank_columns)
 
 
@@ -177,7 +184,7 @@ VERBS = {
 
 
 def _verify(args) -> tuple[int, str]:
-    from . import checks  # the suite and its process pool load for `verify` only
+    from . import checks  # the suite loads for `verify` only
 
     top = checks.largest_scope()
     if not 1 <= args.n <= top:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 
 from . import perms
@@ -38,6 +39,22 @@ def is_int(x) -> bool:
     """Whether x is exactly an int: a subclass of int, such as bool or an
     IntEnum, is never a size, a coordinate or a bound."""
     return type(x) is int
+
+
+INTS = frozenset({int})
+_exact = INTS  # the types `exact_types` admits; it adds Fraction once
+
+
+def exact_types() -> frozenset[type]:
+    """The types of the library's exact numbers: `int`, and `Fraction` once
+    `fractions` is loaded.  No Fraction exists before something imports
+    that module, so no type test loads it.  A test reads `INTS` first, so a
+    point of ints costs one subset test and a point of Fractions one call
+    more; the set is built once."""
+    global _exact
+    if _exact is INTS and (fractions := sys.modules.get("fractions")) is not None:
+        _exact = frozenset({int, fractions.Fraction})
+    return _exact
 
 
 def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:

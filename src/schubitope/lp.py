@@ -12,13 +12,15 @@ two exact certificates leave open: a unique lexicographic extreme is a
 vertex, and the midpoint of two other points is not.
 `oracles.hull_vertices_by_lp` runs it on every point.  Points must be
 tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
-`Fraction`.
+`Fraction` (`diagrams.exact_types`); the module imports `fractions` only
+to build the simplex's answer.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
+
+from .diagrams import INTS, exact_types
 
 
 def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
@@ -30,21 +32,20 @@ def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
     return [v // g for v in out] if g > 1 else out
 
 
-_RATIONAL = {int, Fraction}
-
-
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Find x >= 0 with A x = b exactly, or return None when infeasible.
 
-    Entries are integers or Fractions, the library's exact numbers; any
-    other type, a float (inexact) or a bool included, raises ValueError."""
+    Entries are integers or Fractions, the library's exact numbers
+    (`exact_types`); any other type, a float (inexact) or a bool included,
+    raises ValueError."""
     m = len(rows)
     k = len(rows[0]) if m else 0
     system = [[*rows[i], rhs[i]] for i in range(m)]
-    if not {type(v) for r in system for v in r} <= _RATIONAL:
-        bad = next(v for r in system for v in r if type(v) not in _RATIONAL)
+    entries = {type(v) for r in system for v in r}
+    if not (entries <= INTS or entries <= exact_types()):
+        bad = next(v for r in system for v in r if type(v) not in exact_types())
         raise ValueError(f"LP entry {bad!r} is not an integer or a Fraction")
-    scale = math.lcm(*(v.denominator for r in system for v in r if type(v) is Fraction))
+    scale = math.lcm(*(v.denominator for r in system for v in r if type(v) is not int))
     tab: list[list[int]] = []
     for i, r in enumerate(system):
         r = [v * scale if type(v) is int else int(v * scale) for v in r]
@@ -85,6 +86,8 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
 
     if cost[-1] != 0:  # leftover artificial value: no solution exists
         return None
+    from fractions import Fraction  # loads with the first answer, not with the module
+
     x = [Fraction(0)] * k
     for i, bi in enumerate(basis):
         if bi < k:
@@ -98,8 +101,9 @@ def _check_points(points: Sequence[tuple], dim: int) -> None:
     for p in points:
         if len(p) != dim:
             raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
-        if not {*map(type, p)} <= _RATIONAL:
-            bad = next(c for c in p if type(c) not in _RATIONAL)
+        types = {*map(type, p)}
+        if not (types <= INTS or types <= exact_types()):
+            bad = next(c for c in p if type(c) not in exact_types())
             raise ValueError(f"point {p} has coordinate {bad!r}, expected an integer or a Fraction")
 
 

@@ -61,9 +61,8 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 
-from .diagrams import Diagram, Value, check_subset, column_slots, is_int, split_columns
+from .diagrams import INTS, Diagram, Value, check_subset, column_slots, exact_types, is_int, split_columns
 from .perms import check_permutation
 
 STAR = "★"
@@ -284,11 +283,12 @@ def hrep(d: Diagram) -> HRep:
 
 def _check_point(h: HRep, point: Sequence) -> None:
     """Refuse a point of the wrong dimension or with a coordinate that is
-    neither `int` nor `Fraction`."""
+    neither `int` nor `Fraction` (`exact_types`)."""
     if len(point) != h.n:
         raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
-    if not {*map(type, point)} <= {int, Fraction}:
-        k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in (int, Fraction))
+    types = {*map(type, point)}
+    if not (types <= INTS or types <= exact_types()):
+        k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in exact_types())
         raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
 
 
@@ -325,6 +325,14 @@ def _slack(h: HRep, xs: Sequence[int], scale: int) -> tuple[int, int, int]:
     return sums + scale * (h.packed if w == _SLOT else _pack(h.table, w)), ones, w
 
 
+def _unscaled(x: int, scale: int):
+    """x / scale as a Fraction, as the witnesses print a sum; `fractions`
+    loads on the first witness, not with the module."""
+    from fractions import Fraction
+
+    return Fraction(x, scale)
+
+
 def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     """The first violated constraint in increasing mask order (None when the
     point is inside) and the masks of the bound rows met with equality
@@ -338,7 +346,7 @@ def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
     xs, scale = _scaled(h, point)
     total = sum(xs)
     if total != scale * h.total:
-        return f"coordinate sum {Fraction(total, scale)} != {h.total}", []
+        return f"coordinate sum {_unscaled(total, scale)} != {h.total}", []
     slack, ones, w = _slack(h, xs, scale)
     tops = ones << (w - 1)
     bad = tops & ~slack
@@ -349,7 +357,7 @@ def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
         mask = low.bit_length() // w - 1
         tight &= low - 1
         got = sum(x for k, x in enumerate(xs) if mask >> k & 1)
-        witness = f"sum over {_mask_subset(mask, h.n)} is {Fraction(got, scale)} > {h.table[mask]}"
+        witness = f"sum over {_mask_subset(mask, h.n)} is {_unscaled(got, scale)} > {h.table[mask]}"
     step = w // 8  # bytes per slot; a tight slot's top byte is nonzero
     flags = tight.to_bytes(step << h.n, "little")[2 * step - 1::step]  # masks 1, 2, ...
     return witness, list(itertools.compress(range(1, 2 ** h.n - 1), flags))

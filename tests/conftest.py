@@ -10,6 +10,8 @@ D9 is the 9-box example diagram whose column words for S = {1, 3} read
 permutation 315624; FIG18_FILLING is the expected filling, transcribed
 box by box.
 """
+import concurrent.futures
+
 import pytest
 
 from schubitope import Diagram, checks
@@ -71,9 +73,10 @@ def uniform_ranks_table(rng, n):
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replace the process pool of `checks.run_all` by a serial one and
-    every check by a stub returning n instances, so no process starts;
-    returns the list of the `max_workers` each pool was opened with."""
+    """Replace the process pool of `checks.run_all`, which it imports from
+    `concurrent.futures` when it opens one, by a serial one and every check
+    by a stub returning n instances, so no process starts; returns the list
+    of the `max_workers` each pool was opened with."""
     pools = []
 
     class SerialPool:
@@ -89,7 +92,7 @@ def fake_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(checks, "run_check", lambda name, n, seed: CheckResult(name, n))
     return pools
 

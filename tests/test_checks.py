@@ -56,6 +56,24 @@ def test_result_carries_effective_scope_and_seconds(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("name, n, scope, instances", [
+    ("operator-relations", 1, 3, 75),
+    ("operator-relations", 2, 3, 75),
+    ("operator-relations", 4, 4, 125),
+    ("json-round-trip", 1, 3, 34),
+    ("json-round-trip", 2, 3, 35),
+    ("json-round-trip", 4, 4, 39),
+    ("rothe-box-count", 1, 1, 1),
+])
+def test_reported_scope_is_the_scope_swept(name, n, scope, instances):
+    # operator-relations takes three variables and json-round-trip a 3 x 3
+    # skyline at every n, so each reports scope 3 at n = 1 and 2; what they
+    # sweep is unchanged
+    result = run_check(name, n, seed=0)
+    assert (result.ok, result.scope, result.instances) == (True, scope, instances)
+    assert f"({instances} instances, scope {scope}, " in checks.format_report([result], n, 0)
+
+
 def test_raising_check_fails_alone(monkeypatch):
     def toy(m, rng):
         yield

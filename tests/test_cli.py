@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -418,14 +419,20 @@ def _modules_after(code):
 # once the classes are built: dataclasses (through inspect) and typing
 STARTUP_WEIGHT = {"dataclasses", "inspect", "typing", "concurrent.futures"}
 
+# `fractions` and the modules only it loads here: no Fraction can exist
+# before something imports it, so the library's type tests never do
+NUMBER_MODULES = {"fractions", "decimal", "numbers"}
+
 
 def test_package_import_loads_no_reference_code():
-    # oracles, checks and the CLI load only on use: importing `oracles` with
-    # the package made a cold `import schubitope` measurably slower
+    # oracles, checks, the CLI and the greedy fillings load only on use:
+    # importing `oracles` with the package made a cold `import schubitope`
+    # measurably slower.  `lp` and `polyoracle` stay, so that
+    # newton-certify's first timed call does not compile them
     _, loaded = _modules_after("import json, schubitope, sys; print(json.dumps([*sys.modules]))")
-    assert "schubitope.polytope" in loaded
-    assert not loaded & {"schubitope.oracles", "schubitope.checks", "schubitope.cli"}
-    assert not loaded & STARTUP_WEIGHT
+    ours = {name for name in loaded if name.startswith("schubitope.")}
+    assert ours == {f"schubitope.{name}" for name in ("diagrams", "perms", "lp", "polyoracle", "polytope")}
+    assert not loaded & {*STARTUP_WEIGHT, *NUMBER_MODULES}
     # the package still exports the reference ranks, resolved from `oracles` on use
     from schubitope import oracles
 
@@ -435,14 +442,101 @@ def test_package_import_loads_no_reference_code():
 
 
 def test_verb_loads_no_verify_suite():
-    # only `verify` imports the suite, its oracles and its process pool
+    # only `verify` imports the suite, its oracles and its process pool; a
+    # verb that reads no Fraction and no filling loads neither module
     out, loaded = _modules_after(
         "import json, sys; from schubitope import cli; cli.main(['vertices', '--rothe', '2143']); "
         "print(json.dumps([*sys.modules]))"
     )
     assert out == '{"vertices":[[1,0,1,0],[1,1,0,0],[2,0,0,0]]}'
     assert "schubitope.cli" in loaded
-    assert not loaded & {"schubitope.checks", "schubitope.oracles", *STARTUP_WEIGHT}
+    assert not loaded & {"schubitope.checks", "schubitope.oracles", "schubitope.fillings",
+                         *STARTUP_WEIGHT, *NUMBER_MODULES}
+
+
+def test_verify_on_one_worker_loads_no_pool():
+    out, loaded = _modules_after(
+        "import json, sys; from schubitope import cli; "
+        "cli.main(['verify', '--jobs', '1', '--only', 'rothe-box-count']); print(json.dumps([*sys.modules]))"
+    )
+    assert out.splitlines()[-1].startswith("PASS: 1/1 checks passed")
+    assert "schubitope.checks" in loaded
+    assert not loaded & {"concurrent", *STARTUP_WEIGHT}
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    # names served by the package's __getattr__ resolve by attribute and by
+    # a star import alike, and are the objects of their home modules
+    out, _ = _modules_after(
+        "import json, sys, schubitope\n"
+        "got = {name: getattr(schubitope, name) for name in schubitope.__all__}\n"
+        "star = {}\n"
+        "exec('from schubitope import *', star)\n"
+        "print(json.dumps({\n"
+        "    'missing': [name for name in schubitope.__all__ if star.get(name) is not got[name]],\n"
+        "    'homes': sorted({value.__module__ for value in got.values()}),\n"
+        "    'fillings': schubitope.fillings is sys.modules['schubitope.fillings'],\n"
+        "}))\n"
+        "print(json.dumps([*sys.modules]))"
+    )
+    doc = json.loads(out)
+    assert doc["missing"] == []
+    assert doc["homes"] == [f"schubitope.{name}" for name in
+                            ("diagrams", "fillings", "lp", "oracles", "perms", "polyoracle", "polytope")]
+    assert doc["fillings"] is True
+
+
+# each of these refuses a float and a bool coordinate, named with its value
+REFUSALS = """
+from schubitope import certify_vertices, convex_combination, hrep, hull_vertices, member, skyline
+from schubitope.lp import solve_nonnegative
+
+h = hrep(skyline((1, 0, 3)))
+calls = {
+    "member": lambda x: member(h, (1, x, 3)),
+    "certify_vertices": lambda x: certify_vertices(h, [(1, 3, 0), (1, x, 3)]),
+    "hull_vertices": lambda x: hull_vertices([(0, 0), (1, x)]),
+    "convex_combination": lambda x: convex_combination((1, x), [(0, 0)]),
+    "solve_nonnegative": lambda x: solve_nonnegative([[1, x]], [1]),
+}
+"""
+
+
+def test_type_refusal_before_and_after_fractions_loads():
+    # before `fractions` loads, the type tests admit ints alone, and refusing
+    # loads it no more than accepting does; after it, Fractions pass too
+    out, _ = _modules_after(REFUSALS + (
+        "import json, sys\n"
+        "messages = {}\n"
+        "for name, call in calls.items():\n"
+        "    for bad in (0.5, True):\n"
+        "        try:\n"
+        "            call(bad)\n"
+        "        except ValueError as exc:\n"
+        "            messages[f'{name} {bad!r}'] = str(exc)\n"
+        "print(json.dumps(messages))\n"
+        "print(json.dumps('fractions' in sys.modules))\n"
+        "from fractions import Fraction\n"
+        "half = Fraction(1, 2)\n"
+        "print(json.dumps({name: repr(call(half)) for name, call in calls.items()}))\n"
+        "print(json.dumps([*sys.modules]))"
+    ))
+    messages, early, accepted = map(json.loads, out.splitlines())
+    expected = {}
+    for bad in ("0.5", "True"):
+        expected |= {
+            f"member {bad}": f"point coordinate 2 is {bad}, expected an integer or a Fraction",
+            f"certify_vertices {bad}": f"point coordinate 2 is {bad}, expected an integer or a Fraction",
+            f"hull_vertices {bad}": f"point (1, {bad}) has coordinate {bad}, expected an integer or a Fraction",
+            f"convex_combination {bad}": f"point (1, {bad}) has coordinate {bad}, expected an integer or a Fraction",
+            f"solve_nonnegative {bad}": f"LP entry {bad} is not an integer or a Fraction",
+        }
+    assert messages == expected
+    assert early is False
+    # after `import fractions` each answers as it does in this process
+    here = {}
+    exec(REFUSALS, here)
+    assert accepted == {name: repr(call(Fraction(1, 2))) for name, call in here["calls"].items()}
 
 
 def test_module_entry_point():

@@ -91,6 +91,23 @@ MUTANTS = [
     Mutant("is_int takes a subclass of int", "diagrams.py",
            "return type(x) is int", "return isinstance(x, int)",
            "tests/test_diagrams.py tests/test_polytope.py"),
+    # the exact-number type tests: ints alone decide a point of ints, and
+    # Fraction is admitted once `fractions` is loaded, never loaded by them
+    Mutant("_check_point's int fast path takes every type", "polytope.py",
+           "if not (types <= INTS or", "if not (True or",
+           "tests/test_polytope.py"),
+    Mutant("solve_nonnegative's int fast path takes every type", "lp.py",
+           "if not (entries <= INTS or", "if not (True or",
+           "tests/test_lp.py"),
+    Mutant("_check_points' int fast path takes every type", "lp.py",
+           "if not (types <= INTS or", "if not (True or",
+           "tests/test_lp.py"),
+    Mutant("exact_types never admits Fraction", "diagrams.py",
+           "_exact = frozenset({int, fractions.Fraction})", "_exact = frozenset({int})",
+           "tests/test_polytope.py tests/test_lp.py"),
+    Mutant("exact_types loads fractions itself", "diagrams.py",
+           'sys.modules.get("fractions")', '__import__("fractions")',
+           "tests/test_cli.py"),
     Mutant("Certification always ok", "polytope.py",
            "        return not self.failures\n", "        return True\n",
            "tests/test_polytope.py"),
@@ -119,6 +136,9 @@ MUTANTS = [
            "tests/test_checks.py"),
     Mutant("_basis_vectors drops the last coordinate", "checks.py",
            "for i in range(1, n + 1)) for b in", "for i in range(1, n)) for b in",
+           "tests/test_checks.py"),
+    Mutant("run_check reports the scope it was asked for", "checks.py",
+           "max(m, _LEAST.get(name, 1))", "m",
            "tests/test_checks.py"),
     Mutant("_compact writes spaces", "checks.py",
            'json.dumps(doc, separators=(",", ":"))', "json.dumps(doc)",
