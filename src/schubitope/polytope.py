@@ -45,13 +45,21 @@ vector is one int with a slot of 1, 2, 4 or 8 whole bytes per coordinate,
 the fewest whose top bit exceeds the table's span, holding its increment
 plus that top bit; XOR with the top bits turns each slot into the
 two's-complement bytes of its coordinate, so the vertices decode in bulk,
-a chunk at a time, by one signed `memoryview` cast (`_decoded`).  A
-one-entry memo keyed by the `HRep` lets `vertices` and `certify_vertices`
-share one enumeration.  `certify_vertices` refuses a table that is not
-submodular, proves a claimed point a vertex by finding it among them, and
-walks each other point once, only to name the bound it violates, if any;
-no step of it runs the simplex.  It names each missing vertex by the first
-order reaching it, found in one forward pass (`_first_order`).
+a chunk at a time, by one signed `memoryview` cast (`_decoded`).  Each
+extension of a set of partial vectors by one element is one plain int
+addition per vector, the passes' inner loop: most sets hold one or two
+vectors, so any per-move setup would cost more than the additions.  A
+monotone table, as every theta table is, has no negative increment, so
+its slots hold the increments with no top bit, and the decode skips the
+XOR and, for single bytes, the cast.  A one-entry memo
+keyed by the `HRep` lets `vertices` and `certify_vertices` share one
+enumeration.  `certify_vertices` checks a claim's lengths and types in
+bulk, and point by point only to name the first bad point; it refuses a
+table that is not submodular, proves a claimed point a vertex by finding
+it among them, and walks each other point once, only to name the bound
+it violates, if any; no step of it runs the simplex.  It names each
+missing vertex by the first order reaching it, found in one forward pass
+(`_first_order`).
 """
 from __future__ import annotations
 
@@ -206,10 +214,10 @@ class HRep(Value):
     in S.  table[0] = 0 and table[-1] = total, so the table is the whole
     set function.  Bounds are stored exactly as given.
 
-    The table packed 16 bits per subset (`packed`) and its largest bound
-    (`max_bound`) are computed once, on first use, and kept (`hrep` sets
-    both); they are not fields, so equality and hashing see only n, the
-    total and the table."""
+    The table packed 16 bits per subset (`packed`), its largest bound
+    (`max_bound`) and whether it is monotone (`monotone`) are computed
+    once, on first use, and kept (`hrep` sets all three); they are not
+    fields, so equality and hashing see only n, the total and the table."""
 
     _fields = ("n", "total", "table")
 
@@ -245,7 +253,7 @@ class HRep(Value):
         largest bound is the total."""
         h = cls.__new__(cls)
         table = cls._checked_shape(n, total, table)
-        h.__dict__.update(n=n, total=total, table=table, packed=packed, max_bound=total)
+        h.__dict__.update(n=n, total=total, table=table, packed=packed, max_bound=total, monotone=True)
         return h
 
     @functools.cached_property
@@ -258,6 +266,14 @@ class HRep(Value):
     def max_bound(self) -> int:
         """The largest bound of the table."""
         return max(self.table)
+
+    @functools.cached_property
+    def monotone(self) -> bool:
+        """Whether no bound falls as its subset grows: table[S] <= table[S + k]
+        for every mask S and element k outside it (`_vertex_set` then decodes
+        unsigned slots)."""
+        t = self.table
+        return all(t[m] <= t[m | 1 << k] for k in range(self.n) for m in range(len(t)) if not m >> k & 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -421,37 +437,50 @@ def _flip(n: int, k: int) -> int:
     return ((1 << 8 * k * n) - 1) // ((1 << 8 * k) - 1) << (8 * k - 1)
 
 
-def _decoded(vectors: Iterable[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The coordinates of packed vectors, n slots of k bytes each holding a
-    coordinate plus 2^(8k - 1), decoded _CHUNK vectors at a time.  XOR with
-    `_flip` leaves each slot the two's-complement bytes of its coordinate,
-    so the chunk's bytes, joined, cast to signed integers in one step, which
-    are cut into tuples of n.  Slots wider than 8 bytes have no cast; only
-    they are read one coordinate at a time."""
-    flip = _flip(n, k)
+def _decoded(vectors: Iterable[int], n: int, k: int, signed: bool) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The coordinates of packed vectors, n slots of k bytes each, decoded
+    _CHUNK vectors at a time: per chunk, an iterator of its tuples of n.
+
+    Signed, a slot holds its coordinate plus 2^(8k - 1), and XOR with
+    `_flip` leaves it the two's-complement bytes of the coordinate; else it
+    holds the coordinate itself, below 2^(8k - 1).  Either way the chunk's
+    bytes, joined, are read as signed integers in one cast; unsigned
+    single bytes need none, as iterating bytes yields their values.  Slots
+    wider than 8 bytes have no cast; only they are read one coordinate at a
+    time."""
     size = k * n
     order = sys.byteorder
-    vectors = list(vectors)
+    if signed:
+        flip = _flip(n, k)
+        vectors = [v ^ flip for v in vectors]
+    else:
+        vectors = list(vectors)
     for start in range(0, len(vectors), _CHUNK):
-        data = b"".join([(v ^ flip).to_bytes(size, order) for v in vectors[start:start + _CHUNK]])
+        data = b"".join([v.to_bytes(size, order) for v in vectors[start:start + _CHUNK]])
         if k > 8:
             flat = [int.from_bytes(data[i:i + k], order, signed=True) for i in range(0, len(data), k)]
-        else:
+        elif signed or k > 1:
             flat = memoryview(data).cast("bhiq"[k.bit_length() - 1]).tolist()
-        yield from zip(*[iter(flat)] * n)
+        else:
+            flat = data
+        yield zip(*[iter(flat)] * n)
 
 
-def _reach(table: Sequence[int], n: int, depth: int, bits: int) -> list:
+def _reach(table: Sequence[int], n: int, depth: int, bits: int, off: int) -> list:
     """For each mask of `depth` elements, the set of partial vectors its
     prefix orders reach on the table, as packed ints of `bits`-bit slots,
-    each slot written holding its increment plus 2^(bits - 1); other
-    entries are None.
+    each slot written holding its increment plus off; other entries are
+    None.
 
     The masks are expanded in increasing popcount (`_moves`); every mask
     minus one bit comes earlier, so a mask's set is complete before it is
     expanded, and it is dropped then.  Expanding mask to mask | 1 << k adds
-    the same shifted constant to every vector of the set."""
-    off = 1 << (bits - 1)
+    the same shifted constant to every vector of the set.  That add is the
+    inner loop, one per pair of a vector and a free move, and it is a plain
+    `c + add` into the target set: most sets hold one or two vectors, so
+    any per-move setup, such as a bound `add.__add__` mapped over the set,
+    costs more than the additions, and a plain add of two ints runs as the
+    interpreter's specialized int addition, with no call per vector."""
     reach: list = [None] * 2 ** n
     reach[0] = {0}
     moves = _moves(n)   # a full pass takes no cut: at n <= 5 the tables are many and cheap
@@ -462,15 +491,16 @@ def _reach(table: Sequence[int], n: int, depth: int, bits: int) -> list:
             add = (table[nxt] - base) << bits * slot
             got = reach[nxt]
             if got is None:
-                reach[nxt] = set(map(add.__add__, cur))
-            else:
-                got.update(map(add.__add__, cur))
+                got = reach[nxt] = set()
+            for c in cur:
+                got.add(c + add)
     return reach
 
 
-def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
+def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> frozenset[tuple[int, ...]]:
     """Every greedy vector of the integer table over the full symmetric
-    group, without running the n! orders.
+    group, without running the n! orders; `monotone` says that no
+    increment table[S + k] - table[S] is negative.
 
     A greedy vector depends only on the chain of prefix masks, so the
     vectors are enumerated by prefix mask (`_reach`).  Below n = 6 one pass
@@ -498,27 +528,31 @@ def _greedy_vectors(table: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     where span = max(table) - min(table), and k is the smallest of 1, 2, 4
     and 8 bytes with span < 2^(8k - 1), or the fewest bytes past 8; a slot
     holds its increment plus off = 2^(8k - 1), between 1 and 2^(8k) - 1.
+    On a monotone table every increment of f, and so of g, lies in
+    [0, span], and off is 0: a slot holds the coordinate itself, and the
+    decode needs neither the XOR nor, in single bytes, the cast.
     Each coordinate is written once, by one pass or the other, into a slot
     that reads 0, so no slot carries into or borrows from the next, the
     join is plain addition, and the final vectors decode in bulk
-    (`_decoded`).  With one order or none there is one greedy vector, read
-    off directly."""
+    (`_decoded`), chained into the frozenset chunk by chunk.  With one
+    order or none there is one greedy vector, read off directly."""
     if n <= 1:
         return frozenset({(table[1] - table[0],) if n else ()})
     k = (max(table) - min(table)).bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
     if k <= 8:
         k = 1 << (k - 1).bit_length()
     bits = 8 * k
+    off = 0 if monotone else 1 << (bits - 1)
     if n < 6:
-        vectors = _reach(table, n, n, bits)[-1]
+        vectors = _reach(table, n, n, bits, off)[-1]
     else:
         h = n // 2
-        up = _reach(table, n, h, bits)
-        down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits)
+        up = _reach(table, n, h, bits, off)
+        down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits, off)
         full = 2 ** n - 1
         vectors = {a + b for mask, _ in _moves(n)[_below(n, h):_below(n, h + 1)]
                    for a in up[mask] for b in down[full ^ mask]}
-    return frozenset(_decoded(vectors, n, k))
+    return frozenset(itertools.chain.from_iterable(_decoded(vectors, n, k, not monotone)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -526,7 +560,7 @@ def _vertex_set(h: HRep) -> frozenset[tuple[int, ...]]:
     """`_greedy_vectors` of the table, memoized for the last table only:
     `vertices(d)` followed by `certify_vertices(hrep(d), ...)` enumerates
     it once, and no more than one vertex set is kept alive."""
-    return _greedy_vectors(h.table, h.n)
+    return _greedy_vectors(h.table, h.n, h.monotone)
 
 
 def _first_order(table: Sequence[int], v: Sequence[int], n: int) -> tuple[int, ...] | None:
@@ -616,12 +650,14 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     """Certify that ``points`` is exactly the vertex set of the polytope of a
     submodular table.
 
-    Each claimed point is checked first (`_check_point`), so a malformed
-    coordinate cannot break the sort below; then a table that is not
-    submodular raises `ValueError`, since every step rests on Edmonds'
-    theorem: the vertices of that polytope are exactly the greedy vectors
-    of the table (`_vertex_set`), so each claimed point is decided on its
-    own, by lookup.  A claimed point among them passes with no walk.  Every
+    The claimed points are checked first, so a malformed coordinate cannot
+    break the sort below: all at once, by one set of their lengths and one
+    of their coordinates' types, and only when that fails one by one in
+    claim order (`_check_point`), which names the first bad point.  Then a
+    table that is not submodular raises `ValueError`, since every step
+    rests on Edmonds' theorem: the vertices of that polytope are exactly
+    the greedy vectors of the table (`_vertex_set`), so each claimed point
+    is decided on its own, by lookup.  A claimed point among them passes with no walk.  Every
     other point fails once, in sorted order: walked over its subset sums
     (`_walk`), it either violates a bound, named as the first in mask
     order, or lies in the polytope without being a vertex.  Then each
@@ -632,8 +668,9 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     if h.n > SWEEP_CAP:
         raise ValueError(f"certification capped at n <= {SWEEP_CAP}")
     pts = [tuple(p) for p in points]
-    for p in pts:
-        _check_point(h, p)
+    if not ({*map(len, pts)} <= {h.n} and {*map(type, itertools.chain.from_iterable(pts))} <= exact_types()):
+        for p in pts:  # some point fails: name the first
+            _check_point(h, p)
     claimed = set(pts)
     if not _is_submodular(h.table, h.n):
         raise ValueError("bounds are not submodular; certification covers submodular tables only")

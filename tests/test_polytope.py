@@ -788,6 +788,56 @@ class TestCertify:
             certify_vertices(hrep(TRAPEZOID), claim)
         assert str(refused.value) == message
 
+    @staticmethod
+    def long_claim():
+        """The hrep and the sorted vertices of an n = 6 diagram with 164 of them."""
+        d = random_diagram_with_density(random.Random(101), 6, 0.5)
+        verts = sorted(vertices(d))
+        assert len(verts) == 164
+        return hrep(d), verts
+
+    @pytest.mark.parametrize("make_bad, message", [
+        (lambda v: v[:5], "point has dimension 5, expected 6"),
+        (lambda v: v + (0,), "point has dimension 7, expected 6"),
+        (lambda v: (*v[:3], float(v[3]), *v[4:]), "point coordinate 4 is {x}.0, expected an integer or a Fraction"),
+        (lambda v: (*v[:3], True, *v[4:]), "point coordinate 4 is True, expected an integer or a Fraction"),
+    ])
+    def test_one_bad_point_late_in_a_long_claim(self, make_bad, message):
+        # the claim is checked in bulk, and the point-by-point scan that runs
+        # only when the bulk check fails gives the one-line error of the
+        # first bad point, here the 141st of 164
+        h, verts = self.long_claim()
+        claim = list(verts)
+        claim[140] = make_bad(verts[140])
+        with pytest.raises(ValueError) as refused:
+            certify_vertices(h, claim)
+        assert str(refused.value) == message.format(x=verts[140][3])
+
+    def test_the_earlier_of_two_bad_points_is_named(self):
+        h, verts = self.long_claim()
+        wrong_length, floating = verts[20][:4], (*verts[130][:5], 0.5)
+        for early, late, message in (
+            (wrong_length, floating, "point has dimension 4, expected 6"),
+            (floating, wrong_length, "point coordinate 6 is 0.5, expected an integer or a Fraction"),
+        ):
+            claim = list(verts)
+            claim[20], claim[130] = early, late
+            with pytest.raises(ValueError) as refused:
+                certify_vertices(h, claim)
+            assert str(refused.value) == message
+
+    def test_a_claim_mixing_ints_and_fractions_passes_the_bulk_check(self):
+        # `fractions` is loaded here, so a Fraction is an exact coordinate:
+        # whole Fractions, alone or beside ints in one point, are the vertex
+        h, verts = self.long_claim()
+        claim = [tuple(map(Fraction, v)) if k % 3 == 0 else (Fraction(v[0]), *v[1:]) if k % 3 == 1 else v
+                 for k, v in enumerate(verts)]
+        cert = certify_vertices(h, claim)
+        assert cert.ok and cert.points == len(verts)
+        half = (Fraction(verts[0][0], 2), *verts[0][1:])
+        assert certify_vertices(h, claim + [half]).failures == (
+            f"claimed vertex {half} violates the description: {_walk(h, half)[0]}",)
+
     def test_non_submodular_bounds_are_refused_after_the_point_check(self, monkeypatch):
         # certification refuses the table before any walk or LP: a claim
         # holding a point off the hyperplane raises instead of failing (a)
@@ -972,6 +1022,72 @@ class TestGreedyVectors:
         vectors = _greedy_vectors(table, 7)
         assert len(vectors) > polytope._CHUNK
         assert vectors == greedy_vectors_by_sweep(table, 7)
+
+    @staticmethod
+    def monotone_tables(rng, n, span):
+        """Random monotone tables over [0, span], most not submodular: each
+        entry the largest of random values drawn for its submasks, with a
+        step of +span (mask 0 to {1}); then |S| * m plus a random value
+        below m, with m = span // (n + 1), whose steps are all positive and
+        whose greedy vectors are mostly distinct."""
+        for _ in range(3 if n < 7 else 1):
+            table = [rng.randint(0, span) for _ in range(2 ** n)]
+            table[0] = 0
+            if n:
+                table[1] = span
+            for k in range(n):
+                for mask in range(2 ** n):
+                    if mask >> k & 1:
+                        table[mask] = max(table[mask], table[mask ^ 1 << k])
+            yield table
+        if n:
+            m = span // (n + 1)
+            yield [0, *(mask.bit_count() * m + rng.randrange(m) for mask in range(1, 2 ** n))]
+
+    def test_monotone_tables_in_unsigned_slots(self):
+        # on a monotone table every slot holds its coordinate with no offset,
+        # and single bytes decode with no cast: spans just below and at 2^7,
+        # 2^15, 2^31 and 2^63 run every width, and n = 7 joins 5,040 orders'
+        # vectors, more than a decode chunk
+        rng = random.Random(48)
+        chunked = False
+        for n in range(8):
+            for bits in (7, 15, 31, 63):
+                for span in (2 ** bits - 1, 2 ** bits):
+                    for table in self.monotone_tables(rng, n, span):
+                        vectors = _greedy_vectors(table, n, monotone=True)
+                        assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
+                        assert vectors == _greedy_vectors(table, n), (n, table)
+                        chunked |= len(vectors) > polytope._CHUNK
+        assert chunked
+
+    def test_the_vertex_set_of_a_table_that_is_not_monotone(self):
+        # a graph's cut function is submodular with non-negative bounds but
+        # falls to 0 at the full set, so its HRep is not monotone and its
+        # vertices, with negative coordinates, decode from signed slots
+        rng = random.Random(49)
+        for n in (3, 5, 6, 7):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            table = tuple(sum((mask >> a & 1) != (mask >> b & 1) for a, b in edges) for mask in range(2 ** n))
+            h = HRep(n, 0, table)
+            assert not h.monotone and _is_submodular(table, n)
+            verts = greedy_vectors_by_sweep(table, n)
+            assert min(min(v) for v in verts) < 0
+            assert polytope._vertex_set(h) == verts, (n, edges)
+            assert certify_vertices(h, verts).ok
+
+    def test_monotone_is_the_definition(self):
+        # no bound falls from a set to a superset; hrep's theta tables are
+        # monotone, as a rank is
+        rng = random.Random(50)
+        for n in range(5):
+            for table in itertools.chain(self.random_tables(rng, n), self.monotone_tables(rng, n, 9)):
+                table = [0, *(abs(b) for b in table[1:])]
+                h = HRep(n, table[-1], table)
+                assert h.monotone == all(table[s] <= table[t] for s in range(2 ** n) for t in range(2 ** n)
+                                         if s & t == s), table
+            d = random_diagram(rng, n)
+            assert hrep(d).monotone and HRep(n, hrep(d).total, hrep(d).table).monotone
 
     @staticmethod
     def submodular_tables(rng, n):

@@ -76,7 +76,22 @@ MUTANTS = [
            "for mask in sorted(range(2 ** n - 1), key=int.bit_count))", "for mask in range(2 ** n - 1))",
            "tests/test_polytope.py"),
     Mutant("_decoded without the XOR", "polytope.py",
-           "(v ^ flip).to_bytes(size, order)", "v.to_bytes(size, order)",
+           "vectors = [v ^ flip for v in vectors]", "vectors = list(vectors)",
+           "tests/test_polytope.py"),
+    Mutant("_decoded reads signed single bytes with no cast", "polytope.py",
+           "elif signed or k > 1:", "elif k > 1:",
+           "tests/test_polytope.py"),
+    Mutant("_reach merges without the increment", "polytope.py",
+           "got.add(c + add)", "got.add(c)",
+           "tests/test_polytope.py"),
+    Mutant("_greedy_vectors keeps the offset in unsigned slots", "polytope.py",
+           "off = 0 if monotone else 1 << (bits - 1)", "off = 1 << (bits - 1)",
+           "tests/test_polytope.py"),
+    Mutant("_vertex_set decodes every table unsigned", "polytope.py",
+           "_greedy_vectors(h.table, h.n, h.monotone)", "_greedy_vectors(h.table, h.n, True)",
+           "tests/test_polytope.py"),
+    Mutant("HRep.monotone on the first element only", "polytope.py",
+           "for k in range(self.n) for m in range(len(t))", "for k in range(1) for m in range(len(t))",
            "tests/test_polytope.py"),
     Mutant("_first_order takes the largest tight step", "polytope.py",
            "        for k in range(n):\n            bit = 1 << k\n",
@@ -108,6 +123,16 @@ MUTANTS = [
     Mutant("exact_types loads fractions itself", "diagrams.py",
            'sys.modules.get("fractions")', '__import__("fractions")',
            "tests/test_cli.py"),
+    # certification's bulk check of a claim, and its fallback scan
+    Mutant("certify_vertices' bulk type test takes every type", "polytope.py",
+           "{*map(type, itertools.chain.from_iterable(pts))} <= exact_types()", "True",
+           "tests/test_polytope.py"),
+    Mutant("certify_vertices' bulk length test takes every length", "polytope.py",
+           "{*map(len, pts)} <= {h.n}", "True",
+           "tests/test_polytope.py"),
+    Mutant("certify_vertices' fallback names the last bad point", "polytope.py",
+           "for p in pts:  # some point fails", "for p in reversed(pts):  # some point fails",
+           "tests/test_polytope.py"),
     Mutant("Certification always ok", "polytope.py",
            "        return not self.failures\n", "        return True\n",
            "tests/test_polytope.py"),
