@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 from . import perms
 
@@ -82,33 +82,6 @@ def split_columns(packed: int, n: int) -> list[int]:
     return [packed >> k & (1 << width) - 1 for k in range(0, width * n, width)]
 
 
-def _not_a_box(box) -> ValueError:
-    return ValueError(f"box {box!r} is not a (row, col) pair")
-
-
-def _non_integer(r, c) -> ValueError:
-    return ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
-
-
-def _refuse_unhashable(box) -> ValueError:
-    """The error for an unhashable box: a pair with a non-integer coordinate,
-    such as (2, [2]), is named for that coordinate, as a hashable box is;
-    anything else, such as the list [1, 1], is not a pair."""
-    try:
-        r, c = box
-    except (TypeError, ValueError):
-        return _not_a_box(box)
-    return _not_a_box(box) if is_int(r) and is_int(c) else _non_integer(r, c)
-
-
-def _unhashable(box) -> bool:
-    try:
-        hash(box)
-    except TypeError:
-        return True
-    return False
-
-
 class Value:
     """An immutable value named by its `_fields`: equal to another instance of
     the same class with equal compared fields, hashed on them, and shown as
@@ -144,7 +117,11 @@ class Value:
 
 
 class Diagram(Value):
-    """An immutable set of boxes (row, col) inside an n x n grid."""
+    """An immutable set of boxes (row, col) inside an n x n grid.
+
+    The boxes are checked in the order given, and the first that is not a
+    pair of ints inside the grid is named; a pair of ints that cannot be
+    hashed, such as the list [1, 1], is named once every box has passed."""
 
     _fields = ("n", "boxes")
 
@@ -156,19 +133,20 @@ class Diagram(Value):
                 boxes = list(boxes)
             except TypeError:
                 raise ValueError(f"boxes must be an iterable of (row, col) pairs, got {boxes!r}") from None
-        try:
-            boxes = frozenset(boxes)
-        except TypeError:  # an unhashable box, such as a list: name the first
-            raise _refuse_unhashable(next(filter(_unhashable, boxes))) from None
         for box in boxes:
             try:
                 r, c = box
             except (TypeError, ValueError):
-                raise _not_a_box(box) from None
+                raise ValueError(f"box {box!r} is not a (row, col) pair") from None
             if not (is_int(r) and is_int(c)):
-                raise _non_integer(r, c)
+                raise ValueError(f"box ({r!r}, {c!r}) has a non-integer coordinate")
             if not (1 <= r <= n and 1 <= c <= n):
                 raise ValueError(f"box ({r},{c}) lies outside the {n}x{n} grid")
+        try:
+            boxes = frozenset(boxes)
+        except TypeError:  # a pair of ints that no set holds, such as the list [1, 1]
+            bad = next(b for b in boxes if not isinstance(b, Hashable))
+            raise ValueError(f"box {bad!r} is not a (row, col) pair") from None
         self.__dict__.update(n=n, boxes=boxes)
 
     @property

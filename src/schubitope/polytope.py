@@ -39,19 +39,18 @@ partial vectors its prefix orders reach, lists them without the n! orders
 one, run from the full set down on the dual table: every order passes
 through one prefix S of n // 2 elements, and its greedy vector is that of
 the restriction to S beside that of the contraction by S, read off the
-dual.  Each mask's free elements come from a table cached per n, masks
-grouped by popcount (`_moves`).  A partial
-vector is one int with a slot of 1, 2, 4 or 8 whole bytes per coordinate,
-the fewest whose top bit exceeds the table's span, holding its increment
-plus that top bit; XOR with the top bits turns each slot into the
-two's-complement bytes of its coordinate, so the vertices decode in bulk,
-a chunk at a time, by one signed `memoryview` cast (`_decoded`).  Each
-extension of a set of partial vectors by one element is one plain int
-addition per vector, the passes' inner loop: most sets hold one or two
-vectors, so any per-move setup would cost more than the additions.  A
-monotone table, as every theta table is, has no negative increment, so
-its slots hold the increments with no top bit, and the decode skips the
-XOR and, for single bytes, the cast.  A one-entry memo
+dual.  Each mask's free elements come from a table cached per n, one
+entry per layer (`_moves`).  A partial vector is one int with a slot of
+1, 2, 4 or 8 whole bytes per coordinate, the fewest whose top bit exceeds
+the table's span, holding its increment unsigned, so the vertices decode
+in bulk, a chunk at a time, by one unsigned `memoryview` cast, or none
+for single bytes (`_decoded`).  A monotone table, as every theta table
+is, has no negative increment; any other table is first lifted by span
+times |S|, which makes every increment non-negative and adds the span to
+every coordinate, taken off again at the decode.  Each extension of a set
+of partial vectors by one element is one plain int addition per vector,
+the passes' inner loop: most sets hold one or two vectors, so any
+per-move setup would cost more than the additions.  A one-entry memo
 keyed by the `HRep` lets `vertices` and `certify_vertices` share one
 enumeration.  `certify_vertices` checks a claim's lengths and types in
 bulk, and point by point only to name the first bad point; it refuses a
@@ -270,8 +269,8 @@ class HRep(Value):
     @functools.cached_property
     def monotone(self) -> bool:
         """Whether no bound falls as its subset grows: table[S] <= table[S + k]
-        for every mask S and element k outside it (`_vertex_set` then decodes
-        unsigned slots)."""
+        for every mask S and element k outside it (`_vertex_set` then
+        enumerates the table with no lift)."""
         t = self.table
         return all(t[m] <= t[m | 1 << k] for k in range(self.n) for m in range(len(t)) if not m >> k & 1)
 
@@ -412,68 +411,50 @@ def edmonds_vertex(table: Sequence[int], w: Sequence[int]) -> tuple:
 
 
 @functools.cache
-def _moves(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Each mask below 2^n - 1 with the pairs (mask | 1 << k, slot) of its
-    free elements k + 1, k increasing, the masks in increasing popcount and
-    increasing within one popcount, so the masks of fewer than j elements
-    are the first `_below(n, j)` entries and those of exactly j the slice
-    after them.  The slot is k on a little-endian machine and n - 1 - k on a
-    big-endian one, so that a packed vector's bytes in native order list
-    its coordinates in order.  At n = 10 this is 1,023 masks and 5,120
-    pairs."""
+def _moves(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+    """The masks of [n] by layer: entry j lists the masks of j elements,
+    increasing, each with the pairs (mask | 1 << k, slot) of its free
+    elements k + 1, k increasing.  The slot is k on a little-endian machine
+    and n - 1 - k on a big-endian one, so that a packed vector's bytes in
+    native order list its coordinates in order.  At n = 10 this is 1,024
+    masks and 5,120 pairs."""
     slots = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
-    return tuple((mask, tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1))
-                 for mask in sorted(range(2 ** n - 1), key=int.bit_count))
+    return tuple(tuple((mask, tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1))
+                       for mask in range(2 ** n) if mask.bit_count() == j) for j in range(n + 1))
 
 
-def _below(n: int, j: int) -> int:
-    """The number of masks of [n] with fewer than j elements."""
-    return sum(math.comb(n, i) for i in range(j))
-
-
-@functools.cache
-def _flip(n: int, k: int) -> int:
-    """2^(8k - 1) in each of n slots of k bytes."""
-    return ((1 << 8 * k * n) - 1) // ((1 << 8 * k) - 1) << (8 * k - 1)
-
-
-def _decoded(vectors: Iterable[int], n: int, k: int, signed: bool) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The coordinates of packed vectors, n slots of k bytes each, decoded
+def _decoded(vectors: Iterable[int], n: int, k: int, lift: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The coordinates of packed vectors, n slots of k bytes each, each slot
+    holding its coordinate plus lift as an unsigned integer, decoded
     _CHUNK vectors at a time: per chunk, an iterator of its tuples of n.
 
-    Signed, a slot holds its coordinate plus 2^(8k - 1), and XOR with
-    `_flip` leaves it the two's-complement bytes of the coordinate; else it
-    holds the coordinate itself, below 2^(8k - 1).  Either way the chunk's
-    bytes, joined, are read as signed integers in one cast; unsigned
+    The chunk's bytes, joined, are read as unsigned integers in one cast;
     single bytes need none, as iterating bytes yields their values.  Slots
     wider than 8 bytes have no cast; only they are read one coordinate at a
-    time."""
+    time.  A nonzero lift is then taken from every coordinate."""
     size = k * n
     order = sys.byteorder
-    if signed:
-        flip = _flip(n, k)
-        vectors = [v ^ flip for v in vectors]
-    else:
-        vectors = list(vectors)
+    vectors = list(vectors)
     for start in range(0, len(vectors), _CHUNK):
         data = b"".join([v.to_bytes(size, order) for v in vectors[start:start + _CHUNK]])
         if k > 8:
-            flat = [int.from_bytes(data[i:i + k], order, signed=True) for i in range(0, len(data), k)]
-        elif signed or k > 1:
-            flat = memoryview(data).cast("bhiq"[k.bit_length() - 1]).tolist()
+            flat = [int.from_bytes(data[i:i + k], order) for i in range(0, len(data), k)]
+        elif k > 1:
+            flat = memoryview(data).cast("BHIQ"[k.bit_length() - 1]).tolist()
         else:
             flat = data
+        if lift:
+            flat = [c - lift for c in flat]
         yield zip(*[iter(flat)] * n)
 
 
-def _reach(table: Sequence[int], n: int, depth: int, bits: int, off: int) -> list:
+def _reach(table: Sequence[int], n: int, depth: int, bits: int) -> list:
     """For each mask of `depth` elements, the set of partial vectors its
-    prefix orders reach on the table, as packed ints of `bits`-bit slots,
-    each slot written holding its increment plus off; other entries are
-    None.
+    prefix orders reach on a monotone table, as packed ints of `bits`-bit
+    slots, each slot written holding its increment; other entries are None.
 
-    The masks are expanded in increasing popcount (`_moves`); every mask
-    minus one bit comes earlier, so a mask's set is complete before it is
+    The masks are expanded layer by layer (`_moves`); every mask minus one
+    bit lies in the layer before, so a mask's set is complete before it is
     expanded, and it is dropped then.  Expanding mask to mask | 1 << k adds
     the same shifted constant to every vector of the set.  That add is the
     inner loop, one per pair of a vector and a free move, and it is a plain
@@ -483,24 +464,25 @@ def _reach(table: Sequence[int], n: int, depth: int, bits: int, off: int) -> lis
     interpreter's specialized int addition, with no call per vector."""
     reach: list = [None] * 2 ** n
     reach[0] = {0}
-    moves = _moves(n)   # a full pass takes no cut: at n <= 5 the tables are many and cheap
-    for mask, free in moves if depth == n else moves[:_below(n, depth)]:
-        cur, reach[mask] = reach[mask], None
-        base = table[mask] - off
-        for nxt, slot in free:
-            add = (table[nxt] - base) << bits * slot
-            got = reach[nxt]
-            if got is None:
-                got = reach[nxt] = set()
-            for c in cur:
-                got.add(c + add)
+    for layer in _moves(n)[:depth]:
+        for mask, free in layer:
+            cur, reach[mask] = reach[mask], None
+            base = table[mask]
+            for nxt, slot in free:
+                add = (table[nxt] - base) << bits * slot
+                got = reach[nxt]
+                if got is None:
+                    got = reach[nxt] = set()
+                for c in cur:
+                    got.add(c + add)
     return reach
 
 
 def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> frozenset[tuple[int, ...]]:
     """Every greedy vector of the integer table over the full symmetric
     group, without running the n! orders; `monotone` says that no
-    increment table[S + k] - table[S] is negative.
+    increment table[S + k] - table[S] is negative, so the table needs no
+    lift.
 
     A greedy vector depends only on the chain of prefix masks, so the
     vectors are enumerated by prefix mask (`_reach`).  Below n = 6 one pass
@@ -523,36 +505,38 @@ def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> fro
     the dual, its pass and the join cost more than the shorter passes save
     (measured on theta tables at n = 4 and 5).
 
-    A partial vector is one int with a slot of k whole bytes per
-    coordinate.  Every increment of f, and so of g, lies in [-span, span],
-    where span = max(table) - min(table), and k is the smallest of 1, 2, 4
-    and 8 bytes with span < 2^(8k - 1), or the fewest bytes past 8; a slot
-    holds its increment plus off = 2^(8k - 1), between 1 and 2^(8k) - 1.
-    On a monotone table every increment of f, and so of g, lies in
-    [0, span], and off is 0: a slot holds the coordinate itself, and the
-    decode needs neither the XOR nor, in single bytes, the cast.
-    Each coordinate is written once, by one pass or the other, into a slot
-    that reads 0, so no slot carries into or borrows from the next, the
-    join is plain addition, and the final vectors decode in bulk
-    (`_decoded`), chained into the frozenset chunk by chunk.  With one
-    order or none there is one greedy vector, read off directly."""
+    Every increment of f lies in [-span, span], where
+    span = max(table) - min(table).  A table not known to be monotone is
+    lifted to f(S) + span * |S|, whose greedy vectors are those of f with
+    span added to every coordinate: every increment of the lifted table,
+    and so of its dual, lies in [0, 2 * span].  A partial vector is one int
+    with a slot of k whole bytes per coordinate, k the smallest of 1, 2, 4
+    and 8 bytes with span < 2^(8k - 1), or the fewest bytes past 8, so a
+    slot holds any such increment unsigned.  Each coordinate is written
+    once, by one pass or the other, into a slot that reads 0, so no slot
+    carries into the next, the join is plain addition, and the final
+    vectors decode in bulk, the lift taken off again (`_decoded`), chained
+    into the frozenset chunk by chunk.  With one order or none there is
+    one greedy vector, read off directly."""
     if n <= 1:
         return frozenset({(table[1] - table[0],) if n else ()})
-    k = (max(table) - min(table)).bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
+    span = max(table) - min(table)
+    k = span.bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
     if k <= 8:
         k = 1 << (k - 1).bit_length()
     bits = 8 * k
-    off = 0 if monotone else 1 << (bits - 1)
+    lift = 0 if monotone else span
+    if lift:
+        table = [x + lift * mask.bit_count() for mask, x in enumerate(table)]
     if n < 6:
-        vectors = _reach(table, n, n, bits, off)[-1]
+        vectors = _reach(table, n, n, bits)[-1]
     else:
         h = n // 2
-        up = _reach(table, n, h, bits, off)
-        down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits, off)
+        up = _reach(table, n, h, bits)
+        down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits)
         full = 2 ** n - 1
-        vectors = {a + b for mask, _ in _moves(n)[_below(n, h):_below(n, h + 1)]
-                   for a in up[mask] for b in down[full ^ mask]}
-    return frozenset(itertools.chain.from_iterable(_decoded(vectors, n, k, not monotone)))
+        vectors = {a + b for mask, _ in _moves(n)[h] for a in up[mask] for b in down[full ^ mask]}
+    return frozenset(itertools.chain.from_iterable(_decoded(vectors, n, k, lift)))
 
 
 @functools.lru_cache(maxsize=1)

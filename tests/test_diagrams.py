@@ -1,3 +1,4 @@
+import collections
 import enum
 import itertools
 import json
@@ -52,9 +53,28 @@ class TestDiagram:
     @pytest.mark.parametrize("box", [(1, 1, 1), (1,), None, [1, 1], [1, 1, 1]],
                              ids=["triple", "single", "none", "list", "list-triple"])
     def test_names_a_box_that_is_not_a_pair(self, box):
-        # a list is unhashable, so it is named before any box is unpacked
+        # a list of two ints unpacks as a pair, and is named when the boxes
+        # fail to hash
         with pytest.raises(ValueError, match=rf"^box {re.escape(repr(box))} is not a \(row, col\) pair$"):
             Diagram(3, [(2, 2), box])
+
+    def test_names_the_first_bad_box_in_input_order(self):
+        bad = {(1, 1, 1): "box (1, 1, 1) is not a (row, col) pair",
+               (1.5, 1): "box (1.5, 1) has a non-integer coordinate",
+               (4, 1): "box (4,1) lies outside the 3x3 grid"}
+        for first, second in itertools.permutations(bad, 2):
+            with pytest.raises(ValueError) as refused:
+                Diagram(3, [(2, 2), first, second])
+            assert str(refused.value) == bad[first]
+
+    def test_a_namedtuple_box_is_hashable(self):
+        # the unhashable box is found by a hash test, so a valid namedtuple
+        # box before it is not named in its place
+        Box = collections.namedtuple("Box", "row col")
+        with pytest.raises(ValueError) as refused:
+            Diagram(3, [Box(1, 1), [2, 2]])
+        assert str(refused.value) == "box [2, 2] is not a (row, col) pair"
+        assert Diagram(3, [Box(1, 1), (2, 2)]) == Diagram(3, {(1, 1), (2, 2)})
 
     def test_boxes_must_be_an_iterable(self):
         with pytest.raises(ValueError) as refused:

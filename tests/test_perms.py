@@ -241,6 +241,13 @@ class TestCompositionOrderValidation:
             composition_leq((1, 0), (1, 0, True))
         assert str(got.value) == self.message((1, 0, True))
 
+    def test_a_bad_part_past_check_composition_raises(self, monkeypatch):
+        # the fallback never returns None: if check_composition let a bad
+        # part through, composition_leq would have no answer to give
+        monkeypatch.setattr(perms, "check_composition", lambda alpha: alpha)
+        with pytest.raises(AssertionError, match=r"^a bad part in \(-1, 2\) or \(1, 1\) passed check_composition$"):
+            composition_leq((-1, 2), (1, 1))
+
 
 class TestVertexCompositions:
     def test_weakly_decreasing_is_singleton(self):

@@ -944,7 +944,7 @@ class TestGreedyVectors:
     """The prefix-mask enumerator behind `vertices` and certification's
     missing vertices, against one `edmonds_vertex` run per permutation, on
     any integer table: the enumeration assumes nothing of the table, and
-    negative, wide and non-submodular steps test its offset and slot width
+    negative, wide and non-submodular steps test its lift and slot width
     more than theta tables do.  `_first_order` is exact on submodular tables
     only, so it is checked on those."""
 
@@ -978,13 +978,16 @@ class TestGreedyVectors:
             yield table
 
     def test_every_slot_width(self):
-        # a slot of k bytes holds spans below 2^(8k - 1): each span just below
-        # and at 2^7, 2^15, 2^31 and 2^63 runs 1, 2, 4 and 8 bytes and the
-        # per-coordinate path past 8 bytes, and the +span step overflows a
-        # slot one width too narrow
+        # a slot of k bytes holds spans below 2^(8k - 1), and these tables,
+        # not monotone, are lifted so that their increments run from 0 to
+        # 2 * span: each span just below and at 2^7, 2^15, 2^31 and 2^63 runs
+        # 1, 2, 4 and 8 bytes and the per-coordinate path past 8 bytes, the
+        # +span step, lifted to 2 * span, sets the top bit of the slot and
+        # overflows a slot one width too narrow, and a span of 2^79 - 1 sets
+        # it in a slot of 10 bytes
         rng = random.Random(44)
         for n in range(8):
-            for bits in (7, 15, 31, 63):
+            for bits in (7, 15, 31, 63, 79):
                 for span in (2 ** bits - 1, 2 ** bits):
                     for lo in (0, -span):
                         for table in self.spanning_tables(rng, n, lo, span):
@@ -1045,7 +1048,7 @@ class TestGreedyVectors:
             yield [0, *(mask.bit_count() * m + rng.randrange(m) for mask in range(1, 2 ** n))]
 
     def test_monotone_tables_in_unsigned_slots(self):
-        # on a monotone table every slot holds its coordinate with no offset,
+        # on a monotone table every slot holds its coordinate with no lift,
         # and single bytes decode with no cast: spans just below and at 2^7,
         # 2^15, 2^31 and 2^63 run every width, and n = 7 joins 5,040 orders'
         # vectors, more than a decode chunk
@@ -1064,7 +1067,7 @@ class TestGreedyVectors:
     def test_the_vertex_set_of_a_table_that_is_not_monotone(self):
         # a graph's cut function is submodular with non-negative bounds but
         # falls to 0 at the full set, so its HRep is not monotone and its
-        # vertices, with negative coordinates, decode from signed slots
+        # vertices, with negative coordinates, come from the lifted table
         rng = random.Random(49)
         for n in (3, 5, 6, 7):
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
@@ -1101,6 +1104,19 @@ class TestGreedyVectors:
             modular = [rng.randint(-4, 4) for _ in range(n)]
             yield [sum(g[bin(mask & a).count("1")] for a, g in parts)
                    + sum(c for i, c in enumerate(modular) if mask >> i & 1) for mask in range(2 ** n)]
+
+    def test_moves_by_layer(self):
+        # entry j of _moves(n) lists the C(n, j) masks of j elements,
+        # increasing, each with its n - j free moves, and every mask once
+        for n in range(7):
+            layers = polytope._moves(n)
+            assert sorted(mask for layer in layers for mask, _ in layer) == list(range(2 ** n))
+            for j, layer in enumerate(layers):
+                masks = [mask for mask, _ in layer]
+                assert len(masks) == math.comb(n, j) and masks == sorted(masks), (n, j)
+                for mask, free in layer:
+                    assert mask.bit_count() == j
+                    assert [nxt for nxt, _ in free] == [mask | 1 << k for k in range(n) if not mask >> k & 1]
 
     def test_first_order_is_the_lexicographically_first(self):
         # the first order of the S_n sweep reaching each point, or None, on

@@ -63,8 +63,7 @@ MUTANTS = [
            "while span >> (w - 2):", "while span >> (w - 1):",
            "tests/test_polytope.py"),
     Mutant("_greedy_vectors' 8-bit slots hold a span of 128", "polytope.py",
-           "k = (max(table) - min(table)).bit_length() // 8 + 1",
-           "k = (max(table) - min(table) - 1).bit_length() // 8 + 1",
+           "k = span.bit_length() // 8 + 1", "k = (span - 1).bit_length() // 8 + 1",
            "tests/test_polytope.py"),
     Mutant("_greedy_vectors' dual table not reversed", "polytope.py",
            "[table[-1] - x for x in reversed(table)]", "[table[-1] - x for x in table]",
@@ -72,22 +71,28 @@ MUTANTS = [
     Mutant("_greedy_vectors joins each middle set with itself", "polytope.py",
            "for b in down[full ^ mask]", "for b in down[mask]",
            "tests/test_polytope.py"),
-    Mutant("_moves in mask order, not by popcount", "polytope.py",
-           "for mask in sorted(range(2 ** n - 1), key=int.bit_count))", "for mask in range(2 ** n - 1))",
-           "tests/test_polytope.py"),
-    Mutant("_decoded without the XOR", "polytope.py",
-           "vectors = [v ^ flip for v in vectors]", "vectors = list(vectors)",
-           "tests/test_polytope.py"),
-    Mutant("_decoded reads signed single bytes with no cast", "polytope.py",
-           "elif signed or k > 1:", "elif k > 1:",
-           "tests/test_polytope.py"),
     Mutant("_reach merges without the increment", "polytope.py",
            "got.add(c + add)", "got.add(c)",
            "tests/test_polytope.py"),
-    Mutant("_greedy_vectors keeps the offset in unsigned slots", "polytope.py",
-           "off = 0 if monotone else 1 << (bits - 1)", "off = 1 << (bits - 1)",
+    Mutant("_greedy_vectors lifts no table", "polytope.py",
+           "lift = 0 if monotone else span", "lift = 0",
            "tests/test_polytope.py"),
-    Mutant("_vertex_set decodes every table unsigned", "polytope.py",
+    Mutant("_greedy_vectors lifts by half the span", "polytope.py",
+           "lift = 0 if monotone else span", "lift = 0 if monotone else span // 2",
+           "tests/test_polytope.py"),
+    Mutant("_decoded takes no lift off", "polytope.py",
+           "flat = [c - lift for c in flat]", "flat = list(flat)",
+           "tests/test_polytope.py"),
+    Mutant("_decoded casts to signed integers", "polytope.py",
+           '.cast("BHIQ"[', '.cast("bhiq"[',
+           "tests/test_polytope.py"),
+    Mutant("_decoded reads slots past 8 bytes signed", "polytope.py",
+           "int.from_bytes(data[i:i + k], order)", "int.from_bytes(data[i:i + k], order, signed=True)",
+           "tests/test_polytope.py"),
+    Mutant("_greedy_vectors joins at layer h - 1", "polytope.py",
+           "for mask, _ in _moves(n)[h]", "for mask, _ in _moves(n)[h - 1]",
+           "tests/test_polytope.py"),
+    Mutant("_vertex_set lifts no table", "polytope.py",
            "_greedy_vectors(h.table, h.n, h.monotone)", "_greedy_vectors(h.table, h.n, True)",
            "tests/test_polytope.py"),
     Mutant("HRep.monotone on the first element only", "polytope.py",
@@ -103,6 +108,12 @@ MUTANTS = [
     Mutant("solve_nonnegative never infeasible", "lp.py",
            "if cost[-1] != 0:", "if cost[-1] > 0:",
            "tests/test_lp.py"),
+    Mutant("Diagram skips its range check", "diagrams.py",
+           "if not (1 <= r <= n and 1 <= c <= n):", "if False:",
+           "tests/test_diagrams.py"),
+    Mutant("Diagram names the first box that is no tuple", "diagrams.py",
+           "if not isinstance(b, Hashable)", "if type(b) is not tuple",
+           "tests/test_diagrams.py"),
     Mutant("is_int takes a subclass of int", "diagrams.py",
            "return type(x) is int", "return isinstance(x, int)",
            "tests/test_diagrams.py tests/test_polytope.py"),
