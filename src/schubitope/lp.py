@@ -42,7 +42,7 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
     k = len(rows[0]) if m else 0
     system = [[*rows[i], rhs[i]] for i in range(m)]
     entries = {type(v) for r in system for v in r}
-    if not (entries <= INTS or entries <= exact_types()):
+    if not entries <= exact_types():
         bad = next(v for r in system for v in r if type(v) not in exact_types())
         raise ValueError(f"LP entry {bad!r} is not an integer or a Fraction")
     scale = math.lcm(*(v.denominator for r in system for v in r if type(v) is not int))

@@ -250,8 +250,11 @@ def vertex_compositions(alpha: Sequence[int]) -> list[Composition]:
 
 
 def parse_perm(text: str) -> Perm:
-    """Parse one-line notation: "2641375" for n <= 9, comma-separated otherwise."""
+    """Parse one-line notation: "2641375" for n <= 9, comma-separated
+    otherwise; an empty or blank string is the permutation of n = 0."""
     text = text.strip()
+    if not text:
+        return ()
     if "," in text:
         pieces = text.split(",")
     elif text.isdigit():

@@ -41,10 +41,11 @@ through one prefix S of n // 2 elements, and its greedy vector is that of
 the restriction to S beside that of the contraction by S, read off the
 dual.  Each mask's free elements come from a table cached per n, one
 entry per layer (`_moves`).  A partial vector is one int with a slot of
-1, 2, 4 or 8 whole bytes per coordinate, the fewest whose top bit exceeds
-the table's span, holding its increment unsigned, so the vertices decode
-in bulk, a chunk at a time, by one unsigned `memoryview` cast, or none
-for single bytes (`_decoded`).  A monotone table, as every theta table
+whole bytes per coordinate, the fewest whose top bit exceeds the table's
+span, holding its increment unsigned, coordinate i in slot i, read
+little-endian as every packed integer here is; the vertices decode a
+chunk at a time, single-byte slots as the chunk's bytes and wider ones
+slot by slot (`_decoded`).  A monotone table, as every theta table
 is, has no negative increment; any other table is first lifted by span
 times |S|, which makes every increment non-negative and adds the span to
 every coordinate, taken off again at the decode.  Each extension of a set
@@ -65,7 +66,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -78,7 +78,7 @@ HREP_CAP = 18        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration by prefix mask, behind `vertices` and `certify_vertices`
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
-_CHUNK = 1024        # greedy vectors decoded per bulk cast, so no list holds every coordinate
+_CHUNK = 1024        # greedy vectors decoded per chunk of bytes, so no list holds every coordinate
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -156,10 +156,13 @@ def _deficits(col: int, ones: Sequence[int], w: int) -> int:
     return q
 
 
-def _unpack(packed: int, n: int) -> list[int]:
-    """The 2^n slots of a packed table, mask 0 first."""
-    slots = memoryview(packed.to_bytes(2 ** n * _SLOT // 8, sys.byteorder)).cast("H").tolist()
-    return slots if sys.byteorder == "little" else slots[::-1]
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    """The 2^n 16-bit slots of a packed table, mask 0 first, read
+    little-endian by `struct`, which loads on the first table of 256 boxes
+    or more, not with the module."""
+    import struct
+
+    return struct.unpack(f"<{2 ** n}H", packed.to_bytes(2 << n, "little"))
 
 
 def _pack(table: Sequence[int], w: int) -> int:
@@ -413,36 +416,28 @@ def edmonds_vertex(table: Sequence[int], w: Sequence[int]) -> tuple:
 @functools.cache
 def _moves(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
     """The masks of [n] by layer: entry j lists the masks of j elements,
-    increasing, each with the pairs (mask | 1 << k, slot) of its free
-    elements k + 1, k increasing.  The slot is k on a little-endian machine
-    and n - 1 - k on a big-endian one, so that a packed vector's bytes in
-    native order list its coordinates in order.  At n = 10 this is 1,024
-    masks and 5,120 pairs."""
-    slots = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
-    return tuple(tuple((mask, tuple((mask | 1 << k, slot) for k, slot in zip(range(n), slots) if not mask >> k & 1))
+    increasing, each with the pairs (mask | 1 << k, k) of its free
+    elements k + 1, k increasing; k is also the slot of coordinate k + 1 in
+    a packed vector.  At n = 10 this is 1,024 masks and 5,120 pairs."""
+    return tuple(tuple((mask, tuple((mask | 1 << k, k) for k in range(n) if not mask >> k & 1))
                        for mask in range(2 ** n) if mask.bit_count() == j) for j in range(n + 1))
 
 
 def _decoded(vectors: Iterable[int], n: int, k: int, lift: int) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The coordinates of packed vectors, n slots of k bytes each, each slot
-    holding its coordinate plus lift as an unsigned integer, decoded
-    _CHUNK vectors at a time: per chunk, an iterator of its tuples of n.
+    """The coordinates of packed vectors, n little-endian slots of k bytes
+    each, slot i holding coordinate i plus lift as an unsigned integer,
+    decoded _CHUNK vectors at a time: per chunk, an iterator of its tuples
+    of n.
 
-    The chunk's bytes, joined, are read as unsigned integers in one cast;
-    single bytes need none, as iterating bytes yields their values.  Slots
-    wider than 8 bytes have no cast; only they are read one coordinate at a
-    time.  A nonzero lift is then taken from every coordinate."""
+    The chunk's vectors are joined into one bytes object.  Single-byte
+    slots are its bytes, as iterating bytes yields their values; wider
+    slots are read one at a time.  A nonzero lift is then taken from every
+    coordinate."""
     size = k * n
-    order = sys.byteorder
     vectors = list(vectors)
     for start in range(0, len(vectors), _CHUNK):
-        data = b"".join([v.to_bytes(size, order) for v in vectors[start:start + _CHUNK]])
-        if k > 8:
-            flat = [int.from_bytes(data[i:i + k], order) for i in range(0, len(data), k)]
-        elif k > 1:
-            flat = memoryview(data).cast("BHIQ"[k.bit_length() - 1]).tolist()
-        else:
-            flat = data
+        data = b"".join([v.to_bytes(size, "little") for v in vectors[start:start + _CHUNK]])
+        flat = data if k == 1 else [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
         if lift:
             flat = [c - lift for c in flat]
         yield zip(*[iter(flat)] * n)
@@ -510,20 +505,17 @@ def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> fro
     lifted to f(S) + span * |S|, whose greedy vectors are those of f with
     span added to every coordinate: every increment of the lifted table,
     and so of its dual, lies in [0, 2 * span].  A partial vector is one int
-    with a slot of k whole bytes per coordinate, k the smallest of 1, 2, 4
-    and 8 bytes with span < 2^(8k - 1), or the fewest bytes past 8, so a
-    slot holds any such increment unsigned.  Each coordinate is written
-    once, by one pass or the other, into a slot that reads 0, so no slot
-    carries into the next, the join is plain addition, and the final
-    vectors decode in bulk, the lift taken off again (`_decoded`), chained
-    into the frozenset chunk by chunk.  With one order or none there is
-    one greedy vector, read off directly."""
+    with a slot of k whole bytes per coordinate, the fewest with
+    span < 2^(8k - 1), so a slot holds any such increment unsigned.  Each
+    coordinate is written once, by one pass or the other, into a slot that
+    reads 0, so no slot carries into the next, the join is plain addition,
+    and the final vectors decode a chunk at a time, the lift taken off
+    again (`_decoded`), chained into the frozenset chunk by chunk.  With
+    one order or none there is one greedy vector, read off directly."""
     if n <= 1:
         return frozenset({(table[1] - table[0],) if n else ()})
     span = max(table) - min(table)
     k = span.bit_length() // 8 + 1   # the fewest bytes with span < 2^(8k - 1)
-    if k <= 8:
-        k = 1 << (k - 1).bit_length()
     bits = 8 * k
     lift = 0 if monotone else span
     if lift:

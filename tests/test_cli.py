@@ -76,6 +76,15 @@ class TestConstructorsAndFill:
         assert code == 0
         assert json.loads(out) == {"n": 4, "boxes": [[2, 2], [2, 3], [3, 2]]}
 
+    @pytest.mark.parametrize("verb, flag", [("rothe", "--perm"), ("skyline", "--alpha"),
+                                            ("schubert", "--perm"), ("key", "--alpha")])
+    def test_empty_argument_is_n_zero(self, capsys, verb, flag):
+        # the empty permutation and the empty composition answer alike
+        code, out, err = run_cli(capsys, verb, flag, "")
+        assert code == 0 and err == ""
+        doc = {"n": 0, "boxes": []} if verb in ("rothe", "skyline") else {"n": 0, "terms": [{"e": [], "c": 1}]}
+        assert json.loads(out) == doc
+
     def test_skyline_text(self, capsys):
         code, out, _ = run_cli(capsys, "skyline", "--alpha", "1,0,3", "--format", "text")
         assert out.strip() == "□..\n...\n□□□"
@@ -423,6 +432,10 @@ STARTUP_WEIGHT = {"dataclasses", "inspect", "typing", "concurrent.futures"}
 # before something imports it, so the library's type tests never do
 NUMBER_MODULES = {"fractions", "decimal", "numbers"}
 
+# `struct`, which only `polytope._unpack` imports, for tables of 256 boxes
+# or more
+PACKING_MODULES = {"struct", "_struct"}
+
 
 def test_package_import_loads_no_reference_code():
     # oracles, checks, the CLI and the greedy fillings load only on use:
@@ -432,7 +445,7 @@ def test_package_import_loads_no_reference_code():
     _, loaded = _modules_after("import json, schubitope, sys; print(json.dumps([*sys.modules]))")
     ours = {name for name in loaded if name.startswith("schubitope.")}
     assert ours == {f"schubitope.{name}" for name in ("diagrams", "perms", "lp", "polyoracle", "polytope")}
-    assert not loaded & {*STARTUP_WEIGHT, *NUMBER_MODULES}
+    assert not loaded & {*STARTUP_WEIGHT, *NUMBER_MODULES, *PACKING_MODULES}
     # the package still exports the reference ranks, resolved from `oracles` on use
     from schubitope import oracles
 
@@ -451,7 +464,7 @@ def test_verb_loads_no_verify_suite():
     assert out == '{"vertices":[[1,0,1,0],[1,1,0,0],[2,0,0,0]]}'
     assert "schubitope.cli" in loaded
     assert not loaded & {"schubitope.checks", "schubitope.oracles", "schubitope.fillings",
-                         *STARTUP_WEIGHT, *NUMBER_MODULES}
+                         *STARTUP_WEIGHT, *NUMBER_MODULES, *PACKING_MODULES}
 
 
 def test_verify_on_one_worker_loads_no_pool():

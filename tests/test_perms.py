@@ -294,6 +294,10 @@ class TestSerialization:
     def test_digit_string(self):
         assert perms.parse_perm("2641375") == (2, 6, 4, 1, 3, 7, 5)
 
+    def test_empty_permutation(self):
+        # n = 0, as for compositions
+        assert perms.parse_perm("") == perms.parse_perm(" ") == ()
+
     def test_comma_separated_for_large_n(self):
         assert perms.parse_perm("10,9,8,7,6,5,4,3,2,1") == tuple(range(10, 0, -1))
 

@@ -315,7 +315,7 @@ class TestHRep:
         rng = random.Random(71)
         for n in range(6):
             table = (0, *[rng.randrange(2 ** 16) for _ in range(2 ** n - 1)]) if n else (0,)
-            assert _unpack(_pack(table, 16), n) == list(table)
+            assert _unpack(_pack(table, 16), n) == tuple(table)
             for w in (32, 64, 128):
                 packed = _pack(table, w)
                 assert [packed >> w * m & (1 << w) - 1 for m in range(2 ** n)] == list(table), (n, w)
@@ -978,16 +978,16 @@ class TestGreedyVectors:
             yield table
 
     def test_every_slot_width(self):
-        # a slot of k bytes holds spans below 2^(8k - 1), and these tables,
-        # not monotone, are lifted so that their increments run from 0 to
-        # 2 * span: each span just below and at 2^7, 2^15, 2^31 and 2^63 runs
-        # 1, 2, 4 and 8 bytes and the per-coordinate path past 8 bytes, the
-        # +span step, lifted to 2 * span, sets the top bit of the slot and
-        # overflows a slot one width too narrow, and a span of 2^79 - 1 sets
-        # it in a slot of 10 bytes
+        # a slot of k whole bytes holds spans below 2^(8k - 1), and these
+        # tables, not monotone, are lifted so that their increments run from
+        # 0 to 2 * span: a span just below 2^(8k - 1) runs k bytes and one at
+        # it k + 1, for k = 1, 2, 3, 4, 5, 8 and 10, the single bytes read as
+        # bytes and every wider slot one at a time; the +span step, lifted
+        # to 2 * span, sets the top bit of its slot and overflows a slot one
+        # byte too narrow
         rng = random.Random(44)
         for n in range(8):
-            for bits in (7, 15, 31, 63, 79):
+            for bits in (7, 15, 23, 31, 39, 63, 79):
                 for span in (2 ** bits - 1, 2 ** bits):
                     for lo in (0, -span):
                         for table in self.spanning_tables(rng, n, lo, span):
@@ -1048,14 +1048,15 @@ class TestGreedyVectors:
             yield [0, *(mask.bit_count() * m + rng.randrange(m) for mask in range(1, 2 ** n))]
 
     def test_monotone_tables_in_unsigned_slots(self):
-        # on a monotone table every slot holds its coordinate with no lift,
-        # and single bytes decode with no cast: spans just below and at 2^7,
-        # 2^15, 2^31 and 2^63 run every width, and n = 7 joins 5,040 orders'
-        # vectors, more than a decode chunk
+        # on a monotone table every slot holds its coordinate with no lift:
+        # spans just below and at 2^7, 2^15, 2^23, 2^31, 2^39 and 2^63 run
+        # slots of 1 to 6, 8 and 9 bytes, single bytes read as bytes and
+        # wider slots one at a time, and n = 7 joins 5,040 orders' vectors,
+        # more than a decode chunk
         rng = random.Random(48)
         chunked = False
         for n in range(8):
-            for bits in (7, 15, 31, 63):
+            for bits in (7, 15, 23, 31, 39, 63):
                 for span in (2 ** bits - 1, 2 ** bits):
                     for table in self.monotone_tables(rng, n, span):
                         vectors = _greedy_vectors(table, n, monotone=True)
@@ -1107,7 +1108,8 @@ class TestGreedyVectors:
 
     def test_moves_by_layer(self):
         # entry j of _moves(n) lists the C(n, j) masks of j elements,
-        # increasing, each with its n - j free moves, and every mask once
+        # increasing, each with its n - j free moves, and every mask once;
+        # the move adding element k + 1 writes slot k on every machine
         for n in range(7):
             layers = polytope._moves(n)
             assert sorted(mask for layer in layers for mask, _ in layer) == list(range(2 ** n))
@@ -1116,7 +1118,28 @@ class TestGreedyVectors:
                 assert len(masks) == math.comb(n, j) and masks == sorted(masks), (n, j)
                 for mask, free in layer:
                     assert mask.bit_count() == j
-                    assert [nxt for nxt, _ in free] == [mask | 1 << k for k in range(n) if not mask >> k & 1]
+                    assert list(free) == [(mask | 1 << k, k) for k in range(n) if not mask >> k & 1]
+
+    def test_decodes_hand_packed_little_endian_slots(self):
+        # coordinate i of a vector sits at bit 8 * k * i, read little-endian
+        # whatever the machine's byte order: slots of 1, 2, 3 and 9 bytes,
+        # 0, 1 and the slot's top among random values, a lift taken off
+        # each, and more vectors than a decode chunk
+        rng = random.Random(51)
+        n = 4
+        for k in (1, 2, 3, 9):
+            top = (1 << 8 * k) - 1
+            coords = [(0, top, 1, top - 1), (top, 0, 0, 0)]
+            coords += [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(polytope._CHUNK + 5)]
+            packed = [sum(c << 8 * k * i for i, c in enumerate(v)) for v in coords]
+            for lift in (0, 1, top // 2):
+                chunks = [list(chunk) for chunk in polytope._decoded(packed, n, k, lift)]
+                assert [len(chunk) for chunk in chunks] == [polytope._CHUNK, 7]
+                assert [v for chunk in chunks for v in chunk] == [tuple(c - lift for c in v) for v in coords]
+        # hrep's 16-bit table, mask 0 in the lowest two bytes, low byte first
+        table = (0, 1, 255, 256, 258, 0x1234, 0xFF00, 0xFFFF)
+        assert _unpack(int.from_bytes(b"".join(b.to_bytes(2, "little") for b in table), "little"), 3) == table
+        assert _unpack(sum(b << 16 * m for m, b in enumerate(table)), 3) == table
 
     def test_first_order_is_the_lexicographically_first(self):
         # the first order of the S_n sweep reaching each point, or None, on

@@ -83,11 +83,17 @@ MUTANTS = [
     Mutant("_decoded takes no lift off", "polytope.py",
            "flat = [c - lift for c in flat]", "flat = list(flat)",
            "tests/test_polytope.py"),
-    Mutant("_decoded casts to signed integers", "polytope.py",
-           '.cast("BHIQ"[', '.cast("bhiq"[',
+    Mutant("_decoded reads multi-byte slots signed", "polytope.py",
+           'int.from_bytes(data[i:i + k], "little")', 'int.from_bytes(data[i:i + k], "little", signed=True)',
            "tests/test_polytope.py"),
-    Mutant("_decoded reads slots past 8 bytes signed", "polytope.py",
-           "int.from_bytes(data[i:i + k], order)", "int.from_bytes(data[i:i + k], order, signed=True)",
+    Mutant("_decoded reads multi-byte slots big-endian", "polytope.py",
+           'int.from_bytes(data[i:i + k], "little")', 'int.from_bytes(data[i:i + k], "big")',
+           "tests/test_polytope.py"),
+    Mutant("_moves mirrors the slots", "polytope.py",
+           "(mask | 1 << k, k) for k in range(n)", "(mask | 1 << k, n - 1 - k) for k in range(n)",
+           "tests/test_polytope.py"),
+    Mutant("_unpack reads big-endian", "polytope.py",
+           'struct.unpack(f"<{2 ** n}H"', 'struct.unpack(f">{2 ** n}H"',
            "tests/test_polytope.py"),
     Mutant("_greedy_vectors joins at layer h - 1", "polytope.py",
            "for mask, _ in _moves(n)[h]", "for mask, _ in _moves(n)[h - 1]",
@@ -122,9 +128,6 @@ MUTANTS = [
     Mutant("_check_point's int fast path takes every type", "polytope.py",
            "if not (types <= INTS or", "if not (True or",
            "tests/test_polytope.py"),
-    Mutant("solve_nonnegative's int fast path takes every type", "lp.py",
-           "if not (entries <= INTS or", "if not (True or",
-           "tests/test_lp.py"),
     Mutant("_check_points' int fast path takes every type", "lp.py",
            "if not (types <= INTS or", "if not (True or",
            "tests/test_lp.py"),
