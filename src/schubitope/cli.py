@@ -44,10 +44,13 @@ def _subset(text: str) -> frozenset[int]:
 
 
 def _point(text: str) -> tuple[Fraction, ...]:
+    text = text.strip()
+    if not text:  # the point of n = 0
+        return ()
     from fractions import Fraction
 
     out = []
-    for piece in text.strip().split(","):
+    for piece in text.split(","):
         try:
             out.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):

@@ -48,9 +48,8 @@ _exact = INTS  # the types `exact_types` admits; it adds Fraction once
 def exact_types() -> frozenset[type]:
     """The types of the library's exact numbers: `int`, and `Fraction` once
     `fractions` is loaded.  No Fraction exists before something imports
-    that module, so no type test loads it.  A test reads `INTS` first, so a
-    point of ints costs one subset test and a point of Fractions one call
-    more; the set is built once."""
+    that module, so no type test loads it.  A point costs one call and one
+    subset test, of ints or of Fractions alike; the set is built once."""
     global _exact
     if _exact is INTS and (fractions := sys.modules.get("fractions")) is not None:
         _exact = frozenset({int, fractions.Fraction})

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .diagrams import INTS, exact_types
+from .diagrams import exact_types
 
 
 def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
@@ -101,8 +101,7 @@ def _check_points(points: Sequence[tuple], dim: int) -> None:
     for p in points:
         if len(p) != dim:
             raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
-        types = {*map(type, p)}
-        if not (types <= INTS or types <= exact_types()):
+        if not {*map(type, p)} <= exact_types():
             bad = next(c for c in p if type(c) not in exact_types())
             raise ValueError(f"point {p} has coordinate {bad!r}, expected an integer or a Fraction")
 

@@ -43,15 +43,15 @@ dual.  Each mask's free elements come from a table cached per n, one
 entry per layer (`_moves`).  A partial vector is one int with a slot of
 whole bytes per coordinate, the fewest whose top bit exceeds the table's
 span, holding its increment unsigned, coordinate i in slot i, read
-little-endian as every packed integer here is; the vertices decode a
-chunk at a time, single-byte slots as the chunk's bytes and wider ones
-slot by slot (`_decoded`).  A monotone table, as every theta table
-is, has no negative increment; any other table is first lifted by span
-times |S|, which makes every increment non-negative and adds the span to
-every coordinate, taken off again at the decode.  Each extension of a set
-of partial vectors by one element is one plain int addition per vector,
-the passes' inner loop: most sets hold one or two vectors, so any
-per-move setup would cost more than the additions.  A one-entry memo
+little-endian as every packed integer here is; the vertices decode in
+one pass over their joined bytes, single-byte slots as those bytes and
+wider ones slot by slot (`_decoded`).  A monotone table, as every theta
+table is, has no negative increment; any other table is first lifted by
+span times |S|, which makes every increment non-negative and adds the
+span to every coordinate, taken off again at the decode.  Each extension
+of a set of partial vectors by one element is one plain int addition per
+vector, the passes' inner loop: most sets hold one or two vectors, so
+any per-move setup would cost more than the additions.  A one-entry memo
 keyed by the `HRep` lets `vertices` and `certify_vertices` share one
 enumeration.  `certify_vertices` checks a claim's lengths and types in
 bulk, and point by point only to name the first bad point; it refuses a
@@ -69,7 +69,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from .diagrams import INTS, Diagram, Value, check_subset, column_slots, exact_types, is_int, split_columns
+from .diagrams import Diagram, Value, check_subset, column_slots, exact_types, is_int, split_columns
 from .perms import check_permutation
 
 STAR = "★"
@@ -78,7 +78,6 @@ HREP_CAP = 18        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration by prefix mask, behind `vertices` and `certify_vertices`
 
 _SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
-_CHUNK = 1024        # greedy vectors decoded per chunk of bytes, so no list holds every coordinate
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -224,7 +223,14 @@ class HRep(Value):
     _fields = ("n", "total", "table")
 
     def __init__(self, n: int, total: int, table: Sequence[int]):
-        table = self._checked_shape(n, total, table)
+        if not is_int(n) or n < 0:
+            raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
+        if not is_int(total):
+            raise ValueError(f"total must be an integer, got {total!r}")
+        table = tuple(table)
+        ends = table[:1] + table[-1:]
+        if len(table) != 2 ** n or ends != (0, total) or not all(map(is_int, ends)):
+            raise ValueError(f"table must have 2^{n} entries running from 0 to the total {total}")
         if not ({*map(type, table)} <= {int} and min(table) >= 0):  # else find the first bad bound
             for mask in range(1, len(table) - 1):
                 b = table[mask]
@@ -234,28 +240,13 @@ class HRep(Value):
                     )
         self.__dict__.update(n=n, total=total, table=table)
 
-    @staticmethod
-    def _checked_shape(n, total, table) -> tuple:
-        """The table as a tuple, once n, the total, its length and its ends pass."""
-        if not is_int(n) or n < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
-        if not is_int(total):
-            raise ValueError(f"total must be an integer, got {total!r}")
-        table = tuple(table)
-        ends = table[:1] + table[-1:]
-        if len(table) != 2 ** n or ends != (0, total) or not all(map(is_int, ends)):
-            raise ValueError(f"table must have 2^{n} entries running from 0 to the total {total}")
-        return table
-
     @classmethod
     def _from_packed(cls, n: int, total: int, packed: int, table: Sequence[int]) -> HRep:
         """The HRep of a monotone table, as `hrep` builds it, with the same
-        table packed 16 bits per subset kept as `packed`.  Its entries are
-        unsigned, so only the shape is checked, and it is monotone, so its
-        largest bound is the total."""
+        table packed 16 bits per subset kept as `packed`.  It is monotone,
+        so its largest bound is the total."""
         h = cls.__new__(cls)
-        table = cls._checked_shape(n, total, table)
-        h.__dict__.update(n=n, total=total, table=table, packed=packed, max_bound=total, monotone=True)
+        h.__dict__.update(n=n, total=total, table=tuple(table), packed=packed, max_bound=total, monotone=True)
         return h
 
     @functools.cached_property
@@ -304,8 +295,7 @@ def _check_point(h: HRep, point: Sequence) -> None:
     neither `int` nor `Fraction` (`exact_types`)."""
     if len(point) != h.n:
         raise ValueError(f"point has dimension {len(point)}, expected {h.n}")
-    types = {*map(type, point)}
-    if not (types <= INTS or types <= exact_types()):
+    if not {*map(type, point)} <= exact_types():
         k, x = next((k, x) for k, x in enumerate(point, 1) if type(x) not in exact_types())
         raise ValueError(f"point coordinate {k} is {x!r}, expected an integer or a Fraction")
 
@@ -423,24 +413,20 @@ def _moves(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
                        for mask in range(2 ** n) if mask.bit_count() == j) for j in range(n + 1))
 
 
-def _decoded(vectors: Iterable[int], n: int, k: int, lift: int) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The coordinates of packed vectors, n little-endian slots of k bytes
-    each, slot i holding coordinate i plus lift as an unsigned integer,
-    decoded _CHUNK vectors at a time: per chunk, an iterator of its tuples
-    of n.
+def _decoded(vectors: Iterable[int], n: int, k: int, lift: int) -> Iterator[tuple[int, ...]]:
+    """The coordinates of packed vectors as tuples of n, each vector n
+    little-endian slots of k bytes, slot i holding coordinate i plus lift
+    as an unsigned integer.
 
-    The chunk's vectors are joined into one bytes object.  Single-byte
-    slots are its bytes, as iterating bytes yields their values; wider
-    slots are read one at a time.  A nonzero lift is then taken from every
-    coordinate."""
-    size = k * n
-    vectors = list(vectors)
-    for start in range(0, len(vectors), _CHUNK):
-        data = b"".join([v.to_bytes(size, "little") for v in vectors[start:start + _CHUNK]])
-        flat = data if k == 1 else [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
-        if lift:
-            flat = [c - lift for c in flat]
-        yield zip(*[iter(flat)] * n)
+    The vectors are joined into one bytes object.  Single-byte slots are
+    its bytes, as iterating bytes yields their values; wider slots are read
+    one at a time, and a nonzero lift is taken from every coordinate, both
+    by generators, so no list holds every coordinate."""
+    data = b"".join([v.to_bytes(k * n, "little") for v in vectors])
+    flat = data if k == 1 else (int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k))
+    if lift:
+        flat = (c - lift for c in flat)
+    return zip(*[iter(flat)] * n)
 
 
 def _reach(table: Sequence[int], n: int, depth: int, bits: int) -> list:
@@ -509,8 +495,8 @@ def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> fro
     span < 2^(8k - 1), so a slot holds any such increment unsigned.  Each
     coordinate is written once, by one pass or the other, into a slot that
     reads 0, so no slot carries into the next, the join is plain addition,
-    and the final vectors decode a chunk at a time, the lift taken off
-    again (`_decoded`), chained into the frozenset chunk by chunk.  With
+    and the final vectors decode in one pass over their joined bytes, the
+    lift taken off again (`_decoded`), straight into the frozenset.  With
     one order or none there is one greedy vector, read off directly."""
     if n <= 1:
         return frozenset({(table[1] - table[0],) if n else ()})
@@ -528,7 +514,7 @@ def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> fro
         down = _reach([table[-1] - x for x in reversed(table)], n, n - h, bits)
         full = 2 ** n - 1
         vectors = {a + b for mask, _ in _moves(n)[h] for a in up[mask] for b in down[full ^ mask]}
-    return frozenset(itertools.chain.from_iterable(_decoded(vectors, n, k, lift)))
+    return frozenset(_decoded(vectors, n, k, lift))
 
 
 @functools.lru_cache(maxsize=1)

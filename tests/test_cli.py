@@ -127,6 +127,15 @@ class TestMemberAndBruhat:
                                "--point", "3/2,3/2,1")
         assert code == 0 and out.strip() == "true"
 
+    def test_member_empty_point(self, capsys):
+        # an empty --point is the point of n = 0, the one point of the n = 0
+        # polytope, and of the wrong dimension elsewhere
+        code, out, err = run_cli(capsys, "member", "--skyline", "", "--point", "")
+        assert code == 0 and out.strip() == "true" and err == ""
+        code, out, err = run_cli(capsys, "member", "--rothe", "21", "--point", "")
+        assert code == 2 and out == ""
+        assert err == "error: --point: point has dimension 0, expected 2\n"
+
     def test_bruhat(self, capsys):
         code, out, _ = run_cli(capsys, "bruhat", "--u", "312", "--w", "321")
         assert code == 0 and out.strip() == "true"
@@ -218,6 +227,7 @@ class TestErrors:
         (("theta", "--skyline", "1,0,3", "--set", "1,x"), "--set: expected comma-separated integers, got '1,x'"),
         (("member", "--skyline", "1,0,3", "--point", "1,1/0,3"), "--point: bad coordinate '1/0' (use integers or p/q)"),
         (("skyline", "--alpha", "1,a"), "--alpha: bad composition '1,a': parts must be integers"),
+        (("member", "--skyline", "1,0,3", "--point", "1,,2"), "--point: bad coordinate '' (use integers or p/q)"),
     ])
     def test_library_errors_name_their_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

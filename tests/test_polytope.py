@@ -1023,7 +1023,7 @@ class TestGreedyVectors:
         rng = random.Random(46)
         table = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(2 ** 7)]
         vectors = _greedy_vectors(table, 7)
-        assert len(vectors) > polytope._CHUNK
+        assert len(vectors) == 5040
         assert vectors == greedy_vectors_by_sweep(table, 7)
 
     @staticmethod
@@ -1052,9 +1052,9 @@ class TestGreedyVectors:
         # spans just below and at 2^7, 2^15, 2^23, 2^31, 2^39 and 2^63 run
         # slots of 1 to 6, 8 and 9 bytes, single bytes read as bytes and
         # wider slots one at a time, and n = 7 joins 5,040 orders' vectors,
-        # more than a decode chunk
+        # so some table decodes more than 1,024 vectors in one pass
         rng = random.Random(48)
-        chunked = False
+        many = False
         for n in range(8):
             for bits in (7, 15, 23, 31, 39, 63):
                 for span in (2 ** bits - 1, 2 ** bits):
@@ -1062,8 +1062,8 @@ class TestGreedyVectors:
                         vectors = _greedy_vectors(table, n, monotone=True)
                         assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
                         assert vectors == _greedy_vectors(table, n), (n, table)
-                        chunked |= len(vectors) > polytope._CHUNK
-        assert chunked
+                        many |= len(vectors) > 1024
+        assert many
 
     def test_the_vertex_set_of_a_table_that_is_not_monotone(self):
         # a graph's cut function is submodular with non-negative bounds but
@@ -1124,18 +1124,17 @@ class TestGreedyVectors:
         # coordinate i of a vector sits at bit 8 * k * i, read little-endian
         # whatever the machine's byte order: slots of 1, 2, 3 and 9 bytes,
         # 0, 1 and the slot's top among random values, a lift taken off
-        # each, and more vectors than a decode chunk
+        # each, 1,031 vectors in one pass, and no vectors at all
         rng = random.Random(51)
         n = 4
         for k in (1, 2, 3, 9):
             top = (1 << 8 * k) - 1
             coords = [(0, top, 1, top - 1), (top, 0, 0, 0)]
-            coords += [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(polytope._CHUNK + 5)]
+            coords += [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(1029)]
             packed = [sum(c << 8 * k * i for i, c in enumerate(v)) for v in coords]
             for lift in (0, 1, top // 2):
-                chunks = [list(chunk) for chunk in polytope._decoded(packed, n, k, lift)]
-                assert [len(chunk) for chunk in chunks] == [polytope._CHUNK, 7]
-                assert [v for chunk in chunks for v in chunk] == [tuple(c - lift for c in v) for v in coords]
+                assert list(polytope._decoded(packed, n, k, lift)) == [tuple(c - lift for c in v) for v in coords]
+                assert list(polytope._decoded([], n, k, lift)) == []
         # hrep's 16-bit table, mask 0 in the lowest two bytes, low byte first
         table = (0, 1, 255, 256, 258, 0x1234, 0xFF00, 0xFFFF)
         assert _unpack(int.from_bytes(b"".join(b.to_bytes(2, "little") for b in table), "little"), 3) == table

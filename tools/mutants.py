@@ -81,13 +81,19 @@ MUTANTS = [
            "lift = 0 if monotone else span", "lift = 0 if monotone else span // 2",
            "tests/test_polytope.py"),
     Mutant("_decoded takes no lift off", "polytope.py",
-           "flat = [c - lift for c in flat]", "flat = list(flat)",
+           "flat = (c - lift for c in flat)", "flat = (c for c in flat)",
            "tests/test_polytope.py"),
     Mutant("_decoded reads multi-byte slots signed", "polytope.py",
            'int.from_bytes(data[i:i + k], "little")', 'int.from_bytes(data[i:i + k], "little", signed=True)',
            "tests/test_polytope.py"),
     Mutant("_decoded reads multi-byte slots big-endian", "polytope.py",
            'int.from_bytes(data[i:i + k], "little")', 'int.from_bytes(data[i:i + k], "big")',
+           "tests/test_polytope.py"),
+    Mutant("_decoded joins the vectors big-endian", "polytope.py",
+           'v.to_bytes(k * n, "little")', 'v.to_bytes(k * n, "big")',
+           "tests/test_polytope.py"),
+    Mutant("_decoded cuts n - 1 slots per vector", "polytope.py",
+           "[iter(flat)] * n", "[iter(flat)] * (n - 1)",
            "tests/test_polytope.py"),
     Mutant("_moves mirrors the slots", "polytope.py",
            "(mask | 1 << k, k) for k in range(n)", "(mask | 1 << k, n - 1 - k) for k in range(n)",
@@ -123,14 +129,8 @@ MUTANTS = [
     Mutant("is_int takes a subclass of int", "diagrams.py",
            "return type(x) is int", "return isinstance(x, int)",
            "tests/test_diagrams.py tests/test_polytope.py"),
-    # the exact-number type tests: ints alone decide a point of ints, and
-    # Fraction is admitted once `fractions` is loaded, never loaded by them
-    Mutant("_check_point's int fast path takes every type", "polytope.py",
-           "if not (types <= INTS or", "if not (True or",
-           "tests/test_polytope.py"),
-    Mutant("_check_points' int fast path takes every type", "lp.py",
-           "if not (types <= INTS or", "if not (True or",
-           "tests/test_lp.py"),
+    # the exact-number type test: Fraction is admitted once `fractions` is
+    # loaded, and the test never loads it
     Mutant("exact_types never admits Fraction", "diagrams.py",
            "_exact = frozenset({int, fractions.Fraction})", "_exact = frozenset({int})",
            "tests/test_polytope.py tests/test_lp.py"),
