@@ -6,6 +6,10 @@ the n! orders and checked against the per-column greedy fillings; Schubert
 and key polynomials act as independent Newton-polytope oracles; and
 everything is cross-checked by brute force at desk scale with exact
 rational arithmetic.
+
+A cold ``import schubitope`` loads neither `dataclasses`, `typing` nor
+`fractions`.  `fillings` and the reference ranks of `oracles` load on the
+first use of one of their names (`_LAZY`).
 """
 
 from .diagrams import Diagram, rothe, skyline

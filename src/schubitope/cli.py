@@ -187,6 +187,10 @@ VERBS = {
 
 
 def _verify(args) -> tuple[int, str]:
+    """The exit code and report of `verify`.  ``--jobs 0`` means all
+    cores.  The JSON report holds the answer fields alone (name, instances,
+    counterexample), not the scope or seconds, so it repeats byte for byte
+    for a fixed seed."""
     from . import checks  # the suite loads for `verify` only
 
     top = checks.largest_scope()

@@ -41,8 +41,8 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
-INTS = frozenset({int})
-_exact = INTS  # the types `exact_types` admits; it adds Fraction once
+_INTS = frozenset({int})
+_exact = _INTS  # the types `exact_types` admits; it adds Fraction once
 
 
 def exact_types() -> frozenset[type]:
@@ -51,15 +51,16 @@ def exact_types() -> frozenset[type]:
     that module, so no type test loads it.  A point costs one call and one
     subset test, of ints or of Fractions alike; the set is built once."""
     global _exact
-    if _exact is INTS and (fractions := sys.modules.get("fractions")) is not None:
+    if _exact is _INTS and (fractions := sys.modules.get("fractions")) is not None:
         _exact = frozenset({int, fractions.Fraction})
     return _exact
 
 
 def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
-    """The subset of [n] as a frozenset; a repeated element counts once.
-    The one rule for subsets of rows, shared by theta and the matroid rank,
-    so both refuse the same subsets with the same message."""
+    """The subset of [n] as a frozenset; a repeated element counts once,
+    and 0, n + 1 and True are refused.  The one rule for subsets of rows,
+    shared by theta and the matroid rank, so both refuse the same subsets
+    with the same message."""
     s = frozenset(subset)
     for i in s:
         if type(i) is not int or not 1 <= i <= n:

@@ -146,7 +146,8 @@ def vertex_vectors(d: Diagram) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
 
     states[k] is the packed fill state after the first k values of the
     current order; each order reruns the fill step only from the first
-    position where it differs from the previous order.
+    position where it differs from the previous order: about e = 2.718...
+    steps per order on average instead of n.  The walk holds O(n) integers.
 
     >>> [x for _, x in vertex_vectors(Diagram(2, {(2, 1)}))]
     [(1, 0), (0, 1)]
@@ -208,6 +209,8 @@ def _check_column_filling(filling: Mapping[int, int]) -> None:
     if len(set(vals)) != len(vals):
         raise ValueError(f"filling is not column-strict: {dict(filling)!r}")
     for r, v in filling.items():
+        if type(r) is not int or type(v) is not int:  # so True is no row 1
+            raise ValueError(f"filling rows and values must be integers, got {v!r} in row {r!r}")
         if not 1 <= v <= r:
             raise ValueError(f"value {v} in row {r} violates the flag condition")
 
@@ -215,8 +218,9 @@ def _check_column_filling(filling: Mapping[int, int]) -> None:
 def sort_filling(filling: Mapping[int, int]) -> dict[int, int]:
     """Rearrange the entries increasingly from top to bottom over the same boxes.
 
-    The input must be column-strict and flagged; the output is again
-    flagged (sorting can only move small values up).
+    The input must be column-strict and flagged, its rows and values
+    exactly `int`; the output is again flagged (sorting can only move
+    small values up).
 
     >>> sort_filling({3: 3, 4: 1, 7: 6, 8: 2})
     {3: 1, 4: 2, 7: 3, 8: 6}
@@ -231,14 +235,15 @@ def standardize(rows: Iterable[int], filling: Mapping[int, int]) -> dict[int, in
     """Move entries as high as the flag condition allows, smallest entry first.
 
     The input must be an increasing (top to bottom) column-strict flagged
-    filling of the given column.  Each entry a_t, taken in increasing
-    order, moves to the topmost currently empty box strictly above it with
-    row index >= a_t, if one exists.  The result is again increasing.
+    filling of the given column, its rows and values exactly `int`.  Each
+    entry a_t, taken in increasing order, moves to the topmost currently
+    empty box strictly above it with row index >= a_t, if one exists.  The
+    result is again increasing.
 
     >>> standardize({1, 3, 4, 5, 7, 8}, {3: 1, 4: 2, 7: 3, 8: 6})
     {1: 1, 3: 2, 4: 3, 7: 6}
     """
-    rows = sorted(rows)
+    rows = _column_rows(rows)
     boxset = set(rows)
     for r in filling:
         if r not in boxset:

@@ -181,10 +181,11 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
     points.  Two exact certificates decide most points without the simplex:
     the unique lexicographic extreme of the set for some order and signs of
     the coordinates is a vertex, and a point p with 2p - q in the set for
-    another point q is the midpoint of two others, so not a vertex.  Only
-    the points neither decides go to the simplex, each tested against the
-    points not known to be non-vertices; dropping those keeps the test
-    exact, because no vertex is ever dropped.
+    another point q is the midpoint of two others, so not a vertex.  They
+    decide every point of the Schubert supports up to n = 5 and of the key
+    supports up to n = 4.  Only the points neither decides go to the
+    simplex, each tested against the points not known to be non-vertices;
+    dropping those keeps the test exact, because no vertex is ever dropped.
 
     ``candidates`` may supply a set of points expected to contain every
     vertex.  Undecided points outside it that lie in the (much smaller)

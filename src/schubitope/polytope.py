@@ -497,7 +497,9 @@ def _greedy_vectors(table: Sequence[int], n: int, monotone: bool = False) -> fro
     reads 0, so no slot carries into the next, the join is plain addition,
     and the final vectors decode in one pass over their joined bytes, the
     lift taken off again (`_decoded`), straight into the frozenset.  With
-    one order or none there is one greedy vector, read off directly."""
+    one order or none there is one greedy vector, read off directly.  The
+    cost follows the number of distinct partial vectors up to the middle
+    layer, from both ends, plus one addition per pair joined there."""
     if n <= 1:
         return frozenset({(table[1] - table[0],) if n else ()})
     span = max(table) - min(table)
@@ -625,7 +627,11 @@ def certify_vertices(h: HRep, points: Iterable[Sequence]) -> Certification:
     order, or lies in the polytope without being a vertex.  Then each
     vertex missing from the claim fails, named with the first order
     reaching it (`_first_order`), in the order a lexicographic S_n sweep
-    meets it.
+    meets it.  theta is submodular by theorem (the polytope of a diagram
+    is a Minkowski sum of Schubert matroid polytopes; the
+    `theta-submodular` check tests it), so a theta bug that broke this
+    fails every certification loudly rather than certifying a wrong
+    answer.
     """
     if h.n > SWEEP_CAP:
         raise ValueError(f"certification capped at n <= {SWEEP_CAP}")

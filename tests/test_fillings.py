@@ -365,6 +365,14 @@ class TestPackedFillStep:
 
 FIG_SORT_COLUMN = (1, 3, 4, 5, 7, 8)
 
+# fillings of the column (1, 2) with one entry that is not exactly an int:
+# a float, a bool and a str, as a value and as a row
+NON_INT_ENTRIES = {
+    "float-value": {2: 1.5}, "bool-value": {2: True}, "str-value": {2: "1"},
+    "float-row": {2.0: 1}, "bool-row": {True: 1}, "str-row": {"2": 1},
+}
+NON_INT_MESSAGE = "^filling rows and values must be integers, got "
+
 
 class TestSortFilling:
     def test_figure_example(self):
@@ -379,6 +387,13 @@ class TestSortFilling:
             sort_filling({3: 1, 4: 1})
         with pytest.raises(ValueError, match="flag"):
             sort_filling({2: 3})
+
+    @pytest.mark.parametrize("filling", NON_INT_ENTRIES.values(), ids=NON_INT_ENTRIES)
+    def test_rejects_non_int_entries(self, filling):
+        with pytest.raises(ValueError, match=NON_INT_MESSAGE):
+            sort_filling(filling)
+        with pytest.raises(ValueError, match=NON_INT_MESSAGE):
+            sort_filling({**filling, 3: 2})
 
     def test_preserves_boxes_and_entries(self):
         for filling in [{3: 3, 4: 1, 7: 6, 8: 2}, {2: 2, 5: 1}, {1: 1, 2: 2, 3: 3}]:
@@ -406,6 +421,19 @@ class TestStandardize:
     def test_rejects_foreign_boxes(self):
         with pytest.raises(ValueError, match="not a box"):
             standardize((1, 3), {2: 1})
+
+    @pytest.mark.parametrize("filling", NON_INT_ENTRIES.values(), ids=NON_INT_ENTRIES)
+    def test_rejects_non_int_entries(self, filling):
+        # "2" is no box of the column, which is checked first
+        message = "not a box" if "2" in filling else NON_INT_MESSAGE
+        with pytest.raises(ValueError, match=message):
+            standardize((1, 2), filling)
+
+    @pytest.mark.parametrize("rows", [(1, 2.0), (True, 2), (1, "2")], ids=["float", "bool", "str"])
+    def test_rejects_non_int_column_rows(self, rows):
+        # True is no row 1, so the entry cannot move up into it
+        with pytest.raises(ValueError, match="^column rows must be positive integers, got "):
+            standardize(rows, {2: 1})
 
     def test_idempotent_and_entry_preserving(self):
         rows = (1, 3, 4, 5)

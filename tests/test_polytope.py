@@ -1018,7 +1018,7 @@ class TestGreedyVectors:
             assert vectors == greedy_vectors_by_sweep(table, n), (n, table)
             assert len(vectors) < math.factorial(n) // 10, (n, len(vectors))
 
-    def test_more_vectors_than_a_decode_chunk(self):
+    def test_every_order_of_a_random_n7_table(self):
         # a random table at n = 7 has a greedy vector per order, 5,040 in all
         rng = random.Random(46)
         table = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(2 ** 7)]

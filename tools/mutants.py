@@ -15,10 +15,11 @@ import path, restores the file, and prints
 A target that runs past TIMEOUT seconds counts as killed, since it did not
 pass.  The exit status is 1 when a mutant survives or when an old text does
 not occur exactly once in its module, which is checked for every mutant
-before any runs, so that the list cannot go stale unseen; else 0.  It uses
-the standard library only, takes no arguments and changes nothing in
-the repository.  A
-mutant that survives is a gap in a test: close it with a stronger test.
+before any runs, so that the list cannot go stale unseen; else 0.  The
+tier-1 test `test_every_mutant_applies_once` runs that check alone.  It
+uses the standard library only, takes no arguments and changes nothing in
+the repository.  A mutant that survives is a gap in a test: close it with
+a stronger test.
 """
 from __future__ import annotations
 
@@ -126,6 +127,9 @@ MUTANTS = [
     Mutant("Diagram names the first box that is no tuple", "diagrams.py",
            "if not isinstance(b, Hashable)", "if type(b) is not tuple",
            "tests/test_diagrams.py"),
+    Mutant("_check_column_filling takes entries that are not ints", "fillings.py",
+           "if type(r) is not int or type(v) is not int:", "if False:",
+           "tests/test_fillings.py"),
     Mutant("is_int takes a subclass of int", "diagrams.py",
            "return type(x) is int", "return isinstance(x, int)",
            "tests/test_diagrams.py tests/test_polytope.py"),
