@@ -22,50 +22,35 @@ encodings are not fields, so equality and hashing see only n and the boxes.
 value classes (`HRep`, `Certification`, `Polynomial`, `CheckResult`): each
 names its fields in `_fields`, checks and stores them in its own
 `__init__`, and gets field-wise equality, hashing and repr from the base.
+
+Sizes and box coordinates follow the library's integer rule, which
+`perms` owns (`perms.is_int`, `perms.check_size`); so does `check_subset`,
+the one check of a subset of rows (`perms.check_range`).
 """
 from __future__ import annotations
 
 import functools
 import operator
-import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 from . import perms
+from .perms import INTS, check_range, check_size, is_int
 
 Box = tuple[int, int]
 
 
-def is_int(x) -> bool:
-    """Whether x is exactly an int: a subclass of int, such as bool or an
-    IntEnum, is never a size, a coordinate or a bound."""
-    return type(x) is int
-
-
-_INTS = frozenset({int})
-_exact = _INTS  # the types `exact_types` admits; it adds Fraction once
-
-
-def exact_types() -> frozenset[type]:
-    """The types of the library's exact numbers: `int`, and `Fraction` once
-    `fractions` is loaded.  No Fraction exists before something imports
-    that module, so no type test loads it.  A point costs one call and one
-    subset test, of ints or of Fractions alike; the set is built once."""
-    global _exact
-    if _exact is _INTS and (fractions := sys.modules.get("fractions")) is not None:
-        _exact = frozenset({int, fractions.Fraction})
-    return _exact
-
-
 def check_subset(subset: Iterable[int], n: int) -> frozenset[int]:
     """The subset of [n] as a frozenset; a repeated element counts once,
-    and 0, n + 1 and True are refused.  The one rule for subsets of rows,
+    and 0, n + 1, True and an unhashable element are refused, the first
+    bad element in input order named.  The one rule for subsets of rows,
     shared by theta and the matroid rank, so both refuse the same subsets
-    with the same message."""
-    s = frozenset(subset)
-    for i in s:
-        if type(i) is not int or not 1 <= i <= n:
-            raise ValueError(f"subset element {i!r} out of range 1..{n}")
-    return s
+    with the same message (`perms.check_range`)."""
+    if type(subset) is not frozenset:  # type-test every element before hashing any
+        subset = [*subset]
+    for i in subset:
+        if type(i) not in INTS or not 1 <= i <= n:
+            check_range(i, 1, n, "subset element")
+    return frozenset(subset)
 
 
 @functools.lru_cache(maxsize=16)  # a process works at a few grid sizes at a time
@@ -126,8 +111,7 @@ class Diagram(Value):
     _fields = ("n", "boxes")
 
     def __init__(self, n: int, boxes: Iterable[Box]):
-        if not is_int(n) or n < 0:
-            raise ValueError(f"grid size must be a non-negative integer, got {n!r}")
+        check_size(n, "grid size")
         if not isinstance(boxes, (set, frozenset)):  # read an iterator once; a set's boxes are hashable
             try:
                 boxes = list(boxes)
@@ -222,8 +206,7 @@ def from_json_dict(data) -> Diagram:
         if field not in data:
             raise ValueError(f"diagram document is missing field '{field}'")
     n = data["n"]
-    if not is_int(n) or n < 0:
-        raise ValueError(f"field 'n' must be a non-negative integer, got {n!r}")
+    check_size(n, "field 'n'")
     raw = data["boxes"]
     if not isinstance(raw, list):
         raise ValueError("field 'boxes' must be a list of [row, col] pairs")

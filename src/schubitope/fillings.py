@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import permutations, repeat
 
 from .diagrams import Box, Diagram, check_subset, column_slots, split_columns
-from .perms import check_permutation
+from .perms import INTS, check_permutation, is_int
 
 
 def fill_column(rows: Iterable[int], values: Sequence[int]) -> dict[int, int]:
@@ -60,8 +60,8 @@ def _column_rows(rows: Iterable[int]) -> list[int]:
     """The column's distinct rows, increasing; a repeated row counts once.
     The rows are type-checked first, so True is no row 1."""
     rows = [*rows]
-    if not {*map(type, rows)} <= {int} or rows and min(rows) < 1:
-        bad = next(r for r in rows if type(r) is not int or r < 1)
+    if not {*map(type, rows)} <= INTS or rows and min(rows) < 1:
+        bad = next(r for r in rows if not is_int(r) or r < 1)
         raise ValueError(f"column rows must be positive integers, got {bad!r}")
     return sorted({*rows})
 
@@ -69,8 +69,8 @@ def _column_rows(rows: Iterable[int]) -> list[int]:
 def _check_values(values: Sequence[int]) -> None:
     # type() rather than isinstance(), so True is no row or value; one type
     # test per call, since fillings run once per order or subset
-    if not {*map(type, values)} <= {int}:
-        bad = next(v for v in values if type(v) is not int)
+    if not {*map(type, values)} <= INTS:
+        bad = next(v for v in values if not is_int(v))
         raise ValueError(f"filling values must be positive integers, got {bad!r}")
     if len(set(values)) != len(values):
         raise ValueError(f"filling values must be distinct: {tuple(values)!r}")
@@ -205,12 +205,12 @@ def rank_diagram(d: Diagram, subset: Iterable[int]) -> int:
 
 
 def _check_column_filling(filling: Mapping[int, int]) -> None:
-    vals = list(filling.values())
-    if len(set(vals)) != len(vals):
+    for r, v in filling.items():
+        if not (is_int(r) and is_int(v)):  # before hashing a value, so True is no row 1
+            raise ValueError(f"filling rows and values must be integers, got {v!r} in row {r!r}")
+    if len(set(filling.values())) != len(filling):
         raise ValueError(f"filling is not column-strict: {dict(filling)!r}")
     for r, v in filling.items():
-        if type(r) is not int or type(v) is not int:  # so True is no row 1
-            raise ValueError(f"filling rows and values must be integers, got {v!r} in row {r!r}")
         if not 1 <= v <= r:
             raise ValueError(f"value {v} in row {r} violates the flag condition")
 

@@ -12,15 +12,15 @@ two exact certificates leave open: a unique lexicographic extreme is a
 vertex, and the midpoint of two other points is not.
 `oracles.hull_vertices_by_lp` runs it on every point.  Points must be
 tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
-`Fraction` (`diagrams.exact_types`); the module imports `fractions` only
-to build the simplex's answer.
+`Fraction` (`perms.exact_types`: `perms` owns the library's integer rule);
+the module imports `fractions` only to build the simplex's answer.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
 
-from .diagrams import exact_types
+from .perms import exact_types
 
 
 def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
@@ -45,10 +45,10 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
     if not entries <= exact_types():
         bad = next(v for r in system for v in r if type(v) not in exact_types())
         raise ValueError(f"LP entry {bad!r} is not an integer or a Fraction")
-    scale = math.lcm(*(v.denominator for r in system for v in r if type(v) is not int))
+    scale = math.lcm(*{v.denominator for r in system for v in r})
     tab: list[list[int]] = []
     for i, r in enumerate(system):
-        r = [v * scale if type(v) is int else int(v * scale) for v in r]
+        r = [(v * scale).numerator for v in r]
         if r[-1] < 0:
             r = [-v for v in r]
         tab.append(r[:-1] + [scale * (p == i) for p in range(m)] + r[-1:])

@@ -39,6 +39,7 @@ from .perms import (
     Composition,
     Perm,
     check_composition,
+    check_size,
     identity,
     length,
     lambda_of,
@@ -162,6 +163,7 @@ def schubert_matroid_bases(subset: Iterable[int], n: int) -> set[frozenset[int]]
     >>> sorted(sorted(b) for b in schubert_matroid_bases({1, 3}, 3))
     [[1, 2], [1, 3]]
     """
+    check_size(n, "ground set size")
     s = sorted(check_subset(subset, n))
     if n > ENUMERATION_CAP:
         raise ValueError(f"basis enumeration capped at n <= {ENUMERATION_CAP}")

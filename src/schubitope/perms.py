@@ -11,21 +11,64 @@ compares the increasingly sorted prefixes of two words of one length.
 `bruhat_leq` runs it on two permutations.  The composition order runs it
 on the compositions themselves, with the arguments swapped, so neither
 `composition_leq` nor `vertex_compositions` builds a permutation label.
+
+This leaf module also owns the library's integer rule, which every other
+module imports from here: a size, an index, a subset element or an integer
+coordinate is exactly an `int` (`is_int`, `INTS`), so a subclass such as
+`bool` is refused.  An index or a subset element outside its range is
+refused by `check_range`, a size by `check_size`, each with one message
+for every caller.  The exact numbers are `int` and, once `fractions` is
+loaded, `Fraction` (`exact_types`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
+import sys
 from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 Composition = tuple[int, ...]
 
-# the one part type accepted; type() rather than isinstance(), since
-# True == 1 passes isinstance(x, int)
-_INT = frozenset({int})
+
+def is_int(x) -> bool:
+    """Whether x is exactly an int: a subclass of int, such as bool or an
+    IntEnum, is never a size, an index, a coordinate or a bound."""
+    return type(x) is int
+
+
+# the one integer type, for a type test of many values at once or of one
+# value in a loop; type() rather than isinstance(), since True == 1 passes
+# isinstance(x, int)
+INTS = frozenset({int})
+_exact = INTS  # the types `exact_types` admits; it adds Fraction once
+
+
+def exact_types() -> frozenset[type]:
+    """The types of the library's exact numbers: `int`, and `Fraction` once
+    `fractions` is loaded.  No Fraction exists before something imports
+    that module, so no type test loads it.  A point costs one call and one
+    subset test, of ints or of Fractions alike; the set is built once."""
+    global _exact
+    if _exact is INTS and (fractions := sys.modules.get("fractions")) is not None:
+        _exact = frozenset({int, fractions.Fraction})
+    return _exact
+
+
+def check_range(x, lo: int, hi: int, what: str) -> None:
+    """Refuse x, with one message naming it as ``what``, unless it is exactly
+    an int in lo..hi: the rule for every index, word letter and subset element."""
+    if type(x) is not int or not lo <= x <= hi:
+        raise ValueError(f"{what} {x!r} out of range {lo}..{hi}")
+
+
+def check_size(n, what: str) -> None:
+    """Refuse n, with one message naming it as ``what``, unless it is exactly
+    a non-negative int: the rule for every size and dimension."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {n!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,7 +82,7 @@ def check_permutation(w: Sequence[int]) -> Perm:
     """Return ``w`` as a tuple after checking it is a bijection on 1..n."""
     t = tuple(w)
     # one type test, before sorting, which raises TypeError on mixed types
-    if not {*map(type, t)} <= _INT or sorted(t) != _identity_list(len(t)):
+    if not {*map(type, t)} <= INTS or sorted(t) != _identity_list(len(t)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 
@@ -47,7 +90,7 @@ def check_permutation(w: Sequence[int]) -> Perm:
 def check_composition(alpha: Sequence[int]) -> Composition:
     """Return ``alpha`` as a tuple after checking all parts are >= 0."""
     t = tuple(alpha)
-    if not {*map(type, t)} <= _INT or t and min(t) < 0:
+    if not {*map(type, t)} <= INTS or t and min(t) < 0:
         raise ValueError(f"composition parts must be non-negative integers: {t!r}")
     return t
 
@@ -83,8 +126,7 @@ def act(v: Sequence, w: Sequence[int]) -> tuple:
 
 def swap_adjacent(v: Sequence, i: int) -> tuple:
     """Exchange entries i and i+1 (1-based).  For a permutation this is w*s_i."""
-    if not 1 <= i < len(v):
-        raise ValueError(f"adjacent-swap index {i} out of range 1..{len(v) - 1}")
+    check_range(i, 1, len(v) - 1, "adjacent-swap index")
     out = list(v)
     out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
@@ -151,10 +193,10 @@ def reduced_word(w: Sequence[int]) -> tuple[int, ...]:
 
 def perm_from_word(word: Iterable[int], n: int) -> Perm:
     """Evaluate the product s_{i_1} * ... * s_{i_k} in S_n."""
+    check_size(n, "permutation degree")
     u = list(range(1, n + 1))
     for i in word:
-        if not 1 <= i < n:
-            raise ValueError(f"word letter {i} out of range 1..{n - 1}")
+        check_range(i, 1, n - 1, "word letter")
         u[i - 1], u[i] = u[i], u[i - 1]
     return tuple(u)
 
@@ -202,7 +244,7 @@ def composition_leq(beta: Sequence[int], alpha: Sequence[int]) -> bool:
     b, a = tuple(beta), tuple(alpha)
     # one type test over both, then one sort each: the first sorted entry
     # is the smallest part, and the sorted lists decide the multiset test
-    if {*map(type, b), *map(type, a)} <= _INT:
+    if {*map(type, b), *map(type, a)} <= INTS:
         sb, sa = sorted(b), sorted(a)
         if (not sb or sb[0] >= 0) and (not sa or sa[0] >= 0):
             if len(b) != len(a):

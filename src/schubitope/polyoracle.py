@@ -13,7 +13,7 @@ from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
 from .diagrams import Value
-from .perms import check_composition, check_permutation, swap_adjacent
+from .perms import INTS, check_composition, check_permutation, check_range, check_size, is_int, swap_adjacent
 
 SCHUBERT_CAP = 7
 KEY_CAP_N = 6
@@ -28,14 +28,13 @@ class Polynomial(Value):
     _fields = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] = MappingProxyType({})):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"variable count must be a non-negative integer, got {n!r}")
+        check_size(n, "variable count")
         clean: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             e = tuple(e)
-            if len(e) != n or any(type(x) is not int or x < 0 for x in e):
+            if len(e) != n or any(type(x) not in INTS or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e!r} for {n} variables")
-            if type(c) is not int:
+            if not is_int(c):
                 raise ValueError(f"coefficient of {e!r} must be an integer, got {c!r}")
             if c:
                 clean[e] = c
@@ -78,8 +77,7 @@ def monomial(n: int, exponent: Sequence[int]) -> Polynomial:
 
 def swap_variables(f: Polynomial, i: int) -> Polynomial:
     """Exchange x_i and x_{i+1} in every term."""
-    if not 1 <= i <= f.n - 1:
-        raise ValueError(f"variable index {i} out of range 1..{f.n - 1}")
+    check_range(i, 1, f.n - 1, "variable index")
     return Polynomial(f.n, {swap_adjacent(e, i): c for e, c in f.terms.items()})
 
 
@@ -93,8 +91,7 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     >>> sorted(divided_difference(monomial(2, (2, 0)), 1).terms)
     [(0, 1), (1, 0)]
     """
-    if not 1 <= i <= f.n - 1:
-        raise ValueError(f"operator index {i} out of range 1..{f.n - 1}")
+    check_range(i, 1, f.n - 1, "operator index")
     a, b = i - 1, i
     out: dict[tuple[int, ...], int] = {}
     for e, c in f.terms.items():
@@ -113,8 +110,7 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
 
 def demazure(f: Polynomial, i: int) -> Polynomial:
     """The operator sending f to divided_difference(x_i * f, i)."""
-    if not 1 <= i <= f.n - 1:
-        raise ValueError(f"operator index {i} out of range 1..{f.n - 1}")
+    check_range(i, 1, f.n - 1, "operator index")
     bumped = {}
     for e, c in f.terms.items():
         shifted = list(e)
@@ -199,7 +195,7 @@ def poly_from_json_dict(data) -> Polynomial:
         if not isinstance(entry, dict) or "e" not in entry or "c" not in entry:
             raise ValueError(f"field 'terms': bad entry {entry!r}, expected {{'e': [...], 'c': int}}")
         e = entry["e"]
-        if not isinstance(e, list) or not all(type(x) is int for x in e):
+        if not isinstance(e, list) or not all(map(is_int, e)):
             raise ValueError(f"field 'terms': exponent {e!r} must be a list of integers")
         key = tuple(e)
         if key in terms:

@@ -69,8 +69,8 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from .diagrams import Diagram, Value, check_subset, column_slots, exact_types, is_int, split_columns
-from .perms import check_permutation
+from .diagrams import Diagram, Value, check_subset, column_slots, split_columns
+from .perms import INTS, check_permutation, check_range, check_size, exact_types, is_int
 
 STAR = "★"
 
@@ -98,8 +98,7 @@ def column_word(d: Diagram, j: int, subset: Iterable[int]) -> str:
     >>> column_word(d9, 1, {1, 3})
     '★())'
     """
-    if not 1 <= j <= d.n:
-        raise ValueError(f"column {j} out of range 1..{d.n}")
+    check_range(j, 1, d.n, "column")
     s = check_subset(subset, d.n)
     col = d.column_masks[j - 1]
     out = []
@@ -223,15 +222,14 @@ class HRep(Value):
     _fields = ("n", "total", "table")
 
     def __init__(self, n: int, total: int, table: Sequence[int]):
-        if not is_int(n) or n < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
+        check_size(n, "dimension")
         if not is_int(total):
             raise ValueError(f"total must be an integer, got {total!r}")
         table = tuple(table)
         ends = table[:1] + table[-1:]
         if len(table) != 2 ** n or ends != (0, total) or not all(map(is_int, ends)):
             raise ValueError(f"table must have 2^{n} entries running from 0 to the total {total}")
-        if not ({*map(type, table)} <= {int} and min(table) >= 0):  # else find the first bad bound
+        if not ({*map(type, table)} <= INTS and min(table) >= 0):  # else find the first bad bound
             for mask in range(1, len(table) - 1):
                 b = table[mask]
                 if not is_int(b) or b < 0:
@@ -675,8 +673,7 @@ def hrep_from_json_dict(data) -> HRep:
     if not isinstance(data["bounds"], list):
         raise ValueError("field 'bounds' must be a list of objects")
     n, total = data["n"], data["total"]
-    if not is_int(n) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
+    check_size(n, "dimension")
     bounds: dict[int, object] = {}
     for entry in data["bounds"]:
         if not isinstance(entry, dict) or "S" not in entry or "b" not in entry:

@@ -21,7 +21,7 @@ from schubitope.fillings import (
     vertex_vectors,
 )
 from schubitope.oracles import _fill, rank_brute, rank_max_filling
-from schubitope.polytope import theta, theta_columns, vertices
+from schubitope.polytope import column_word, theta, theta_columns, vertices
 
 
 def subsets(n):
@@ -249,8 +249,11 @@ class TestRanks:
         for subset in ((1, 1), [3, 2, 3], ()):
             assert rank_diagram(d, subset) == theta(d, subset) == theta(d, set(subset))
         assert rank_columns(d, (1, 1)) == theta_columns(d, (1, 1)) == [1, 1, 1]
-        for subset, bad in (({0}, "0"), ({4}, "4"), ({True}, "True"), ((2, False), "False")):
-            for side in (rank_diagram, theta, rank_columns, theta_columns):
+        # elements are type-tested before any is hashed, so a bool beside its
+        # int and an unhashable element are named too
+        for subset, bad in (({0}, "0"), ({4}, "4"), ({True}, "True"), ((2, False), "False"),
+                            ([1, True], "True"), ([1, 1.0], "1.0"), ([[1]], "[1]"), ([{1}], "{1}")):
+            for side in (rank_diagram, theta, rank_columns, theta_columns, lambda d, s: column_word(d, 1, s)):
                 with pytest.raises(ValueError) as got:
                     side(d, subset)
                 assert str(got.value) == f"subset element {bad} out of range 1..3", side
@@ -369,7 +372,7 @@ FIG_SORT_COLUMN = (1, 3, 4, 5, 7, 8)
 # a float, a bool and a str, as a value and as a row
 NON_INT_ENTRIES = {
     "float-value": {2: 1.5}, "bool-value": {2: True}, "str-value": {2: "1"},
-    "float-row": {2.0: 1}, "bool-row": {True: 1}, "str-row": {"2": 1},
+    "float-row": {2.0: 1}, "bool-row": {True: 1}, "str-row": {"2": 1}, "list-value": {2: [1]},
 }
 NON_INT_MESSAGE = "^filling rows and values must be integers, got "
 
@@ -394,6 +397,9 @@ class TestSortFilling:
             sort_filling(filling)
         with pytest.raises(ValueError, match=NON_INT_MESSAGE):
             sort_filling({**filling, 3: 2})
+        # the types are tested before the values are compared
+        with pytest.raises(ValueError, match=NON_INT_MESSAGE):
+            sort_filling({**filling, 3: 2, 4: 2})
 
     def test_preserves_boxes_and_entries(self):
         for filling in [{3: 3, 4: 1, 7: 6, 8: 2}, {2: 2, 5: 1}, {1: 1, 2: 2, 3: 3}]:

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -122,11 +124,52 @@ class TestReducedWords:
             assert perms.perm_from_word(word, n) == w
             assert len(word) == length(w)
 
-    @pytest.mark.parametrize("letter", [0, 3])
+    @pytest.mark.parametrize("letter", [0, 3, True, 1.0])
     def test_word_letters_lie_in_range(self, letter):
         with pytest.raises(ValueError) as refused:
             perms.perm_from_word([1, letter], 3)
         assert str(refused.value) == f"word letter {letter} out of range 1..2"
+
+    @pytest.mark.parametrize("n", [3.0, True, -1])
+    def test_degree_is_a_size(self, n):
+        with pytest.raises(ValueError) as refused:
+            perms.perm_from_word([], n)
+        assert str(refused.value) == f"permutation degree must be a non-negative integer, got {n!r}"
+
+    @pytest.mark.parametrize("i", [0, 3, True, 1.0])
+    def test_adjacent_swap_index_in_range(self, i):
+        with pytest.raises(ValueError) as refused:
+            perms.swap_adjacent((1, 2, 3), i)
+        assert str(refused.value) == f"adjacent-swap index {i} out of range 1..2"
+
+
+def test_integer_rule_lives_in_perms():
+    # every other module tests a type through perms.is_int, perms.INTS or
+    # perms.exact_types: no type(...) compared with int, no set of int
+    found = set()
+    for path in sorted(pathlib.Path(perms.__file__).parent.glob("*.py")):
+        if path.name == "perms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                typed = [x for x in sides if isinstance(x, ast.Call) and getattr(x.func, "id", None) == "type"]
+                if typed and any(_holds_int(x) for x in sides if x not in typed):
+                    found.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Set) or (isinstance(node, ast.Call)
+                                               and getattr(node.func, "id", None) in ("set", "frozenset")):
+                if _holds_int(node):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert not found, sorted(found)
+
+
+def _holds_int(node) -> bool:
+    """Whether node is the name int, or a set, list or tuple display, or a
+    set or frozenset call on one, with int among its elements."""
+    if isinstance(node, ast.Call):
+        return any(map(_holds_int, node.args))
+    elts = node.elts if isinstance(node, (ast.Set, ast.List, ast.Tuple)) else [node]
+    return any(isinstance(x, ast.Name) and x.id == "int" for x in elts)
 
 
 class TestLambda:

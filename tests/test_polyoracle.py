@@ -123,11 +123,14 @@ class TestDemazure:
     @pytest.mark.parametrize("op, message", [
         (swap_variables, "variable index 2 out of range 1..1"),
         (demazure, "operator index 2 out of range 1..1"),
+        (divided_difference, "operator index 2 out of range 1..1"),
     ])
     def test_index_range(self, op, message):
-        with pytest.raises(ValueError) as refused:
-            op(monomial(2, (1, 0)), 2)
-        assert str(refused.value) == message
+        # 2 lies past the range; True and 1.0 are refused as no exact int
+        for i in (2, True, 1.0):
+            with pytest.raises(ValueError) as refused:
+                op(monomial(2, (1, 0)), i)
+            assert str(refused.value) == message.replace(" 2 ", f" {i} ")
 
     def test_second_variable_killed(self):
         # expand (x1 x2 - x2 x1) / (x1 - x2)

@@ -102,8 +102,10 @@ class TestColumnWord:
             assert set(column_word(D9, j, set())) <= {")"}
 
     def test_column_out_of_range(self):
-        with pytest.raises(ValueError, match="column"):
-            column_word(D9, 6, {1})
+        for j in (6, 0, True, 1.0):
+            with pytest.raises(ValueError) as refused:
+                column_word(D9, j, {1})
+            assert str(refused.value) == f"column {j} out of range 1..5"
 
     def test_subset_out_of_range(self):
         with pytest.raises(ValueError, match="subset"):
@@ -568,6 +570,12 @@ class TestSchubertMatroidBases:
 
     def test_empty_set(self):
         assert schubert_matroid_bases(set(), 3) == {frozenset()}
+
+    @pytest.mark.parametrize("n", [3.0, True, -1])
+    def test_ground_set_size_is_a_size(self, n):
+        with pytest.raises(ValueError) as refused:
+            schubert_matroid_bases({1}, n)
+        assert str(refused.value) == f"ground set size must be a non-negative integer, got {n!r}"
 
     def test_cap(self):
         n = oracles.ENUMERATION_CAP

@@ -128,17 +128,31 @@ MUTANTS = [
            "if not isinstance(b, Hashable)", "if type(b) is not tuple",
            "tests/test_diagrams.py"),
     Mutant("_check_column_filling takes entries that are not ints", "fillings.py",
-           "if type(r) is not int or type(v) is not int:", "if False:",
+           "if not (is_int(r) and is_int(v)):", "if False:",
            "tests/test_fillings.py"),
-    Mutant("is_int takes a subclass of int", "diagrams.py",
+    Mutant("_check_column_filling hashes values before its type test", "fillings.py",
+           "    for r, v in filling.items():\n        if not (is_int(r) and is_int(v)):",
+           "    set(filling.values())\n    for r, v in filling.items():\n        if not (is_int(r) and is_int(v)):",
+           "tests/test_fillings.py"),
+    Mutant("check_subset builds its frozenset before testing", "diagrams.py",
+           "        subset = [*subset]\n", "        subset = frozenset(subset)\n",
+           "tests/test_fillings.py tests/test_polytope.py"),
+    # the integer rule, which perms owns
+    Mutant("is_int takes a subclass of int", "perms.py",
            "return type(x) is int", "return isinstance(x, int)",
            "tests/test_diagrams.py tests/test_polytope.py"),
+    Mutant("check_range takes a subclass of int", "perms.py",
+           "if type(x) is not int or not lo <= x <= hi:", "if not isinstance(x, int) or not lo <= x <= hi:",
+           "tests/test_perms.py tests/test_polyoracle.py tests/test_polytope.py"),
+    Mutant("check_size takes a negative n", "perms.py",
+           "if type(n) is not int or n < 0:", "if type(n) is not int:",
+           "tests/test_perms.py tests/test_diagrams.py tests/test_polytope.py"),
     # the exact-number type test: Fraction is admitted once `fractions` is
     # loaded, and the test never loads it
-    Mutant("exact_types never admits Fraction", "diagrams.py",
+    Mutant("exact_types never admits Fraction", "perms.py",
            "_exact = frozenset({int, fractions.Fraction})", "_exact = frozenset({int})",
            "tests/test_polytope.py tests/test_lp.py"),
-    Mutant("exact_types loads fractions itself", "diagrams.py",
+    Mutant("exact_types loads fractions itself", "perms.py",
            'sys.modules.get("fractions")', '__import__("fractions")',
            "tests/test_cli.py"),
     # certification's bulk check of a claim, and its fallback scan
