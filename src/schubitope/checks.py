@@ -29,7 +29,7 @@ import time
 from collections.abc import Callable, Generator, Iterable, Iterator
 
 from . import diagrams, fillings, lp, oracles, perms, polyoracle, polytope
-from .diagrams import Diagram, Value
+from .diagrams import Diagram, Value, compact
 
 # one None per instance compared; the return value is the counterexample
 Steps = Generator[None, None, "str | None"]
@@ -84,13 +84,8 @@ def random_diagram(rng: random.Random, n: int) -> Diagram:
     return Diagram(n, frozenset(boxes))
 
 
-def _compact(doc) -> str:
-    """A JSON document written with no spaces, as counterexamples show it."""
-    return json.dumps(doc, separators=(",", ":"))
-
-
 def _diagram_str(d: Diagram) -> str:
-    return _compact(diagrams.to_json_dict(d))
+    return compact(diagrams.to_json_dict(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -560,8 +555,8 @@ def check_coefficient_positivity(m: int, rng: random.Random) -> Steps:
 def _round_trip_failure(kind: str, value, write: Callable, read: Callable) -> str | None:
     """``kind`` and the compact document of ``value`` when writing, reading
     and writing again changes the document, else None."""
-    doc = _compact(write(value))
-    return None if _compact(write(read(json.loads(doc)))) == doc else f"{kind} {doc}"
+    doc = compact(write(value))
+    return None if compact(write(read(json.loads(doc)))) == doc else f"{kind} {doc}"
 
 
 @check("json-round-trip", scope=4, least=3)  # the 3 x 3 skyline of (1, 0, 3) at every n

@@ -5,7 +5,9 @@ verb's output.  The library owns every input rule: a handler passes each
 flag's values to the library through `_parse`, which prefixes the
 library's message with the flag.  Exit codes: 0 on success, 1 when
 `verify` finds a failing check, 2 on usage or input errors (each with a
-one-line diagnostic naming the bad field or flag).  Only `verify` imports
+one-line diagnostic naming the bad field or flag).  `--diagram FILE` is
+read as UTF-8, the encoding of JSON, and an object in it that repeats a
+key is refused, as the library refuses a repeated box.  Only `verify` imports
 the check suite and its oracles, and it opens a process pool only for more
 than one worker, so the other verbs start without them.  A verb loads
 `fractions` or `fillings` only if it reads them: `member` parses its point
@@ -21,10 +23,6 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import diagrams, perms, polyoracle, polytope
-
-
-def _compact(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def _parse(flag: str, fn, *args):
@@ -58,14 +56,24 @@ def _point(text: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its key-value pairs, a repeated key refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_diagram(args) -> diagrams.Diagram:
     if args.diagram is not None:
         try:
-            with open(args.diagram) as fh:
-                data = json.load(fh)
+            with open(args.diagram, encoding="utf-8") as fh:
+                data = json.load(fh, object_pairs_hook=_object)
         except OSError as exc:
             raise ValueError(f"--diagram: cannot read {args.diagram}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a repeated key
             raise ValueError(f"--diagram: {args.diagram} is not valid JSON: {exc}") from None
         return _parse("--diagram", diagrams.from_json_dict, data)
     if args.rothe is not None:
@@ -74,7 +82,7 @@ def _load_diagram(args) -> diagrams.Diagram:
 
 
 def _diagram_doc(d: diagrams.Diagram, fmt: str) -> str:
-    return diagrams.to_text(d) if fmt == "text" else _compact(diagrams.to_json_dict(d))
+    return diagrams.to_text(d) if fmt == "text" else diagrams.compact(diagrams.to_json_dict(d))
 
 
 def _rothe(args) -> str:
@@ -98,12 +106,12 @@ def _vertices(args) -> str:
     verts = polytope.vertices(_load_diagram(args))
     if args.format == "text":
         return "\n".join(",".join(map(str, v)) for v in sorted(verts))
-    return _compact(polytope.vertex_set_to_json_dict(verts))
+    return diagrams.compact(polytope.vertex_set_to_json_dict(verts))
 
 
 def _hrep(args) -> str:
     h = polytope.hrep(_load_diagram(args))
-    return polytope.hrep_to_hform(h) if args.format == "hform" else _compact(polytope.hrep_to_json_dict(h))
+    return polytope.hrep_to_hform(h) if args.format == "hform" else diagrams.compact(polytope.hrep_to_json_dict(h))
 
 
 def _columns_doc(args, name: str, columns: Callable[..., list[int]]) -> str:
@@ -113,7 +121,7 @@ def _columns_doc(args, name: str, columns: Callable[..., list[int]]) -> str:
     cols = _parse("--set", columns, d, s)
     total = sum(cols)
     if args.format == "json":
-        return _compact({"set": sorted(s), name: total, "columns": cols})
+        return diagrams.compact({"set": sorted(s), name: total, "columns": cols})
     return f"{total}\ncolumns: {','.join(map(str, cols))}"
 
 
@@ -129,7 +137,7 @@ def _rank(args) -> str:
 
 def _verdict_doc(name: str, verdict: bool, fmt: str) -> str:
     """member and bruhat: true or false, alone or as {name: verdict}."""
-    return _compact({name: verdict} if fmt == "json" else verdict)
+    return diagrams.compact({name: verdict} if fmt == "json" else verdict)
 
 
 def _member(args) -> str:
@@ -145,7 +153,7 @@ def _bruhat(args) -> str:
 
 
 def _polynomial_doc(f: polyoracle.Polynomial, fmt: str) -> str:
-    return polyoracle.poly_to_text(f) if fmt == "text" else _compact(polyoracle.poly_to_json_dict(f))
+    return polyoracle.poly_to_text(f) if fmt == "text" else diagrams.compact(polyoracle.poly_to_json_dict(f))
 
 
 def _key(args) -> str:
@@ -205,7 +213,7 @@ def _verify(args) -> tuple[int, str]:
     if args.format == "text":
         return code, checks.format_report(results, args.n, args.seed)
     found = [{"name": r.name, "instances": r.instances, "counterexample": r.counterexample} for r in results]
-    return code, _compact({"status": "fail" if code else "pass", "checks": found})
+    return code, diagrams.compact({"status": "fail" if code else "pass", "checks": found})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,12 @@ names its fields in `_fields`, checks and stores them in its own
 Sizes and box coordinates follow the library's integer rule, which
 `perms` owns (`perms.is_int`, `perms.check_size`); so does `check_subset`,
 the one check of a subset of rows (`perms.check_range`).
+
+This module also owns the JSON document rule.  Every reader of a document
+(a diagram, an h-representation, a vertex set, a polynomial) takes its
+listed field from `read_document`, which refuses a non-object, an absent
+field and a listed field that is no list with one message each, and
+`compact` is the one writer of a document with no spaces.
 """
 from __future__ import annotations
 
@@ -198,18 +204,36 @@ def to_json_dict(d: Diagram) -> dict:
     return {"n": d.n, "boxes": [list(b) for b in d.sorted_boxes()]}
 
 
-def from_json_dict(data) -> Diagram:
-    """Inverse of :func:`to_json_dict`, with field-naming diagnostics."""
+def read_document(data, kind: str, fields: tuple[str, ...], entries: str) -> list:
+    """The list in the last of ``fields`` of a ``kind`` JSON document: the one
+    document rule behind every reader.  A non-object, an absent field (the
+    first in order) and a last field that is no list are each refused by name;
+    the reader checks the entries itself."""
     if not isinstance(data, dict):
-        raise ValueError("diagram document must be a JSON object")
-    for field in ("n", "boxes"):
+        raise ValueError(f"{kind} document must be a JSON object")
+    for field in fields:
         if field not in data:
-            raise ValueError(f"diagram document is missing field '{field}'")
+            raise ValueError(f"{kind} document is missing field '{field}'")
+    listed = data[fields[-1]]
+    if not isinstance(listed, list):
+        raise ValueError(f"field '{fields[-1]}' must be a list of {entries}")
+    return listed
+
+
+def compact(doc) -> str:
+    """A JSON document written with no spaces, as the command line prints it
+    and counterexamples show it."""
+    import json  # a cold `import schubitope` loads no json
+
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def from_json_dict(data) -> Diagram:
+    """Inverse of :func:`to_json_dict`, with field-naming diagnostics
+    (`read_document`)."""
+    raw = read_document(data, "diagram", ("n", "boxes"), "[row, col] pairs")
     n = data["n"]
     check_size(n, "field 'n'")
-    raw = data["boxes"]
-    if not isinstance(raw, list):
-        raise ValueError("field 'boxes' must be a list of [row, col] pairs")
     boxes = set()
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):

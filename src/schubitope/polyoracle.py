@@ -12,7 +12,7 @@ import functools
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
-from .diagrams import Value
+from .diagrams import Value, read_document
 from .perms import INTS, check_composition, check_permutation, check_range, check_size, is_int, swap_adjacent
 
 SCHUBERT_CAP = 7
@@ -183,15 +183,11 @@ def poly_to_json_dict(f: Polynomial) -> dict:
 
 
 def poly_from_json_dict(data) -> Polynomial:
-    if not isinstance(data, dict):
-        raise ValueError("polynomial document must be a JSON object")
-    for field_ in ("n", "terms"):
-        if field_ not in data:
-            raise ValueError(f"polynomial document is missing field '{field_}'")
-    if not isinstance(data["terms"], list):
-        raise ValueError("field 'terms' must be a list of objects")
+    """Inverse of :func:`poly_to_json_dict`, with field-naming diagnostics
+    (`diagrams.read_document`)."""
+    raw = read_document(data, "polynomial", ("n", "terms"), "objects")
     terms: dict[tuple[int, ...], int] = {}
-    for entry in data["terms"]:
+    for entry in raw:
         if not isinstance(entry, dict) or "e" not in entry or "c" not in entry:
             raise ValueError(f"field 'terms': bad entry {entry!r}, expected {{'e': [...], 'c': int}}")
         e = entry["e"]

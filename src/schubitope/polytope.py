@@ -69,7 +69,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from .diagrams import Diagram, Value, check_subset, column_slots, split_columns
+from .diagrams import Diagram, Value, check_subset, column_slots, read_document, split_columns
 from .perms import INTS, check_permutation, check_range, check_size, exact_types, is_int
 
 STAR = "★"
@@ -664,18 +664,13 @@ def hrep_to_json_dict(h: HRep) -> dict:
 
 
 def hrep_from_json_dict(data) -> HRep:
-    """Inverse of :func:`hrep_to_json_dict`, with field-naming diagnostics."""
-    if not isinstance(data, dict):
-        raise ValueError("h-representation document must be a JSON object")
-    for field in ("n", "total", "bounds"):
-        if field not in data:
-            raise ValueError(f"h-representation document is missing field '{field}'")
-    if not isinstance(data["bounds"], list):
-        raise ValueError("field 'bounds' must be a list of objects")
+    """Inverse of :func:`hrep_to_json_dict`, with field-naming diagnostics
+    (`diagrams.read_document`)."""
+    raw = read_document(data, "h-representation", ("n", "total", "bounds"), "objects")
     n, total = data["n"], data["total"]
     check_size(n, "dimension")
     bounds: dict[int, object] = {}
-    for entry in data["bounds"]:
+    for entry in raw:
         if not isinstance(entry, dict) or "S" not in entry or "b" not in entry:
             raise ValueError(f"field 'bounds': bad entry {entry!r}, expected {{'S': [...], 'b': int}}")
         s = entry["S"]
@@ -708,11 +703,9 @@ def vertex_set_to_json_dict(points: Iterable[Sequence[int]]) -> dict:
 
 
 def vertex_set_from_json_dict(data) -> set[tuple[int, ...]]:
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError("vertex-set document must be a JSON object with field 'vertices'")
-    raw = data["vertices"]
-    if not isinstance(raw, list):
-        raise ValueError("field 'vertices' must be a list of integer vectors")
+    """Inverse of :func:`vertex_set_to_json_dict`, with field-naming
+    diagnostics (`diagrams.read_document`)."""
+    raw = read_document(data, "vertex-set", ("vertices",), "integer vectors")
     out = set()
     for p in raw:
         if not isinstance(p, list) or not all(map(is_int, p)):

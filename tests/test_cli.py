@@ -170,6 +170,23 @@ class TestErrors:
         code, _, err = run_cli(capsys, "theta", "--diagram", str(path), "--set", "1")
         assert code == 2 and "--diagram" in err
 
+    def test_diagram_file_is_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: --diagram: {path} is not valid JSON: "
+                       "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+        path.write_bytes('{"n": 1, "boxes": [], "\u00e9": 0}'.encode())
+        assert run_cli(capsys, "vertices", "--diagram", str(path)) == (0, '{"vertices":[[0]]}\n', "")
+
+    def test_diagram_file_repeats_no_key(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "boxes": [[1, 1]], "n": 3}')
+        code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: --diagram: {path} is not valid JSON: repeated key 'n'\n"
+
     def test_unreadable_diagram_file(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))

@@ -1,7 +1,9 @@
+import ast
 import collections
 import enum
 import itertools
 import json
+import pathlib
 import pickle
 import random
 import re
@@ -9,8 +11,10 @@ import re
 import pytest
 
 from conftest import D9, TRAPEZOID, TRAPEZOID_VERTICES, assert_check, assert_frozen
-from schubitope import Diagram, certify_vertices, hrep, key_polynomial, member
+from schubitope import Diagram, certify_vertices, diagrams, hrep, key_polynomial, member
 from schubitope.checks import CheckResult, random_diagram
+from schubitope.polyoracle import poly_from_json_dict
+from schubitope.polytope import hrep_from_json_dict, vertex_set_from_json_dict
 from schubitope.diagrams import (
     column_slots,
     filling_text,
@@ -228,6 +232,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="field 'n' must be a non-negative integer, got True"):
             from_json_dict({"n": True, "boxes": []})
 
+    def test_list_is_checked_before_the_size(self):
+        with pytest.raises(ValueError, match=r"^field 'boxes' must be a list of \[row, col\] pairs$"):
+            from_json_dict({"n": -1, "boxes": {}})
+
     def test_text_grid(self):
         assert to_text(skyline((1, 0, 3))) == "□..\n...\n□□□"
 
@@ -235,3 +243,47 @@ class TestSerialization:
         d = skyline((1, 0, 3))
         grid = filling_text(d, {(1, 1): 1, (3, 1): 2, (3, 2): 1})
         assert grid == "1..\n...\n21·"
+
+
+# each reader, its kind, its smallest document (fields in order, the listed
+# field last) and the entries its listed field holds
+READERS = [
+    (from_json_dict, "diagram", {"n": 2, "boxes": []}, "[row, col] pairs"),
+    (hrep_from_json_dict, "h-representation", {"n": 1, "total": 0, "bounds": []}, "objects"),
+    (vertex_set_from_json_dict, "vertex-set", {"vertices": []}, "integer vectors"),
+    (poly_from_json_dict, "polynomial", {"n": 1, "terms": []}, "objects"),
+]
+
+
+@pytest.mark.parametrize("read, kind, doc, entries", READERS, ids=[r[1] for r in READERS])
+def test_every_reader_keeps_the_document_rule(read, kind, doc, entries):
+    def refusal(bad) -> str:
+        with pytest.raises(ValueError) as refused:
+            read(bad)
+        return str(refused.value)
+
+    read(doc)
+    assert refusal([doc]) == f"{kind} document must be a JSON object"
+    assert refusal({}) == f"{kind} document is missing field '{next(iter(doc))}'"
+    for field in doc:
+        rest = {k: v for k, v in doc.items() if k != field}
+        assert refusal(rest) == f"{kind} document is missing field '{field}'"
+    *_, listed = doc
+    assert refusal({**doc, listed: {}}) == f"field '{listed}' must be a list of {entries}"
+
+
+def test_document_rule_lives_in_diagrams():
+    # every other module reads a document through diagrams.read_document
+    # and writes one through diagrams.compact
+    found = set()
+    for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
+        if path.name == "diagrams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "document must be a JSON object" in node.value or "is missing field" in node.value:
+                    found.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps":
+                if any(k.arg == "separators" for k in node.keywords):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert not found, sorted(found)

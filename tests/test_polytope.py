@@ -1439,8 +1439,8 @@ class TestSerialization:
         assert vertex_set_from_json_dict({"vertices": [[1, 2], [2, 1]]}) == {(1, 2), (2, 1)}
 
     @pytest.mark.parametrize("bad, message", [
-        ([[1, 2]], "vertex-set document must be a JSON object with field 'vertices'"),
-        ({"points": [[1, 2]]}, "vertex-set document must be a JSON object with field 'vertices'"),
+        ([[1, 2]], "vertex-set document must be a JSON object"),
+        ({"points": [[1, 2]]}, "vertex-set document is missing field 'vertices'"),
         ({"vertices": {}}, "field 'vertices' must be a list of integer vectors"),
         ({"vertices": [[1, 2], (2, 1)]}, "field 'vertices': bad entry (2, 1)"),
         ({"vertices": [[1, "2"]]}, "field 'vertices': bad entry [1, '2']"),

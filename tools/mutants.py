@@ -189,7 +189,7 @@ MUTANTS = [
            "diagrams.skyline(perms.swap_adjacent(alpha, r))", "diagrams.skyline(alpha)",
            "tests/test_checks.py"),
     Mutant("_round_trip_failure skips the read", "checks.py",
-           "_compact(write(read(json.loads(doc))))", "_compact(write(value))",
+           "compact(write(read(json.loads(doc))))", "compact(write(value))",
            "tests/test_checks.py"),
     Mutant("_basis_vectors drops the last coordinate", "checks.py",
            "for i in range(1, n + 1)) for b in", "for i in range(1, n)) for b in",
@@ -197,9 +197,18 @@ MUTANTS = [
     Mutant("run_check reports the scope it was asked for", "checks.py",
            "max(m, _LEAST.get(name, 1))", "m",
            "tests/test_checks.py"),
-    Mutant("_compact writes spaces", "checks.py",
+    Mutant("compact writes spaces", "diagrams.py",
            'json.dumps(doc, separators=(",", ":"))', "json.dumps(doc)",
            "tests/test_checks.py"),
+    Mutant("read_document takes a non-object", "diagrams.py",
+           "if not isinstance(data, dict):", "if False:",
+           "tests/test_diagrams.py tests/test_polytope.py tests/test_polyoracle.py"),
+    Mutant("read_document checks the first field only", "diagrams.py",
+           "for field in fields:", "for field in fields[:1]:",
+           "tests/test_diagrams.py tests/test_polytope.py tests/test_polyoracle.py"),
+    Mutant("read_document takes a non-list", "diagrams.py",
+           "if not isinstance(listed, list):", "if False:",
+           "tests/test_diagrams.py tests/test_polytope.py tests/test_polyoracle.py"),
 ]
 
 
