@@ -7,7 +7,8 @@ library's message with the flag.  Exit codes: 0 on success, 1 when
 `verify` finds a failing check, 2 on usage or input errors (each with a
 one-line diagnostic naming the bad field or flag).  `--diagram FILE` is
 read as UTF-8, the encoding of JSON, and an object in it that repeats a
-key is refused, as the library refuses a repeated box.  Only `verify` imports
+key is refused, as the library refuses a repeated box; so is a document
+nested too deeply for the JSON reader.  Only `verify` imports
 the check suite and its oracles, and it opens a process pool only for more
 than one worker, so the other verbs start without them.  A verb loads
 `fractions` or `fillings` only if it reads them: `member` parses its point
@@ -73,7 +74,7 @@ def _load_diagram(args) -> diagrams.Diagram:
                 data = json.load(fh, object_pairs_hook=_object)
         except OSError as exc:
             raise ValueError(f"--diagram: cannot read {args.diagram}: {exc}") from None
-        except ValueError as exc:  # bad JSON, bad UTF-8 or a repeated key
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, a repeated key, too deep
             raise ValueError(f"--diagram: {args.diagram} is not valid JSON: {exc}") from None
         return _parse("--diagram", diagrams.from_json_dict, data)
     if args.rothe is not None:

@@ -9,18 +9,24 @@ choices match the `Fraction` tableau of `oracles.solve_nonnegative_by_fractions`
 Bland's rule makes it terminate; sizes here are tiny, so dense rows are fine.
 `hull_vertices`, the simplex's one user, runs it only on the points that
 two exact certificates leave open: a unique lexicographic extreme is a
-vertex, and the midpoint of two other points is not.
+vertex, and the midpoint of two other points is not.  A set of at most two
+distinct points needs neither: each of its points is a vertex.
 `oracles.hull_vertices_by_lp` runs it on every point.  Points must be
 tuples of `int` and `Fraction` of one dimension, and LP entries `int` or
 `Fraction` (`perms.exact_types`: `perms` owns the library's integer rule);
 the module imports `fractions` only to build the simplex's answer.
+Points are checked in bulk, one set of lengths and one set of coordinate
+types per call, and one by one only to name the first bad point.  The
+certificates compare integer keys of the points, which are the coordinates
+themselves when every coordinate is an int.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
-from .perms import exact_types
+from .perms import INTS, exact_types
 
 
 def eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
@@ -97,7 +103,11 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]
 
 def _check_points(points: Sequence[tuple], dim: int) -> None:
     """Raise a one-line ValueError naming the first point whose dimension is
-    not ``dim`` or that has a coordinate other than an int or a Fraction."""
+    not ``dim`` or that has a coordinate other than an int or a Fraction.
+    One set of lengths and one set of coordinate types decide a good set;
+    only a bad one is walked point by point, to name its first bad point."""
+    if {*map(len, points)} <= {dim} and {*map(type, chain.from_iterable(points))} <= exact_types():
+        return
     for p in points:
         if len(p) != dim:
             raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
@@ -161,10 +171,14 @@ def _lexicographic_extremes(pts: list[tuple]) -> list[bool]:
 def _keys(pts: list[tuple]) -> list[int]:
     """One int per point, linear in its coordinates, and distinct on the
     points and on every 2p - q: the coordinates times the lcm of their
-    denominators, as digits in a balanced base 6M + 1, where M bounds them."""
-    scale = math.lcm(*{c.denominator for p in pts for c in p})
-    scaled = [[(c * scale).numerator for c in p] for p in pts]
-    base = 6 * max((abs(c) for p in scaled for c in p), default=0) + 1
+    denominators (the coordinates themselves when all are ints), as digits
+    in a balanced base 6M + 1, where M bounds them."""
+    if {*map(type, chain.from_iterable(pts))} <= INTS:
+        scaled = pts
+    else:
+        scale = math.lcm(*{c.denominator for p in pts for c in p})
+        scaled = [[(c * scale).numerator for c in p] for p in pts]
+    base = 6 * max(map(abs, chain.from_iterable(scaled)), default=0) + 1
     keys = []
     for p in scaled:
         key = 0
@@ -191,6 +205,9 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
     vertex.  Undecided points outside it that lie in the (much smaller)
     candidates' hull are dropped first.  That never changes the answer:
     such a point is a convex combination of other points.
+
+    A set of at most two distinct points is its own vertex set, returned
+    once both the points and the candidates have passed their checks.
     """
     pts = [tuple(p) for p in points]
     dim = len(pts[0]) if pts else 0
@@ -199,7 +216,10 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
         wanted = [tuple(p) for p in candidates]
         _check_points(wanted, dim)
         wanted = set(wanted)
-    pts = sorted(set(pts))
+    distinct = set(pts)
+    if len(distinct) <= 2:
+        return distinct
+    pts = sorted(distinct)
     keys = _keys(pts)
     present = set(keys)
     out, undecided = set(), []

@@ -162,13 +162,19 @@ def _bruhat_leq(u: Sequence[int], w: Sequence[int]) -> bool:
     permutations; `composition_leq` and `vertex_compositions` run it on
     two compositions, the larger one first.  Both sorted prefixes grow by
     one insertion per step; the full prefixes are equal, so the last is
-    skipped."""
+    skipped.
+
+    The prefixes are compared only after a step that inserts a > b.  A
+    step with a <= b keeps entrywise order: if the sorted prefixes p <= q
+    entrywise, then p + {a} <= p + {b} <= q + {b}, since inserting a
+    smaller entry into one sorted list, or one entry into two entrywise
+    ordered sorted lists, keeps them entrywise ordered."""
     pu: list[int] = []
     pw: list[int] = []
     for a, b in zip(u[:-1], w[:-1]):
         insort(pu, a)
         insort(pw, b)
-        if any(map(operator.gt, pu, pw)):
+        if a > b and any(map(operator.gt, pu, pw)):
             return False
     return True
 

@@ -5,6 +5,14 @@ read-only mapping from exponent vectors to non-zero integer coefficients.
 The divided difference of a single monomial has a closed form (a geometric
 sum between the two exponents), so the division by x_i - x_{i+1} is
 carried out termwise and is exact by construction.
+
+Inputs are checked once, at the public edge: the constructor
+`Polynomial(n, terms)`, `monomial` and `poly_from_json_dict` check every
+exponent and coefficient.  The operators (`+`, `-`, `*`,
+`swap_variables`, `divided_difference`, `demazure`) build their results
+from checked polynomials with exponents and coefficients they computed
+themselves, so they go through `Polynomial._from_terms`, which only drops
+zero coefficients.
 """
 from __future__ import annotations
 
@@ -40,6 +48,16 @@ class Polynomial(Value):
                 clean[e] = c
         self.__dict__.update(n=n, terms=MappingProxyType(clean))
 
+    @classmethod
+    def _from_terms(cls, n: int, terms: Mapping[tuple[int, ...], int]) -> Polynomial:
+        """The polynomial of terms an operator built, unchecked: the caller
+        guarantees length-n tuples of non-negative ints as exponents and int
+        coefficients.  Zero coefficients are dropped, as the constructor
+        drops them, in insertion order."""
+        f = cls.__new__(cls)
+        f.__dict__.update(n=n, terms=MappingProxyType({e: c for e, c in terms.items() if c}))
+        return f
+
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
@@ -52,10 +70,10 @@ class Polynomial(Value):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return Polynomial(self.n, out)
+        return Polynomial._from_terms(self.n, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -68,7 +86,7 @@ class Polynomial(Value):
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.n, out)
+        return Polynomial._from_terms(self.n, out)
 
 
 def monomial(n: int, exponent: Sequence[int]) -> Polynomial:
@@ -78,7 +96,7 @@ def monomial(n: int, exponent: Sequence[int]) -> Polynomial:
 def swap_variables(f: Polynomial, i: int) -> Polynomial:
     """Exchange x_i and x_{i+1} in every term."""
     check_range(i, 1, f.n - 1, "variable index")
-    return Polynomial(f.n, {swap_adjacent(e, i): c for e, c in f.terms.items()})
+    return Polynomial._from_terms(f.n, {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c for e, c in f.terms.items()})
 
 
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
@@ -98,25 +116,20 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
         p, q = e[a], e[b]
         if p == q:
             continue
-        sign = 1 if p > q else -1
-        for k in range(min(p, q), max(p, q)):
-            shifted = list(e)
-            shifted[a] = k
-            shifted[b] = p + q - 1 - k
-            key = tuple(shifted)
-            out[key] = out.get(key, 0) + sign * c
-    return Polynomial(f.n, out)
+        if p < q:  # the sign, folded into the coefficient once per term
+            p, q, c = q, p, -c
+        head, tail, top = e[:a], e[b + 1:], p + q - 1
+        for k in range(q, p):
+            key = head + (k, top - k) + tail
+            out[key] = out.get(key, 0) + c
+    return Polynomial._from_terms(f.n, out)
 
 
 def demazure(f: Polynomial, i: int) -> Polynomial:
     """The operator sending f to divided_difference(x_i * f, i)."""
     check_range(i, 1, f.n - 1, "operator index")
-    bumped = {}
-    for e, c in f.terms.items():
-        shifted = list(e)
-        shifted[i - 1] += 1
-        bumped[tuple(shifted)] = c
-    return divided_difference(Polynomial(f.n, bumped), i)
+    bumped = {e[:i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in f.terms.items()}
+    return divided_difference(Polynomial._from_terms(f.n, bumped), i)
 
 
 @functools.cache

@@ -187,6 +187,15 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: --diagram: {path} is not valid JSON: repeated key 'n'\n"
 
+    def test_diagram_file_nested_too_deeply(self, capsys, tmp_path):
+        # the JSON reader recurses per nesting level; too deep is invalid JSON, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: --diagram: {path} is not valid JSON: "
+                       "maximum recursion depth exceeded while decoding a JSON array from a unicode string\n")
+
     def test_unreadable_diagram_file(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         code, out, err = run_cli(capsys, "vertices", "--diagram", str(path))

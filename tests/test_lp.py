@@ -189,6 +189,55 @@ class TestHullVertices:
                 hull_vertices([(0, 0)], candidates=[(bad, 0)])
 
 
+# small grids of points, by coordinate type: every set of at most two
+# distinct points of one grid is its own vertex set
+SMALL_GRIDS = {
+    "int": [(a, b) for a in range(-1, 2) for b in range(0, 3)],
+    "Fraction": [(Fraction(a, 2), Fraction(b, 3)) for a in range(-1, 2) for b in range(0, 3)],
+    "mixed": [(a, Fraction(b, 2)) for a in range(0, 2) for b in range(-1, 3)],
+}
+
+
+class TestSmallSets:
+    """`hull_vertices` returns a set of at most two distinct points whole,
+    after its checks; `oracles.hull_vertices_by_lp` runs the simplex on
+    every point."""
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_GRIDS))
+    def test_matches_lp_oracle(self, kind):
+        grid = SMALL_GRIDS[kind]
+        sets = [[], *([p] for p in grid), *map(list, itertools.combinations(grid, 2))]
+        for pts in sets:
+            want = hull_vertices_by_lp(pts)
+            assert want == set(pts), pts
+            # the empty set has dimension 0, so only empty candidates fit it
+            others = [q for q in grid if q not in pts][:2] if pts else []
+            for cand in (None, pts, pts + others, others, []):
+                assert hull_vertices(pts, cand) == want, (pts, cand)
+                assert hull_vertices(pts + pts[::-1], cand) == want, (pts, cand)
+
+    def test_one_dimension(self):
+        for pts in ([], [(Fraction(1, 2),)], [(0,), (3,)], [(3,), (0,), (3,)]):
+            assert hull_vertices(pts) == hull_vertices_by_lp(pts) == set(pts)
+
+    @pytest.mark.parametrize("points, candidates, message", [
+        ([(1,)], [(0, 0)], "point (0, 0) has dimension 2, expected 1"),
+        ([(0, 0), (1,)], None, "point (1,) has dimension 1, expected 2"),
+        ([(1, 2), (0, 0, 0)], [(1, 2)], "point (0, 0, 0) has dimension 3, expected 2"),
+        ([(True, 0)], None, "point (True, 0) has coordinate True, expected an integer or a Fraction"),
+        ([(0, 1.5), (True, 0)], None, "point (0, 1.5) has coordinate 1.5, expected an integer or a Fraction"),
+        ([(0, 0), (Fraction(1, 2), "1")], None, "point (Fraction(1, 2), '1') has coordinate '1', expected an integer or a Fraction"),
+        ([(0, 0)], [(0, 0), (0.5, 0)], "point (0.5, 0) has coordinate 0.5, expected an integer or a Fraction"),
+        ([(0, 0), (1, 1)], [(1, 1), (0, False)], "point (0, False) has coordinate False, expected an integer or a Fraction"),
+        ([(0, 0), (1, 1)], [(1, 1), (2,)], "point (2,) has dimension 1, expected 2"),
+    ])
+    def test_rejects_bad_points(self, points, candidates, message):
+        # the first bad point is named, a point before a candidate
+        with pytest.raises(ValueError) as refused:
+            hull_vertices(points, candidates)
+        assert str(refused.value) == message
+
+
 def count_lp_calls(monkeypatch) -> list[int]:
     """Count the simplex runs `hull_vertices` makes, through `convex_combination`."""
     calls = [0]
@@ -273,6 +322,21 @@ class TestHullCertificates:
                 assert hull_vertices(pts, cand) == want, (pts, cand)
         # the simplex ran on every kind of set but one point, a lexicographic extreme
         assert sent.pop("single") == 0 and min(sent.values()) >= 20, sent
+
+    def test_fraction_coordinates_are_scaled_to_ints(self):
+        # keys built from the thirds themselves, in base 6 * 4/3 + 1 = 9,
+        # would read (2/3, 1) as the midpoint of (4/3, -1/3) and (1/3, -2/3):
+        # 2 * (2/3 * 9 + 1) - (4/3 * 9 - 1/3) = 1/3 * 9 - 2/3, yet it is a vertex
+        pts = [(Fraction(-1, 3), Fraction(4, 3)), (Fraction(1, 3), Fraction(-1)), (Fraction(1, 3), Fraction(-2, 3)),
+               (Fraction(2, 3), Fraction(1)), (Fraction(4, 3), Fraction(-1, 3))]
+        want = hull_vertices_by_lp(pts)
+        assert (Fraction(2, 3), Fraction(1)) in want and len(want) == 4
+        assert hull_vertices(pts) == want
+        rng = random.Random(17)
+        for _ in range(300):
+            dim = rng.randint(2, 3)
+            pts = {tuple(Fraction(rng.randint(-4, 4), 3) for _ in range(dim)) for _ in range(rng.randint(3, 7))}
+            assert hull_vertices(pts) == hull_vertices_by_lp(pts), pts
 
     def test_vertex_neither_certificate_decides(self, monkeypatch):
         # (3, 3) is extreme in no coordinate and no midpoint of two others,

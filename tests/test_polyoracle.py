@@ -73,6 +73,51 @@ class TestPolynomial:
         assert key_polynomial((1, 0, 3)) is key_polynomial([1, 0, 3])
 
 
+def assert_as_constructed(f):
+    """f, an operator's result built without the constructor's checks, is the
+    polynomial the constructor builds from its terms, in the same order, and
+    holds no zero coefficient."""
+    rebuilt = Polynomial(f.n, dict(f.terms))
+    assert f == rebuilt and hash(f) == hash(rebuilt) and repr(f) == repr(rebuilt)
+    assert 0 not in f.terms.values(), f
+
+
+class TestUncheckedResults:
+    """The operators build their results through `Polynomial._from_terms`,
+    which checks nothing and only drops zero coefficients; the public
+    constructor is the oracle."""
+
+    def test_schubert_polynomials(self):
+        for n in range(1, 6):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert_as_constructed(schubert_polynomial(w))
+
+    def test_key_polynomials(self):
+        for n in range(1, 5):
+            for alpha in itertools.product(range(4), repeat=n):
+                assert_as_constructed(key_polynomial(alpha))
+
+    def test_operators_on_random_polynomials(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            f, g = random_poly(rng, 3), random_poly(rng, 3)
+            for h in (f + g, f - g, -f, f * g):
+                assert_as_constructed(h)
+            for i in (1, 2):
+                for h in (swap_variables(f, i), divided_difference(f, i), demazure(f, i)):
+                    assert_as_constructed(h)
+
+    def test_cancellations_leave_no_terms(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            f = random_poly(rng, 3)
+            assert (f + (-f)).terms == {} and (f - f).terms == {}
+            for i in (1, 2):
+                symmetric = f + swap_variables(f, i)
+                assert divided_difference(symmetric, i).terms == {}
+                assert divided_difference(f * symmetric, i) == divided_difference(f, i) * symmetric
+
+
 class TestDividedDifference:
     def test_kills_symmetric_input(self):
         assert divided_difference(monomial(2, (1, 1)), 1) == Polynomial(2, {})

@@ -118,6 +118,21 @@ MUTANTS = [
     Mutant("composition_leq with its arguments swapped", "perms.py",
            "return sb == sa and _bruhat_leq(a, b)", "return sb == sa and _bruhat_leq(b, a)",
            "tests/test_perms.py"),
+    Mutant("_bruhat_leq compares only after a step with a < b", "perms.py",
+           "if a > b and any(map(operator.gt, pu, pw)):", "if a < b and any(map(operator.gt, pu, pw)):",
+           "tests/test_perms.py"),
+    Mutant("_from_terms keeps zero coefficients", "polyoracle.py",
+           "MappingProxyType({e: c for e, c in terms.items() if c})", "MappingProxyType(dict(terms))",
+           "tests/test_polyoracle.py"),
+    Mutant("divided_difference drops the sign fold", "polyoracle.py",
+           "p, q, c = q, p, -c", "p, q = q, p",
+           "tests/test_polyoracle.py"),
+    Mutant("hull_vertices returns three points early", "lp.py",
+           "if len(distinct) <= 2:", "if len(distinct) <= 3:",
+           "tests/test_lp.py"),
+    Mutant("_keys takes its int path for Fraction coordinates", "lp.py",
+           "chain.from_iterable(pts))} <= INTS:", "chain.from_iterable(pts))} <= exact_types():",
+           "tests/test_lp.py"),
     Mutant("solve_nonnegative never infeasible", "lp.py",
            "if cost[-1] != 0:", "if cost[-1] > 0:",
            "tests/test_lp.py"),
@@ -155,6 +170,10 @@ MUTANTS = [
     Mutant("exact_types loads fractions itself", "perms.py",
            'sys.modules.get("fractions")', '__import__("fractions")',
            "tests/test_cli.py"),
+    # the bulk point check of hull_vertices and convex_combination
+    Mutant("_check_points' bulk test takes every length", "lp.py",
+           "if {*map(len, points)} <= {dim} and {*map(type,", "if {*map(type,",
+           "tests/test_lp.py"),
     # certification's bulk check of a claim, and its fallback scan
     Mutant("certify_vertices' bulk type test takes every type", "polytope.py",
            "{*map(type, itertools.chain.from_iterable(pts))} <= exact_types()", "True",
