@@ -206,15 +206,16 @@ def hull_vertices(points, candidates=None) -> set[tuple]:
     candidates' hull are dropped first.  That never changes the answer:
     such a point is a convex combination of other points.
 
-    A set of at most two distinct points is its own vertex set, returned
-    once both the points and the candidates have passed their checks.
+    Every point and candidate must have the dimension of the first point,
+    or with no points that of the first candidate.  A set of at most two
+    distinct points is its own vertex set, returned once both the points
+    and the candidates have passed their checks.
     """
     pts = [tuple(p) for p in points]
-    dim = len(pts[0]) if pts else 0
-    _check_points(pts, dim)
+    _check_points(pts, len(pts[0]) if pts else 0)
     if candidates is not None:
         wanted = [tuple(p) for p in candidates]
-        _check_points(wanted, dim)
+        _check_points(wanted, len((pts or wanted or [()])[0]))
         wanted = set(wanted)
     distinct = set(pts)
     if len(distinct) <= 2:

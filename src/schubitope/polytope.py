@@ -20,17 +20,20 @@ deficiency is one integer with a slot per subset, built by reading the
 column's rows once, each row doubling the packed deficiencies with a few
 big-integer operations (`_deficits`); |S| and the slot ones are shared by
 every column (`_ladder`).  The table is |S| times the number of nonempty
-columns, minus each column's deficiency times the number of columns
-sharing it.  Every bound is at most the box count, so the slots are 8
-bits wide below 256 boxes, and the result is widened once, through its
-bytes, to the 16-bit slots the `HRep` keeps; `hrep` keeps the last
-diagram's `HRep`.
+columns, minus each distinct column's deficiency, subtracted once and
+multiplied only for a column that repeats.  Every bound is at most the
+box count, so the slots are 8 bits wide below 256 boxes, and the result
+is widened once, through its bytes, to the 16-bit slots the `HRep` keeps
+(`HRep._from_packed`); the `table` tuple is built from those slots only
+when something first reads it.  `hrep` keeps the last diagram's `HRep`.
 Membership and a point's tight rows come from its subset sums, all 2^n of
 them in one packed integer built by the same doubling, one coordinate at
-a time, and compared with the packed table in a few big-integer
-operations (`_slack`); the point's denominators are cleared once, so the
-sums stay integers, and the slots are as wide as the bounds and
-coordinates need.
+a time, and compared with the 16-bit packed table in a few big-integer
+operations (`_slack`); the point's denominators are cleared once, each
+coordinate read once as a ratio of integers, so the sums stay integers,
+and the slots are as wide as the bounds and coordinates need.  `member`
+refuses a coordinate outside the range the bounds allow before it builds
+any slot, so a huge coordinate does not widen them.
 theta is submodular, so the vertices are Edmonds' greedy vectors of the
 table.  A greedy vector depends only on its chain of prefix masks, so an
 enumeration over the masks in increasing popcount, each holding the
@@ -77,7 +80,7 @@ STAR = "★"
 HREP_CAP = 18        # 2^n - 2 stored inequalities
 SWEEP_CAP = 10       # greedy-vector enumeration by prefix mask, behind `vertices` and `certify_vertices`
 
-_SLOT = 16           # bits per mask in hrep's packed table (bounds at most n^2 <= 324), the narrowest in `_slack`
+_SLOT = 16           # bits per mask in `HRep.packed` (bounds at most n^2 <= 324), the narrowest in `_slack`
 
 
 def _subset_mask(s: Iterable[int]) -> int:
@@ -214,10 +217,13 @@ class HRep(Value):
     in S.  table[0] = 0 and table[-1] = total, so the table is the whole
     set function.  Bounds are stored exactly as given.
 
-    The table packed 16 bits per subset (`packed`), its largest bound
-    (`max_bound`) and whether it is monotone (`monotone`) are computed
-    once, on first use, and kept (`hrep` sets all three); they are not
-    fields, so equality and hashing see only n, the total and the table."""
+    These values are derived on first read and kept in the instance dict:
+    the table packed 16 bits per subset (`packed`), its largest bound
+    (`max_bound`) and whether it is monotone (`monotone`); and for an
+    `HRep` made by `hrep`, which keeps only its packed table (see
+    `_from_packed`), the `table` itself.  They are not compared fields, so
+    equality, hashing and repr see only n, the total and the table, read
+    when first needed; a pickle copies the instance dict as it stands."""
 
     _fields = ("n", "total", "table")
 
@@ -239,13 +245,23 @@ class HRep(Value):
         self.__dict__.update(n=n, total=total, table=table)
 
     @classmethod
-    def _from_packed(cls, n: int, total: int, packed: int, table: Sequence[int]) -> HRep:
-        """The HRep of a monotone table, as `hrep` builds it, with the same
-        table packed 16 bits per subset kept as `packed`.  It is monotone,
-        so its largest bound is the total."""
+    def _from_packed(cls, n: int, total: int, packed: int) -> HRep:
+        """The HRep of a monotone table of non-negative bounds, as `hrep`
+        builds it, packed _SLOT bits per subset and kept as `packed`.  It is
+        monotone, so its largest bound is the total.  `table` is read from
+        `packed` when it is first read."""
         h = cls.__new__(cls)
-        h.__dict__.update(n=n, total=total, table=tuple(table), packed=packed, max_bound=total, monotone=True)
+        h.__dict__.update(n=n, total=total, packed=packed, max_bound=total, monotone=True)
         return h
+
+    @functools.cached_property
+    def table(self) -> tuple[int, ...]:
+        """The bounds of an `HRep` made by `hrep`, read off `packed`: below
+        256 from the low byte of each slot, else by `_unpack`.  Any other
+        `HRep` holds its table from the start."""
+        if self.max_bound < 256:
+            return tuple(self.packed.to_bytes(2 << self.n, "little")[::2])
+        return _unpack(self.packed, self.n)
 
     @functools.cached_property
     def packed(self) -> int:
@@ -277,15 +293,16 @@ def hrep(d: Diagram) -> HRep:
         raise ValueError(f"halfspace description needs 2^{n}-2 rows; cap is n <= {HREP_CAP}")
     w = 8 if d.size < 256 else _SLOT     # every bound is at most the box count
     cols = Counter(d.column_masks)
-    del cols[0]
     ones, biased = _ladder(n, w)
-    packed = sum(cols.values()) * biased - sum(k * _deficits(col, ones, w) for col, k in cols.items())
-    if w == _SLOT:
-        return HRep._from_packed(n, d.size, packed, _unpack(packed, n))
-    narrow = packed.to_bytes(1 << n, "little")
-    wide = bytearray(2 << n)
-    wide[::2] = narrow
-    return HRep._from_packed(n, d.size, int.from_bytes(wide, "little"), narrow)
+    packed = (n - cols.pop(0, 0)) * biased
+    for col, k in cols.items():
+        q = _deficits(col, ones, w)
+        packed -= q if k == 1 else k * q
+    if w < _SLOT:
+        wide = bytearray(2 << n)
+        wide[::2] = packed.to_bytes(1 << n, "little")
+        packed = int.from_bytes(wide, "little")
+    return HRep._from_packed(n, d.size, packed)
 
 
 def _check_point(h: HRep, point: Sequence) -> None:
@@ -299,11 +316,13 @@ def _check_point(h: HRep, point: Sequence) -> None:
 
 
 def _scaled(h: HRep, point: Sequence) -> tuple[list[int], int]:
-    """The point's coordinates times the lcm L of their denominators, and L.
-    Coordinates must be `int` or `Fraction`."""
+    """The point's coordinates times the lcm L of their denominators, and L,
+    each coordinate read once (`as_integer_ratio`).  Coordinates must be
+    `int` or `Fraction`."""
     _check_point(h, point)
-    scale = math.lcm(*[x.denominator for x in point])
-    return [x.numerator * (scale // x.denominator) for x in point], scale
+    ratios = [x.as_integer_ratio() for x in point]
+    scale = math.lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _slack(h: HRep, xs: Sequence[int], scale: int) -> tuple[int, int, int]:
@@ -371,9 +390,20 @@ def _walk(h: HRep, point: Sequence) -> tuple[str | None, list[int]]:
 
 def member(h: HRep, point: Sequence) -> bool:
     """Exact membership test; accepts integer or rational coordinates.  It
-    reads only the top bits of the packed slack (`_slack`)."""
+    reads only the top bits of the packed slack (`_slack`).
+
+    A point off the hyperplane, or with a coordinate outside
+    [total - max_bound, max_bound], is refused before any slot is built:
+    for n >= 2 a member has x_i <= table[{i}] <= max_bound and
+    x_i = total - x(N - i) >= total - max_bound, and for n = 1 the sum
+    forces x_1 = total, which lies in that range.  So a coordinate with a
+    huge numerator does not widen the 2^n slots; a huge denominator still
+    does, since the slots hold the point scaled by it."""
     xs, scale = _scaled(h, point)
     if sum(xs) != scale * h.total:
+        return False
+    top = scale * h.max_bound
+    if xs and (max(xs) > top or min(xs) < scale * h.total - top):
         return False
     slack, ones, w = _slack(h, xs, scale)
     tops = ones << (w - 1)

@@ -210,11 +210,16 @@ class TestSmallSets:
         for pts in sets:
             want = hull_vertices_by_lp(pts)
             assert want == set(pts), pts
-            # the empty set has dimension 0, so only empty candidates fit it
-            others = [q for q in grid if q not in pts][:2] if pts else []
+            # the empty set takes its dimension from the candidates
+            others = [q for q in grid if q not in pts][:2]
             for cand in (None, pts, pts + others, others, []):
                 assert hull_vertices(pts, cand) == want, (pts, cand)
                 assert hull_vertices(pts + pts[::-1], cand) == want, (pts, cand)
+
+    def test_no_points_take_the_candidates_dimension(self):
+        assert hull_vertices([], candidates=[(0, 0)]) == set()
+        assert hull_vertices([], candidates=[(0, 0), (Fraction(1, 2), 3)]) == set()
+        assert hull_vertices([], candidates=[()]) == hull_vertices([], candidates=[]) == set()
 
     def test_one_dimension(self):
         for pts in ([], [(Fraction(1, 2),)], [(0,), (3,)], [(3,), (0,), (3,)]):
@@ -230,6 +235,9 @@ class TestSmallSets:
         ([(0, 0)], [(0, 0), (0.5, 0)], "point (0.5, 0) has coordinate 0.5, expected an integer or a Fraction"),
         ([(0, 0), (1, 1)], [(1, 1), (0, False)], "point (0, False) has coordinate False, expected an integer or a Fraction"),
         ([(0, 0), (1, 1)], [(1, 1), (2,)], "point (2,) has dimension 1, expected 2"),
+        ([], [(0, 0), (0,)], "point (0,) has dimension 1, expected 2"),
+        ([], [(0,), (0, 0), (1,)], "point (0, 0) has dimension 2, expected 1"),
+        ([(0, 0), (1,)], [5], "point (1,) has dimension 1, expected 2"),
     ])
     def test_rejects_bad_points(self, points, candidates, message):
         # the first bad point is named, a point before a candidate

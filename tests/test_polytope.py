@@ -356,6 +356,40 @@ class TestHRep:
                 if h.max_bound < 2 ** 16:
                     assert copy.packed == h.packed
 
+    def test_table_is_built_on_first_read(self):
+        # random diagrams below 256 boxes (8-bit slots) and the full 16 x 16
+        # grid (256 boxes, 16-bit slots): hrep keeps the packed table only,
+        # and equality, hash, repr, pickling and member each work from it
+        rng = random.Random(97)
+        corpus = [random_diagram_with_density(rng, n, density) for n in range(6, 13) for density in (0.3, 0.6)]
+        corpus.append(Diagram(16, frozenset(itertools.product(range(1, 17), repeat=2))))
+
+        def fresh(d):
+            hrep.cache_clear()
+            h = hrep(d)
+            assert "table" not in vars(h)
+            return h
+
+        for d in corpus:
+            n = d.n
+            if d.size < 256:
+                table = tuple(theta(d, _mask_subset(mask, n)) for mask in range(2 ** n))
+            else:
+                table = tuple(n * mask.bit_count() for mask in range(2 ** n))
+            made = HRep(n, d.size, table)
+            assert fresh(d) == made
+            assert hash(fresh(d)) == hash(made)
+            assert repr(fresh(d)) == repr(made)
+            copy = pickle.loads(pickle.dumps(fresh(d)))
+            assert "table" not in vars(copy)
+            assert copy.packed == made.packed and copy == made and hash(copy) == hash(made)
+            h = fresh(d)
+            for point in (edmonds_vertex(table, range(1, n + 1)), (d.size + 1, -1) + (0,) * (n - 2)):
+                member(h, point)
+            assert "table" not in vars(h) and h.packed == made.packed
+            assert (h.max_bound, h.monotone) == (made.max_bound, made.monotone) == (d.size, True)
+            assert h.table == table
+
     def test_table_matches_column_words(self):
         rng = random.Random(29)
         for d in [D9] + [random_diagram(rng, n) for n in range(1, 7) for _ in range(4)]:
@@ -394,6 +428,59 @@ class TestMember:
         for point in ((2, "1", 1), (2, True, 1)):
             with pytest.raises(ValueError, match="point coordinate 2 is"):
                 member(h, point)
+
+    def test_a_coordinate_out_of_range_builds_no_slot(self, monkeypatch):
+        # a coordinate above max_bound or below total - max_bound is refused
+        # before `_slack`, however large it is
+        def no_slack(h, xs, scale):
+            raise AssertionError(f"slack built for {xs}")
+
+        rng = random.Random(103)
+        tables = [hrep(random_diagram_with_density(rng, n, 0.5)) for n in (2, 3, 6, 12)]
+        tables += [HRep(2, -1, (0, 0, 3, -1)), HRep(3, 4, (0, 3, 9, 4, 3, 4, 3, 4))]
+        huge = 10 ** 3000
+        monkeypatch.setattr(polytope, "_slack", no_slack)
+        for h in tables:
+            n, top, total = h.n, h.max_bound, h.total
+            for first in (top + 1, top + Fraction(1, 3), huge, total - top - 1, total - top - Fraction(1, 3), -huge):
+                rest = total - first
+                points = [(first, rest) + (0,) * (n - 2), (rest, first) + (0,) * (n - 2)]
+                if n >= 3:
+                    points.append((first,) + (Fraction(rest, n - 1),) * (n - 1))
+                for p in points:
+                    assert not member(h, p), (h, p)
+        with pytest.raises(AssertionError, match="slack built"):
+            member(tables[0], (tables[0].total,) + (0,) * (tables[0].n - 1))
+
+    def test_range_edges_match_fraction_oracle(self):
+        # every coordinate at each edge of [total - max_bound, max_bound] and
+        # one past it, in whole and in thirds, the rest spread over the others
+        rng = random.Random(107)
+        tables = [hrep(random_diagram_with_density(rng, n, density)) for n in range(7) for density in (0.3, 0.7)]
+        tables += [hrep(Diagram(n, frozenset((1, j) for j in range(1, n + 1)))) for n in (1, 3, 5)]
+        tables += [HRep(1, -2, (0, -2)), HRep(2, -1, (0, 0, 3, -1)), HRep(3, 4, (0, 3, 9, 4, 3, 4, 3, 4))]
+        inside = set()
+        for h in tables:
+            n, top, total = h.n, h.max_bound, h.total
+            if not n:
+                assert member(h, ()) and walk_by_fractions(h, ())[0] is None
+                continue
+            edges = {"high": top, "low": total - top}
+            for side, edge in edges.items():
+                step = 1 if side == "high" else -1
+                for x in (edge, edge + step, edge + Fraction(step, 3)):
+                    for i in range(n):
+                        rest = total - x
+                        others = [Fraction(rest, n - 1)] * (n - 1) if n > 1 else []
+                        uneven = [rest] + [0] * (n - 2) if n > 1 else []
+                        for fill in (others, uneven):
+                            p = tuple(fill[:i]) + (x,) + tuple(fill[i:])
+                            got = member(h, p)
+                            assert got == (walk_by_fractions(h, p)[0] is None), (h, p)
+                            if got:
+                                inside.add((side, x == edge))
+        # members sit on both edges, so the exit must keep its edges
+        assert inside == {("high", True), ("low", True)}
 
     def test_witness_prints_unscaled_sums(self):
         h = hrep(TRAPEZOID)

@@ -111,6 +111,18 @@ MUTANTS = [
     Mutant("HRep.monotone on the first element only", "polytope.py",
            "for k in range(self.n) for m in range(len(t))", "for k in range(1) for m in range(len(t))",
            "tests/test_polytope.py"),
+    Mutant("HRep.table reads the high byte lane", "polytope.py",
+           'to_bytes(2 << self.n, "little")[::2]', 'to_bytes(2 << self.n, "little")[1::2]',
+           "tests/test_polytope.py"),
+    Mutant("hrep ignores a repeated column's count", "polytope.py",
+           "packed -= q if k == 1 else k * q", "packed -= q",
+           "tests/test_polytope.py"),
+    Mutant("_scaled keeps the numerators unscaled", "polytope.py",
+           "return [p * (scale // q) for p, q in ratios], scale", "return [p for p, q in ratios], scale",
+           "tests/test_polytope.py"),
+    Mutant("member's range exit refuses a coordinate at max_bound", "polytope.py",
+           "max(xs) > top", "max(xs) >= top",
+           "tests/test_polytope.py"),
     Mutant("_first_order takes the largest tight step", "polytope.py",
            "        for k in range(n):\n            bit = 1 << k\n",
            "        for k in reversed(range(n)):\n            bit = 1 << k\n",
@@ -129,6 +141,9 @@ MUTANTS = [
            "tests/test_polyoracle.py"),
     Mutant("hull_vertices returns three points early", "lp.py",
            "if len(distinct) <= 2:", "if len(distinct) <= 3:",
+           "tests/test_lp.py"),
+    Mutant("hull_vertices gives no points dimension 0 whatever the candidates", "lp.py",
+           "len((pts or wanted or [()])[0])", "len((pts or [()])[0])",
            "tests/test_lp.py"),
     Mutant("_keys takes its int path for Fraction coordinates", "lp.py",
            "chain.from_iterable(pts))} <= INTS:", "chain.from_iterable(pts))} <= exact_types():",
